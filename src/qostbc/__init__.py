@@ -30,7 +30,9 @@ from .channels import (
 from .decoder import (
     PermutationPair,
     ReducedChannel,
+    FixedBasis,
     DecodeResult,
+    ChainResult,
     DecompositionError,
     DegenerateChannelError,
     permutation_indexes,
@@ -38,8 +40,11 @@ from .decoder import (
     reduce_channel,
     higher_order_reduce,
     symbol_order,
+    channel_gram,
+    fixed_basis,
     decode,
     decode_batch,
+    chain_decode,
     combiner_weights,
     apply_combiner,
 )

@@ -70,6 +70,8 @@ class BerParams:
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
+        if self.n_t < 1:
+            raise ValueError("n_t must be >= 1")
         if len(self.branches) != self.n_t:
             raise ValueError(f"need {self.n_t} branch statistics, got {len(self.branches)}")
         if not 0 < self.rho <= 1:

@@ -62,9 +62,17 @@ def encoded_channel_minors(h, k: int):
         Arrays of shape ``(..., K/2, K)``.
     """
     hp = extend_channel(h, k)
-    h1 = abba_manifold(hp, "channel")[..., : k // 2, :]
-    h2 = abba_manifold(modify_channel(hp), "combining")[..., : k // 2, :]
-    return h1, h2
+    return _upper_half(hp, "channel"), _upper_half(modify_channel(hp), "combining")
+
+
+def _upper_half(vec, generator):
+    # the top rows of both templates are [A, +-B], with A and B the
+    # manifolds of the two halves of the vector, so the lower half of the
+    # full manifold is never built
+    k = vec.shape[-1]
+    halves = abba_manifold(vec.reshape(vec.shape[:-1] + (2, k // 2)), generator)
+    b = halves[..., 1, :, :]
+    return np.concatenate([halves[..., 0, :, :], b if generator == "channel" else -b], axis=-1)
 
 
 @dataclass(frozen=True)

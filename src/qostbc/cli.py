@@ -18,6 +18,8 @@ from .modem import modulation
 
 
 def _esno_list(args):
+    if not args.esno_step > 0:
+        raise harness.ConfigError(f"--esno-step must be positive, got {args.esno_step:g}")
     sweep = np.arange(args.esno_start, args.esno_stop + 1e-9, args.esno_step)
     if sweep.size == 0:
         raise harness.ConfigError("empty Es/N0 sweep")

@@ -1,27 +1,50 @@
-"""Orthogonal symbol-by-symbol decoding via nested linear combining.
+"""Symbol-by-symbol decoding through one fixed orthogonal basis per block size.
 
-Decoding proceeds in three phases, all matrix-free (no inversion):
+With real and imaginary parts stacked, one block obeys the real model
+``[Re r; Im r] = A [Re s; Im s]``, where ``A`` (``2 K n_r`` by ``2K``)
+depends on the channel only.  The decoder returns the least-squares
+(zero-forcing) estimate ``G^-1 A^T y`` with the real Gram matrix
+``G = A^T A``.
 
-1.  Per receive antenna the received block is combined with the encoded
-    channel minors, giving two half-length vectors that depend on disjoint
-    halves of the symbol vector, plus the half-size *reduced* channel
-    matrix.  Vectors and reduced matrices are summed across antennas.
-2.  Each aggregate vector is repeatedly multiplied by the transpose of the
-    companion reduced matrix and split along a fixed index permutation;
-    the permuted real products are block-diagonal, so every split halves
-    the number of coupled symbols.  The reduced matrices follow the same
-    split, shrinking to scalars.
-3.  The terminal scalars normalise the fully decoupled estimates, which
-    are then reordered back to natural symbol order.
+The Gram matrices of all channels lie in one commutative algebra fixed by
+``K``.  Its ``K/2`` eigenprojectors ``P_g`` have rank 4 and every entry
+equal to 0 or ``+-2/K``, so one orthogonal basis ``Q`` diagonalises every
+channel's ``G = Q diag(lambda) Q^T``, each of the ``K/2`` eigenvalues
+repeated four times.  This is the decoupling of symbol groups that
+quasi-orthogonal codes are built on (Jafarkhani, IEEE Trans. Commun.
+2001).  Decoding is four dense products in double precision, with no matrix
+inversion:
 
-The block-diagonality of the permuted real products is checked at every
-stage; a violation raises :class:`DecompositionError` since it can only
-come from a construction bug, not from noise (the matrices involved depend
-on the channel only).
+1.  the matched filter ``c = A^T y``, formed from the encoded channel minors
+2.  ``Q^T c``
+3.  a division by the block's eigenvalues
+4.  ``Q``
+
+The columns ``P_g e_1`` are orthogonal and have ``K/2`` entries ``+-2/K``
+each, so the eigenvalues follow from the first Gram column as
+``lambda = W G e_1``, where the rows of ``W`` are the sign patterns of those
+columns.  ``G e_1 = A^T (A e_1)`` is one more matched filter.
+
+:func:`fixed_basis` builds ``Q`` and ``W`` once per ``K`` and process from
+the eigenvectors of one probe channel's Gram: four columns of each
+eigenprojector, rounded to the exact pattern, have disjoint supports and
+scale to an orthonormal basis of its range.  A second probe channel checks
+the result.
+
+The paper's nested combining chain is kept once, as the reference
+:func:`chain_decode`.  Per receive antenna it combines the received block
+with the encoded channel minors into two half-length vectors that depend on
+disjoint symbol halves, then repeatedly multiplies them by reduced channel
+matrices and splits them along a fixed index permutation until every
+symbol is decoupled.  It computes the same estimate and shows the paper's
+structure: its raw output order (:func:`symbol_order`) and one gain shared
+by every symbol.  It runs in complex128, where its precision degrades as
+``K`` grows, so it serves tests at small ``K`` only.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +55,9 @@ from .codes import _is_power_of_two
 __all__ = [
     "PermutationPair",
     "ReducedChannel",
+    "FixedBasis",
     "DecodeResult",
+    "ChainResult",
     "DecompositionError",
     "DegenerateChannelError",
     "permutation_indexes",
@@ -40,8 +65,11 @@ __all__ = [
     "reduce_channel",
     "higher_order_reduce",
     "symbol_order",
+    "channel_gram",
+    "fixed_basis",
     "decode",
     "decode_batch",
+    "chain_decode",
     "combiner_weights",
     "apply_combiner",
 ]
@@ -51,19 +79,25 @@ __all__ = [
 # errors in the construction.
 STRUCTURE_TOL = 1e-8
 
-# The nested chain multiplies channel-derived matrices log2(K)-1 times and
-# the surviving per-symbol gain shrinks relative to the products' bulk
-# magnitude, so plain doubles run out of mantissa around K=128.  Blocks of
-# this size and above are decoded in extended (80-bit) precision.
-EXTENDED_PRECISION_K = 128
+# Largest deviation of Q^T Q from the identity, and of Q^T G Q from the
+# diagonal of W eigenvalues relative to the largest, accepted for the check
+# channel when a basis is built (measured: below 1e-14 up to K=1024).
+BASIS_TOL = 1e-12
+
+# Largest distance of a scaled probe projector entry from {0, +-1} that
+# still counts as that value (measured: below 1e-10 up to K=1024).
+ROUND_TOL = 1e-6
+
+# Fixed seed of the two probe channels a basis is built and checked with.
+PROBE_SEED = 2005
 
 
 class DecompositionError(RuntimeError):
-    """A permuted real product failed to be block-diagonal."""
+    """A structural property of the code failed to hold."""
 
 
 class DegenerateChannelError(ValueError):
-    """All channel gains are zero; nothing can be recovered."""
+    """The channel's Gram matrix is singular; the symbols cannot be separated."""
 
 
 @dataclass(frozen=True)
@@ -114,24 +148,24 @@ def first_stage(r, enc: EncodedChannel):
     k = enc.k
     if r.shape != (k,):
         raise ValueError(f"received vector must have length {k}")
-    r1, r2 = _first_stage_batch(r[None, None, :], enc.h1[None, None], enc.h2[None, None])
-    return r1[0, 0], r2[0, 0]
+    c = _matched_filter(r[None], enc.h1, enc.h2)[0]
+    return c[: k // 2], c[k // 2 :]
 
 
-def _first_stage_batch(r, h1, h2):
-    # r: (B, nr, K); h1, h2: (B, nr, K/2, K) -> two (B, nr, K/2)
-    k = r.shape[-1]
-    h = k // 2
-    rt, rb = r[..., :h], r[..., h:]
-    # columns 1..K/2 of each minor combine into the first-half estimate,
-    # columns K/2+1..K into the second-half estimate
-    r1 = np.einsum("...ij,...i->...j", h1[..., :h].conj(), rt) + np.einsum(
-        "...ij,...i->...j", h2[..., :h], rb.conj()
-    )
-    r2 = np.einsum("...ij,...i->...j", h1[..., h:].conj(), rt) + np.einsum(
-        "...ij,...i->...j", h2[..., h:], rb.conj()
-    )
-    return r1, r2
+def _matched_filter(r, h1, h2):
+    """Complex form ``c`` of the matched filter, ``[Re c; Im c] = A^T [Re r; Im r]``.
+
+    ``r`` is ``(..., m, K)``: ``m`` received blocks of one antenna as rows.
+    With the minors ``h1, h2`` of shape ``(..., K/2, K)`` this is
+    ``c = H1^H r_top + H2^T conj(r_bot)``, shape ``(..., m, K)``.  For a
+    noiseless block its first and second halves depend only on the first
+    and second symbol halves.
+    """
+    half = r.shape[-1] // 2
+    c = r[..., :half].conj() @ h1
+    np.conjugate(c, out=c)
+    c += r[..., half:].conj() @ h2
+    return c
 
 
 @dataclass(frozen=True)
@@ -217,9 +251,225 @@ def symbol_order(k: int) -> np.ndarray:
     return np.concatenate(cols)
 
 
+def channel_gram(channels, k: int) -> np.ndarray:
+    """Real Gram matrix ``A^T A`` of the model ``[Re r; Im r] = A [Re s; Im s]``.
+
+    Parameters
+    ----------
+    channels : array_like
+        ``(..., n_r, n_t)`` channel gains; a 1-D ``(n_t,)`` vector is one
+        receive antenna.
+    k : int
+
+    Returns
+    -------
+    np.ndarray
+        ``(..., 2K, 2K)``, summed over receive antennas.
+    """
+    channels = np.asarray(channels, dtype=complex)
+    if channels.ndim == 1:
+        channels = channels[None]
+    h1, h2 = encoded_channel_minors(channels, k)
+    # rows: the first K/2 epochs carry H1 s, the last K/2 carry H2 conj(s)
+    a = np.concatenate(
+        [
+            np.concatenate([h1.real, -h1.imag], axis=-1),
+            np.concatenate([h1.imag, h1.real], axis=-1),
+            np.concatenate([h2.real, h2.imag], axis=-1),
+            np.concatenate([h2.imag, -h2.real], axis=-1),
+        ],
+        axis=-2,
+    )
+    return (np.swapaxes(a, -1, -2) @ a).sum(axis=-3)
+
+
+@dataclass(frozen=True)
+class FixedBasis:
+    """Eigenbasis shared by the real Gram matrices of every channel at one ``K``.
+
+    ``q`` is the ``(2K, 2K)`` orthogonal basis; columns ``4g .. 4g+3`` span
+    the ``g``-th eigenspace.  ``w`` is the ``(K/2, 2K)`` matrix with
+    entries in ``{0, +-1}`` that maps a Gram matrix's first column to its
+    ``K/2`` eigenvalues in the same order.
+    """
+
+    q: np.ndarray
+    w: np.ndarray
+
+
+_BASES = {}
+_BASES_LOCK = threading.Lock()
+
+
+def fixed_basis(k: int) -> FixedBasis:
+    """The basis for block size ``k``, built on first use and kept.
+
+    Building takes a lock, so concurrent first decodes at a new ``K`` build
+    it once.
+
+    Raises
+    ------
+    DecompositionError
+        The probe channels do not share one exact eigenbasis.
+    """
+    if not _is_power_of_two(k) or k < 2:
+        raise ValueError(f"K={k} must be a power of two >= 2")
+    with _BASES_LOCK:
+        basis = _BASES.get(k)
+        if basis is None:
+            basis = _BASES[k] = _build_basis(k)
+    return basis
+
+
+def _build_basis(k: int) -> FixedBasis:
+    rng = np.random.default_rng(PROBE_SEED)
+    probe, check = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    # at K=2 (Alamouti) every Gram is a multiple of the identity
+    v = np.linalg.eigh(channel_gram(probe, k))[1] if k > 2 else np.eye(4)
+    n = 2 * k
+    q = np.empty((n, n))
+    w = np.empty((k // 2, n))
+    for g in range(k // 2):
+        vg = v[:, 4 * g : 4 * g + 4]
+        # Columns (K/2) P e_j of the projector P = vg vg^T, rounded.  As
+        # P_ij = (P e_i).(P e_j) and every column has norm^2 2/K, column i
+        # is parallel to column j where P_ij != 0 and orthogonal to it
+        # where P_ij = 0.  Taking each next column among those orthogonal
+        # to all columns taken so far gives four that span the range of P.
+        free = np.ones(n, dtype=bool)
+        cols = []
+        for _ in range(4):
+            if not free.any():
+                raise DecompositionError(f"probe eigenprojector {g} at K={k} has rank below 4")
+            exact = vg @ vg[int(np.argmax(free))] * (k / 2)
+            col = np.rint(exact)
+            if np.abs(exact - col).max() > ROUND_TOL:
+                raise DecompositionError(
+                    f"probe eigenprojector {g} at K={k} has no exact {{0, +-2/K}} pattern"
+                )
+            cols.append(col)
+            free &= col == 0
+        if free.any():
+            raise DecompositionError(f"probe eigenprojector {g} at K={k} has rank above 4")
+        # disjoint supports of K/2 entries +-1 each: scaling orthonormalises
+        q[:, 4 * g : 4 * g + 4] = np.stack(cols, axis=1) / np.sqrt(k / 2)
+        w[g] = cols[0]
+
+    gram = channel_gram(check, k)
+    lam = w @ gram[:, 0]
+    err = max(
+        np.abs(q.T @ q - np.eye(n)).max(),
+        np.abs(q.T @ gram @ q - np.diag(np.repeat(lam, 4))).max() / np.abs(lam).max(),
+    )
+    if not err <= BASIS_TOL:
+        raise DecompositionError(
+            f"fixed basis at K={k} is not orthonormal or does not diagonalise a check "
+            f"channel: error {err:.3e}"
+        )
+    return FixedBasis(q, w)
+
+
 @dataclass(frozen=True)
 class DecodeResult:
-    """Soft estimates in natural order plus the combining gain.
+    """Soft estimates in natural order plus the block's Gram eigenvalues.
+
+    ``eigenvalues`` are the ``K/2`` distinct eigenvalues of the real Gram
+    matrix, in the order of :attr:`FixedBasis.w`; at ``K=2`` the single
+    eigenvalue is the channel energy.
+    """
+
+    estimates: np.ndarray
+    eigenvalues: np.ndarray
+
+
+def decode_batch(received, channels, k: int = None):
+    """Least-squares decoder over a leading batch of independent blocks.
+
+    Parameters
+    ----------
+    received : array_like
+        ``(B, K, n_r)`` received blocks.
+    channels : array_like
+        ``(B, n_r, n_t)`` channel gains as the receiver sees them, one
+        vector per antenna and block.
+    k : int, optional
+        Block size; defaults to ``received.shape[1]``.
+
+    Returns
+    -------
+    (estimates, eigenvalues) : tuple of np.ndarray
+        ``(B, K)`` estimates in natural order and ``(B, K/2)`` Gram
+        eigenvalues.
+
+    Raises
+    ------
+    DegenerateChannelError
+        A block's Gram matrix has an eigenvalue that is zero to rounding,
+        relative to its largest eigenvalue.
+    """
+    received = np.asarray(received, dtype=complex)
+    channels = np.asarray(channels, dtype=complex)
+    if received.ndim != 3 or channels.ndim != 3:
+        raise ValueError("received must be (B, K, n_r) and channels (B, n_r, n_t)")
+    nbatch, kk, n_r = received.shape
+    if k is None:
+        k = kk
+    if kk != k or channels.shape[0] != nbatch or channels.shape[1] != n_r:
+        raise ValueError("received/channels dimensions disagree")
+    if channels.shape[2] > k:
+        raise ValueError(f"n_t={channels.shape[2]} exceeds K={k}")
+    basis = fixed_basis(k)
+
+    h1, h2 = encoded_channel_minors(channels, k)  # (B, nr, K/2, K)
+    # A e_1, the response to a unit real first symbol, filters to the Gram
+    # column G e_1
+    unit = np.concatenate([h1[..., 0], h2[..., 0]], axis=-1)[..., None, :]
+    g1 = _matched_filter(unit, h1, h2).sum(axis=1)[:, 0]  # (B, K)
+    lam = np.concatenate([g1.real, g1.imag], axis=-1) @ basis.w.T  # (B, K/2)
+    singular = lam.min(axis=1) <= k * np.finfo(float).eps * lam.max(axis=1)
+    if np.any(singular):
+        raise DegenerateChannelError(
+            f"singular channel Gram matrix in {int(singular.sum())} of {nbatch} blocks"
+        )
+    c = _matched_filter(np.swapaxes(received, 1, 2)[..., None, :], h1, h2).sum(axis=1)[:, 0]
+    x = np.concatenate([c.real, c.imag], axis=-1)  # (B, 2K)
+    est = ((x @ basis.q) / np.repeat(lam, 4, axis=1)) @ basis.q.T
+    return est[:, :k] + 1j * est[:, k:], lam
+
+
+def _single_block(received, channels):
+    received = np.asarray(received, dtype=complex)
+    if received.ndim == 1:
+        received = received[:, None]
+    channels = np.atleast_2d(np.asarray(channels, dtype=complex))
+    return received[None], channels[None]
+
+
+def decode(received, channels, k: int = None) -> DecodeResult:
+    """Decode one received block (possibly from several receive antennas).
+
+    Parameters
+    ----------
+    received : array_like
+        ``(K,)`` or ``(K, n_r)`` received samples.
+    channels : array_like
+        ``(n_t,)`` or ``(n_r, n_t)`` channel gains (length ``n_t <= K``).
+    k : int, optional
+        Block size; inferred from ``received`` when omitted.
+
+    Returns
+    -------
+    DecodeResult
+        In the noiseless case ``estimates`` equals the transmitted symbol
+        vector to numerical precision.
+    """
+    est, lam = decode_batch(*_single_block(received, channels), k)
+    return DecodeResult(est[0], lam[0])
+
+
+@dataclass(frozen=True)
+class ChainResult:
+    """Output of the reference nested chain for one block.
 
     ``gain`` is the terminal normalisation scalar within the rescaled
     chain; the absolute combining gain is ``gain * exp(log_scale)`` (kept
@@ -234,76 +484,27 @@ class DecodeResult:
     raw_estimates: np.ndarray
 
 
-def decode_batch(received, channels, k: int = None, dtype=None, refine=None):
-    """Vectorised decoder over a leading batch of independent blocks.
+def chain_decode(received, channels, k: int = None) -> ChainResult:
+    """Decode one block with the paper's nested combining chain.
 
-    Parameters
-    ----------
-    received : array_like
-        ``(B, K, n_r)`` received blocks.
-    channels : array_like
-        ``(B, n_r, n_t)`` channel gains, one vector per antenna and block.
-    k : int, optional
-        Block size; defaults to ``received.shape[1]``.
-    dtype : numpy dtype, optional
-        Working precision of the combining chain.  Defaults to complex128
-        below ``EXTENDED_PRECISION_K`` and extended precision at or above.
-    refine : int, optional
-        Number of residual-correction passes.  The decoder is a fixed
-        linear map of the received block, so re-decoding the modelling
-        residual contracts the conditioning error of the deep stages
-        quadratically; the default applies two passes for ``K >= 64``.
-
-    Returns
-    -------
-    (estimates, gain, log_scale, raw) : tuple of np.ndarray
-        ``(B, K)`` estimates in natural order, ``(B,)`` terminal gains and
-        log normalisation scales, ``(B, K)`` raw pre-ordering outputs.
+    Takes the same inputs as :func:`decode` and computes the same estimate
+    at small ``K``; see the module docstring for its role.
     """
-    received = np.asarray(received)
-    channels = np.asarray(channels)
-    if received.ndim != 3 or channels.ndim != 3:
-        raise ValueError("received must be (B, K, n_r) and channels (B, n_r, n_t)")
-    nbatch, kk, n_r = received.shape
+    received, channels = _single_block(received, channels)
     if k is None:
-        k = kk
-    if dtype is None:
-        dtype = np.complex128 if k < EXTENDED_PRECISION_K else np.clongdouble
-    if refine is None:
-        refine = 2 if k >= 64 else 0
-    received = received.astype(dtype)
-    channels = channels.astype(dtype)
-    if kk != k or channels.shape[0] != nbatch or channels.shape[1] != n_r:
-        raise ValueError("received/channels dimensions disagree")
-    if channels.shape[2] > k:
-        raise ValueError(f"n_t={channels.shape[2]} exceeds K={k}")
-    energy = np.sum(np.abs(channels) ** 2, axis=(1, 2))
-    if np.any(energy == 0):
-        raise DegenerateChannelError("all channel gains are zero")
-
-    h1, h2 = encoded_channel_minors(channels, k)  # (B, nr, K/2, K)
-    estimates, gain, log_scale, raw = _combining_chain(received, h1, h2, k, dtype)
-    for _ in range(refine):
-        top = np.einsum("bnij,bj->bni", h1, estimates)
-        bot = np.einsum("bnij,bj->bni", h2, np.conj(estimates))
-        model = np.transpose(np.concatenate([top, bot], axis=-1), (0, 2, 1))
-        delta, _, _, _ = _combining_chain(received - model, h1, h2, k, dtype)
-        estimates = estimates + delta
-    return (
-        np.asarray(estimates, dtype=np.complex128),
-        np.asarray(gain, dtype=float),
-        np.asarray(log_scale, dtype=float),
-        np.asarray(raw, dtype=np.complex128),
-    )
+        k = received.shape[1]
+    h1, h2 = encoded_channel_minors(channels, k)
+    est, gain, log_scale, raw = _combining_chain(received, h1, h2, k)
+    return ChainResult(est[0], float(gain[0]), float(log_scale[0]), raw[0])
 
 
-def _combining_chain(received, h1, h2, k, dtype):
-    """One pass of the nested combining given precomputed minors."""
+def _combining_chain(received, h1, h2, k):
+    """The nested combining chain given precomputed minors."""
     nbatch = received.shape[0]
-    r = np.transpose(received, (0, 2, 1))  # (B, nr, K)
-    r1, r2 = _first_stage_batch(r, h1, h2)
+    r = np.transpose(received, (0, 2, 1))[..., None, :]  # (B, nr, 1, K)
     # antenna summation in fixed index order (reproducible reduction)
-    vecs = np.stack([r1.sum(axis=1), r2.sum(axis=1)], axis=1)  # (B, 2, K/2)
+    c = _matched_filter(r, h1, h2)[:, :, 0].sum(axis=1)
+    vecs = c.reshape(nbatch, 2, k // 2)
     m1 = _reduce_batch(h1, h2).sum(axis=1)  # (B, K/2, K/2)
     m2 = m1.copy()
 
@@ -314,7 +515,7 @@ def _combining_chain(received, h1, h2, k, dtype):
             m1 * inv[:, None, None],
             m2 * inv[:, None, None],
             vecs * inv[:, None, None],
-            log_scale + np.log(nrm.astype(float)),
+            log_scale + np.log(nrm),
         )
 
     log_scale = np.zeros(nbatch)
@@ -331,7 +532,7 @@ def _combining_chain(received, h1, h2, k, dtype):
             # next-order product by commutation
             w[:, 0::2] = np.einsum("blm,bcl->bcm", m2, vecs[:, 0::2])
             w[:, 1::2] = np.einsum("blm,bcl->bcm", m1, vecs[:, 1::2])
-            nxt = np.empty((nbatch, 2 * vecs.shape[1], take), dtype=dtype)
+            nxt = np.empty((nbatch, 2 * vecs.shape[1], take), dtype=complex)
             nxt[:, 0::2] = w[..., q0]
             nxt[:, 1::2] = w[..., q1]
             vecs = nxt
@@ -362,39 +563,9 @@ def _combining_chain(received, h1, h2, k, dtype):
     t2 = m2[:, 0, 0]
     scal = np.where(np.arange(k) % 2 == 0, t1[:, None], t2[:, None])
     order = symbol_order(k)
-    estimates = np.empty((nbatch, k), dtype=dtype)
+    estimates = np.empty((nbatch, k), dtype=complex)
     estimates[:, order - 1] = raw / scal
     return estimates, t1.real, log_scale, raw
-
-
-def decode(received, channels, k: int = None, dtype=None, refine=None) -> DecodeResult:
-    """Decode one received block (possibly from several receive antennas).
-
-    Parameters
-    ----------
-    received : array_like
-        ``(K,)`` or ``(K, n_r)`` received samples.
-    channels : array_like
-        ``(n_t,)`` or ``(n_r, n_t)`` channel gains (length ``n_t <= K``).
-    k : int, optional
-        Block size; inferred from ``received`` when omitted.
-    dtype : numpy dtype, optional
-        Working precision override, see :func:`decode_batch`.
-
-    Returns
-    -------
-    DecodeResult
-        In the noiseless case ``estimates`` equals the transmitted symbol
-        vector to numerical precision.
-    """
-    received = np.asarray(received, dtype=complex)
-    if received.ndim == 1:
-        received = received[:, None]
-    channels = np.atleast_2d(np.asarray(channels, dtype=complex))
-    est, gain, log_scale, raw = decode_batch(
-        received[None], channels[None], k, dtype, refine
-    )
-    return DecodeResult(est[0], float(gain[0]), float(log_scale[0]), raw[0])
 
 
 def combiner_weights(channels, k: int):
@@ -406,7 +577,7 @@ def combiner_weights(channels, k: int):
 
         estimate_k = sum_i  F1[:, k, i]^H r[:, i]  +  F2[:, k, i]^T conj(r[:, i])
 
-    reproducing :func:`decode` exactly (terminal normalisation included).
+    reproducing :func:`decode` exactly.
 
     Returns
     -------
@@ -422,7 +593,7 @@ def combiner_weights(channels, k: int):
             probes[i * k + j, j, i] = 1.0
             probes[nprobe + i * k + j, j, i] = 1.0j
     chans = np.broadcast_to(channels, (2 * nprobe,) + channels.shape)
-    est, _, _, _ = decode_batch(probes, chans, k)
+    est = decode_batch(probes, chans, k)[0]
     a = est[:nprobe].reshape(n_r, k, k)  # response to e_j: (antenna, sample, symbol)
     b = est[nprobe:].reshape(n_r, k, k)  # response to 1j * e_j
     f1 = np.conj((a - 1j * b) / 2.0).transpose(1, 2, 0)

@@ -46,9 +46,9 @@ class Modulation:
     """
 
     def __init__(self, family: str, order: int):
-        b = int(np.log2(order))
-        if 2**b != order or order < 2:
+        if order < 2 or order & (order - 1):
             raise ValueError(f"M={order} is not a power of two >= 2")
+        b = int(np.log2(order))
         if family == "qam" and b % 2:
             raise ValueError(f"square QAM needs an even number of bits, got M={order}")
         if family not in ("psk", "qam"):
@@ -130,9 +130,9 @@ def psk_distance_spectrum(m: int) -> np.ndarray:
     zero; either choice gives the same value since both sides of a tie are
     equidistant.
     """
-    b = int(np.log2(m))
-    if 2**b != m or m < 2:
+    if m < 2 or m & (m - 1):
         raise ValueError(f"M={m} is not a power of two >= 2")
+    b = int(np.log2(m))
 
     def _round_half_away(x):
         return np.sign(x) * np.floor(np.abs(x) + 0.5)

@@ -1,6 +1,9 @@
 """Decoder tests: permutation split, stagewise combining, reduction chain,
-output ordering, round trips, probing combiner and noise behaviour."""
+output ordering, round trips, the fixed basis against a least-squares
+oracle, probing combiner and noise behaviour."""
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -13,17 +16,20 @@ from qostbc import (
     apply_combiner,
     build_encoded_channel,
     build_mother,
+    chain_decode,
     combiner_weights,
     decode,
     decode_batch,
     encode,
     first_stage,
+    fixed_basis,
     higher_order_reduce,
     permutation_indexes,
     puncture,
     reduce_channel,
     symbol_order,
 )
+import qostbc.decoder as decoder
 from qostbc.harness import reduction_residuals
 
 
@@ -214,7 +220,7 @@ class TestSymbolOrder:
             s = np.zeros(k, dtype=complex)
             s[j] = 1.0
             r = encode(st, s) @ h
-            res = decode(r, h, k)
+            res = chain_decode(r, h, k)
             hot = int(np.argmax(np.abs(res.raw_estimates)))
             assert order[hot] == j + 1
             others = np.delete(np.abs(res.raw_estimates), hot)
@@ -229,8 +235,11 @@ class TestDecode:
         r = encode(build_mother(2), s) @ h
         res = decode(r, h, 2)
         np.testing.assert_allclose(res.estimates, s, rtol=1e-12)
+        np.testing.assert_allclose(res.eigenvalues, [np.sum(np.abs(h) ** 2)], rtol=1e-12)
+        chain = chain_decode(r, h, 2)
+        np.testing.assert_allclose(chain.estimates, s, rtol=1e-12)
         np.testing.assert_allclose(
-            res.gain * np.exp(res.log_scale), np.sum(np.abs(h) ** 2), rtol=1e-12
+            chain.gain * np.exp(chain.log_scale), np.sum(np.abs(h) ** 2), rtol=1e-12
         )
 
     def test_k64_four_antennas(self):
@@ -259,7 +268,7 @@ class TestDecode:
         s = np.zeros(8, dtype=complex)
         s[3] = 1.0  # symbol s4: raw position 2 (1-based) in [1,4,2,3,...]
         r = encode(build_mother(8), s) @ h
-        res = decode(r, h, 8)
+        res = chain_decode(r, h, 8)
         mags = np.abs(res.raw_estimates)
         assert np.argmax(mags) == 1
         assert np.delete(mags, 1).max() <= 1e-10 * mags[1]
@@ -270,7 +279,7 @@ class TestDecode:
         s = crandn(rng, k)
         h = crandn(rng, 2, k)
         r = encode(build_mother(k), s) @ h.T
-        res = decode(r, h, k)
+        res = chain_decode(r, h, k)
         ratios = res.raw_estimates / s[symbol_order(k) - 1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
         assert abs(ratios[0].imag) <= 1e-10 * abs(ratios[0])
@@ -283,7 +292,7 @@ class TestDecode:
         hh = crandn(rng, n_r, k)
         clean = encode(build_mother(k), s) @ hh.T
         noisy = clean[None] + 0.3 * crandn(rng, trials, k, n_r)
-        est, _, _, _ = decode_batch(noisy, np.broadcast_to(hh, (trials, n_r, k)), k)
+        est = decode_batch(noisy, np.broadcast_to(hh, (trials, n_r, k)), k)[0]
         mean = est.mean(axis=0)
         sem = est.std(axis=0) / np.sqrt(trials)
         assert np.all(np.abs(mean - s) <= 4.0 * sem + 1e-12)
@@ -298,7 +307,7 @@ class TestDecode:
         s = crandn(rng, nb, k)
         hh = crandn(rng, nb, n_r, k)
         rx = np.einsum("bka,bia->bki", encode(build_mother(k), s), hh)
-        est, _, _, _ = decode_batch(rx, hh, k)
+        est = decode_batch(rx, hh, k)[0]
         for b in range(nb):
             single = decode(rx[b], hh[b], k)
             np.testing.assert_allclose(est[b], single.estimates, rtol=1e-10)
@@ -335,16 +344,130 @@ class TestCombinerWeights:
             h = crandn(rng, 2)
             s = crandn(rng, 2)
             r = encode(build_mother(2), s) @ h
-            res = decode(r, h, 2)
+            res = chain_decode(r, h, 2)
             np.testing.assert_allclose(
                 res.gain * np.exp(res.log_scale), np.sum(np.abs(h) ** 2), rtol=1e-10
             )
 
 
+def lstsq_oracle(received, gains, k):
+    """Least-squares estimate and real model ``A`` of one block.
+
+    ``A`` is built column by column from ``encode`` of the unit vectors
+    ``e_j`` and ``1j e_j``: ``[Re r; Im r] = A [Re s; Im s]``.
+    """
+    n_r, n_t = gains.shape
+    structure = puncture(build_mother(k), n_t)
+    a = np.empty((2 * k * n_r, 2 * k))
+    for j in range(2 * k):
+        s = np.zeros(k, dtype=complex)
+        s[j % k] = 1.0 if j < k else 1j
+        col = encode(structure, s) @ gains.T
+        a[:, j] = np.concatenate([col.real.ravel(), col.imag.ravel()])
+    y = np.concatenate([received.real.ravel(), received.imag.ravel()])
+    x = np.linalg.lstsq(a, y, rcond=None)[0]
+    return x[:k] + 1j * x[k:], a
+
+
+class TestFixedBasis:
+    @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("n_r", [1, 2])
+    def test_matches_lstsq_oracle(self, k, n_r):
+        rng = np.random.default_rng(3000 + k + n_r)
+        for n_t in sorted({k, max(1, 3 * k // 4), min(3, k)}):
+            s = crandn(rng, k)
+            gains = crandn(rng, n_r, n_t)
+            r = encode(puncture(build_mother(k), n_t), s) @ gains.T + 0.3 * crandn(rng, k, n_r)
+            want, _ = lstsq_oracle(r, gains, k)
+            got = decode(r, gains, k).estimates
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 1e-12, (k, n_t, n_r, err)
+
+    @pytest.mark.parametrize("k", [2, 4, 16, 64, 128])
+    def test_diagonalises_every_gram(self, k):
+        rng = np.random.default_rng(4000 + k)
+        basis = fixed_basis(k)
+        assert set(np.unique(basis.w)) <= {-1.0, 0.0, 1.0}
+        assert np.abs(basis.q.T @ basis.q - np.eye(2 * k)).max() <= 1e-14
+        for n_r, n_t in ((1, k), (2, max(1, 3 * k // 4))):
+            gains = crandn(rng, n_r, n_t)
+            _, a = lstsq_oracle(np.zeros((k, n_r), dtype=complex), gains, k)
+            gram = a.T @ a
+            d = basis.q.T @ gram @ basis.q
+            lam = np.diag(d)
+            assert np.abs(d - np.diag(lam)).max() <= 1e-12 * lam.max()
+            # W maps the first Gram column to the eigenvalues, four per group
+            np.testing.assert_allclose(
+                np.repeat(basis.w @ gram[:, 0], 4), lam, rtol=0, atol=1e-12 * lam.max()
+            )
+            np.testing.assert_allclose(
+                decode(np.zeros((k, n_r)), gains, k).eigenvalues, basis.w @ gram[:, 0], rtol=1e-12
+            )
+
+    def test_built_once_under_concurrent_first_use(self, monkeypatch):
+        k = 32
+        calls = []
+        build = decoder._build_basis
+
+        def counting(kk):
+            calls.append(kk)
+            time.sleep(0.05)  # widen the window in which a second build could start
+            return build(kk)
+
+        monkeypatch.setattr(decoder, "_BASES", {})
+        monkeypatch.setattr(decoder, "_build_basis", counting)
+        rng = np.random.default_rng(23)
+        s, h = crandn(rng, k), crandn(rng, k)
+        r = encode(build_mother(k), s) @ h
+        barrier = threading.Barrier(2)
+        results = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            results.append(decode(r, h, k).estimates)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [k]
+        assert len(results) == 2
+        for est in results:
+            np.testing.assert_allclose(est, s, rtol=1e-12)
+
+    def test_singular_gram_rejected(self):
+        # Gram eigenvalues {0, 4}: the two gains cancel on one symbol group
+        h = np.array([1.0, 1.0j, 0.0, 0.0])
+        r = encode(build_mother(4), np.ones(4, dtype=complex)) @ h
+        with pytest.raises(DegenerateChannelError):
+            decode(r, h, 4)
+        rng = np.random.default_rng(24)
+        gains = np.stack([crandn(rng, 1, 4), h[None]])
+        with pytest.raises(DegenerateChannelError):
+            decode_batch(np.stack([r, r])[..., None], gains, 4)
+
+    @pytest.mark.parametrize("k", [4, 8, 16, 32])
+    def test_chain_reference_agrees(self, k):
+        rng = np.random.default_rng(5000 + k)
+        s = crandn(rng, k)
+        hh = crandn(rng, 2, k)
+        r = encode(build_mother(k), s) @ hh.T + 0.3 * crandn(rng, k, 2)
+        chain = chain_decode(r, hh, k).estimates
+        fixed = decode(r, hh, k).estimates
+        assert np.linalg.norm(chain - fixed) <= 1e-10 * np.linalg.norm(fixed)
+
+
 def test_decode_cost_scales_subcubically():
     # wall-clock sanity: doubling K twice must stay well under the
-    # K^2 log K envelope times a generous constant (same dtype and no
-    # refinement passes so only the combining chain is measured)
+    # K^2 log K envelope times a generous constant (both bases are built
+    # by the warm-up, outside the timed calls)
     rng = np.random.default_rng(22)
 
     def run(k):
@@ -354,11 +477,12 @@ def test_decode_cost_scales_subcubically():
         best = np.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            decode(r, h, k, dtype=np.clongdouble, refine=0)
+            decode(r, h, k)
             best = min(best, time.perf_counter() - t0)
         return best
 
     run(64)  # warm-up
+    run(256)
     t64 = run(64)
     t256 = run(256)
     envelope = (256 / 64) ** 2 * (np.log2(256) / np.log2(64))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qostbc.harness as harness
+from qostbc import build_mother, modulation, puncture
 from qostbc.cli import main
 from qostbc.harness import (
     CSV_HEADER,
@@ -124,6 +125,17 @@ class TestRunSweep:
         row = res.rows[0]
         assert row.ber_sim == row.bit_errors / (row.trials * 2 * 2)
 
+    @pytest.mark.parametrize("mod", ["qam16", "qam64"])
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    def test_noiseless_qam_decodes_exactly(self, mod, k):
+        # QAM decisions use the amplitude, so the decoder must see the
+        # power-shared channel gains / sqrt(n_t) that scale the transmission
+        cfg = small_config(k=k, n_t=k, modulation=mod)
+        stats = branch_stats(k, cfg.channel, cfg.profile)
+        structure = puncture(build_mother(k), k)
+        errors = harness._sim_batch(cfg, modulation(mod), structure, stats, 0.0, 0, 0, 512)
+        assert errors == 0
+
     def test_alamouti_brackets_analytic(self):
         cfg = small_config(esno_db=(6.0,), trials=300_000, target_errors=600, batch=8192)
         row = run_sweep(cfg).rows[0]
@@ -145,6 +157,14 @@ class TestVerify:
             "reduction-block-diagonal",
             "round-trip",
         } <= names
+
+    def test_every_k_certified(self):
+        # round trips and the fixed-basis check run at every K, K=512 too
+        report = verify(512)
+        assert report.ok
+        ks = [2**i for i in range(1, 10)]
+        for name in ("fixed-basis-diagonal", "round-trip"):
+            assert sorted({c.k for c in report.checks if c.name.startswith(name)}) == ks
 
     def test_report_text(self):
         text = verify(8).to_text()
@@ -241,6 +261,24 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["simulate", "--K", "3", "--mod", "bpsk"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--K", "4", "--esno-step", "0"],
+            ["simulate", "--K", "4", "--esno-step", "-2"],
+            ["analyze", "--mod", "qpsk", "--nt", "0"],
+            ["capacity", "--nt", "2", "--mods", "psk0"],
+            ["verify", "--K", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_input_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         import qostbc.harness as hmod
