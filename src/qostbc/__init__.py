@@ -60,7 +60,6 @@ from .fading import (
 )
 from .analysis import (
     BerParams,
-    QuadratureConfig,
     mgf,
     mgf_integral,
     psk_ber,

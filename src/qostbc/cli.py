@@ -17,9 +17,20 @@ from .fading import parse_channel_spec
 from .modem import modulation
 
 
+MAX_ESNO_POINTS = 100_000
+
+
 def _esno_list(args):
+    for flag, value in (("--esno-start", args.esno_start), ("--esno-stop", args.esno_stop),
+                        ("--esno-step", args.esno_step)):
+        if not np.isfinite(value):
+            raise harness.ConfigError(f"{flag} must be finite, got {value:g}")
     if not args.esno_step > 0:
         raise harness.ConfigError(f"--esno-step must be positive, got {args.esno_step:g}")
+    if (args.esno_stop + 1e-9 - args.esno_start) / args.esno_step > MAX_ESNO_POINTS:
+        raise harness.ConfigError(
+            f"--esno-step {args.esno_step:g} gives more than {MAX_ESNO_POINTS} points "
+            f"from --esno-start {args.esno_start:g} to --esno-stop {args.esno_stop:g}")
     sweep = np.arange(args.esno_start, args.esno_stop + 1e-9, args.esno_step)
     if sweep.size == 0:
         raise harness.ConfigError("empty Es/N0 sweep")
@@ -30,8 +41,6 @@ def _add_sweep_flags(p):
     p.add_argument("--esno-start", type=float, default=0.0, help="sweep start in dB")
     p.add_argument("--esno-stop", type=float, default=10.0, help="sweep stop in dB")
     p.add_argument("--esno-step", type=float, default=2.0, help="sweep step in dB")
-    p.add_argument("--points", type=int, default=analysis.DEFAULT_POINTS,
-                   help="quadrature points per integral")
     p.add_argument("--out", type=str, default=None, help="CSV output path (stdout if omitted)")
 
 
@@ -81,7 +90,6 @@ def _cmd_simulate(args):
         target_errors=args.target_errors,
         seed=args.seed,
         batch=args.batch,
-        points=args.points,
         workers=args.workers,
     )
     result = harness.run_sweep(config)
@@ -101,9 +109,9 @@ def _cmd_analyze(args):
         nakagami_approx=args.nakagami_approx,
     )
     fn = analysis.psk_ber if mod.family == "psk" else analysis.qam_ber
+    esno_db = _esno_list(args)
     lines = ["esno_db,ber"]
-    for e in _esno_list(args):
-        lines.append(f"{e:.10g},{fn(mod.order, params, e, args.points):.10g}")
+    lines += [f"{e:.10g},{b:.10g}" for e, b in zip(esno_db, fn(mod.order, params, esno_db))]
     _write_csv("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -123,7 +131,6 @@ def _cmd_capacity(args):
         channel=args.channel,
         profile=args.profile,
         rho=args.rho,
-        points=args.points,
         mods=mods,
     )
     lines = ["esno_db," + ",".join(names) + ",envelope"]

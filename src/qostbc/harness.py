@@ -73,7 +73,6 @@ class ExperimentConfig:
     target_errors: int = 200
     seed: int = 1234
     batch: int = 2048
-    points: int = analysis.DEFAULT_POINTS
     workers: int = 1
 
     def __post_init__(self):
@@ -136,7 +135,7 @@ def analytic_ber(config: ExperimentConfig, esno_db):
         n_t=config.n_t, n_r=config.n_r, branches=_shared_power(stats)
     )
     fn = analysis.psk_ber if mod.family == "psk" else analysis.qam_ber
-    return fn(mod.order, params, esno_db, config.points)
+    return fn(mod.order, params, esno_db)
 
 
 @dataclass(frozen=True)
@@ -255,6 +254,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     mod = modulation(config.modulation)
     structure = puncture(build_mother(config.k), config.n_t)
     stats = branch_stats(config.n_t, config.channel, config.profile)
+    ber_analytic = analytic_ber(config, config.esno_db)
     rows = []
     for snr_idx, esno_db in enumerate(config.esno_db):
         errors, trials, nbits, seconds = _run_point(
@@ -264,7 +264,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             SweepPoint(
                 esno_db=esno_db,
                 ber_sim=errors / nbits,
-                ber_analytic=float(analytic_ber(config, esno_db)),
+                ber_analytic=float(ber_analytic[snr_idx]),
                 trials=trials,
                 bit_errors=errors,
                 seconds=seconds,
@@ -451,7 +451,6 @@ def capacity_sweep(
     profile: str = "equipower",
     rho: float = 1.0,
     eta: float = 1.0,
-    points: int = analysis.DEFAULT_POINTS,
     mods=CAPACITY_MODULATIONS,
 ):
     """Achievable hard-decision rate per modulation plus the envelope.
@@ -463,14 +462,13 @@ def capacity_sweep(
         ``(esno_db, rates..., envelope)``.
     """
     stats = _shared_power(branch_stats(n_t, channel, profile))
-    rows = []
-    for e in np.atleast_1d(np.asarray(esno_db, dtype=float)):
-        rates = []
-        for name in mods:
-            mod = modulation(name)
-            params = analysis.BerParams(n_t=n_t, n_r=n_r, branches=stats, rho=rho, eta=eta)
-            fn = analysis.psk_ber if mod.family == "psk" else analysis.qam_ber
-            pbar = min(max(float(fn(mod.order, params, float(e), points)), 0.0), 0.5)
-            rates.append(analysis.capacity(mod.bits_per_symbol, rho, pbar))
-        rows.append((float(e), *rates, max(rates)))
+    params = analysis.BerParams(n_t=n_t, n_r=n_r, branches=stats, rho=rho, eta=eta)
+    esno_db = np.ravel(np.asarray(esno_db, dtype=float))
+    columns = []
+    for name in mods:
+        mod = modulation(name)
+        fn = analysis.psk_ber if mod.family == "psk" else analysis.qam_ber
+        pbar = np.clip(fn(mod.order, params, esno_db), 0.0, 0.5)
+        columns.append([analysis.capacity(mod.bits_per_symbol, rho, float(p)) for p in pbar])
+    rows = [(float(e), *rates, max(rates)) for e, rates in zip(esno_db, zip(*columns))]
     return list(mods), rows

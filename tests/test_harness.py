@@ -270,15 +270,28 @@ class TestCli:
             ["analyze", "--mod", "qpsk", "--nt", "0"],
             ["capacity", "--nt", "2", "--mods", "psk0"],
             ["verify", "--K", "3"],
+            ["capacity", "--nt", "2", "--esno-start", "0", "--esno-stop", "1e9",
+             "--esno-step", "1e-9"],
+            ["analyze", "--mod", "qpsk", "--nt", "2", "--esno-start", "nan"],
+            ["capacity", "--nt", "2", "--esno-stop", "inf"],
+            ["simulate", "--K", "4", "--esno-step", "inf"],
+            ["analyze", "--mod", "qpsk", "--nt", "2", "--points", "5"],
         ],
         ids=" ".join,
     )
     def test_invalid_input_exit_code(self, argv, capsys):
-        assert main(argv) == 2
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown flag with its usage text
+            assert exc.code == 2
+            assert "error: unrecognized arguments" in capsys.readouterr().err
+            return
+        assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+        assert all(flag in captured.err for flag in argv if flag.startswith("--esno"))
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         import qostbc.harness as hmod
