@@ -12,12 +12,15 @@ import sys
 
 import numpy as np
 
-from . import analysis, harness
+from . import __version__, analysis, harness
 from .fading import parse_channel_spec
 from .modem import modulation
 
 
 MAX_ESNO_POINTS = 100_000
+
+# what the ber_analytic column of simulate is, stated in its sidecar
+BER_ANALYTIC_NOTE = "full-diversity ML bound; equals the linear decoder only at K=2"
 
 
 def _esno_list(args):
@@ -93,7 +96,14 @@ def _cmd_simulate(args):
         workers=args.workers,
     )
     result = harness.run_sweep(config)
-    _write_csv(result.to_csv(), args.out, sidecar=result.config_dict())
+    sidecar = dict(
+        result.config_dict(),
+        qostbc_version=__version__,
+        numpy_version=np.__version__,
+        python_version="{}.{}.{}".format(*sys.version_info),
+        ber_analytic=BER_ANALYTIC_NOTE,
+    )
+    _write_csv(result.to_csv(), args.out, sidecar=sidecar)
     return 0
 
 

@@ -11,6 +11,11 @@ The K-by-K *mother* matrix is obtained by wrapping two recursive block
 matrices (see :func:`abba_manifold`) built from the two halves of the symbol
 vector.  Transmit matrices for fewer antennas are column selections of the
 mother matrix (:func:`puncture`).
+
+The layout is evaluated once per structure: :class:`EncodingStructure`
+folds the grids of the recursion and its selected columns into one
+``(K, n_t)`` integer table into ``[s, conj(s), -s, -conj(s)]``, and
+:func:`encode` is a single gather through that table.
 """
 
 from __future__ import annotations
@@ -126,6 +131,13 @@ class EncodingStructure:
     selected_columns : np.ndarray
         Strictly increasing 1-based column indices; the transmit matrix
         uses these ``n_t`` columns of the mother matrix.
+    table : np.ndarray
+        ``(k, n_t)`` index of each transmitted entry into
+        ``[s, conj(s), -s, -conj(s)]``: ``raw_index - 1 + k*conjugated +
+        2k*(sign < 0)`` over the selected columns.  Derived, never passed.
+
+    All four arrays are read-only copies, so the table cannot go stale;
+    :func:`puncture` and :func:`dataclasses.replace` rebuild it.
     """
 
     k: int
@@ -133,19 +145,28 @@ class EncodingStructure:
     sign: np.ndarray
     conjugated: np.ndarray
     selected_columns: np.ndarray = field(default=None)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_power_of_two(self.k):
             raise ValueError(f"K={self.k} is not a power of two")
         if self.selected_columns is None:
             object.__setattr__(self, "selected_columns", np.arange(1, self.k + 1))
-        cols = np.asarray(self.selected_columns)
+        for name in ("raw_index", "sign", "conjugated", "selected_columns"):
+            grid = np.array(getattr(self, name))
+            grid.flags.writeable = False
+            object.__setattr__(self, name, grid)
+        cols = self.selected_columns
         if cols.ndim != 1 or not (1 <= len(cols) <= self.k):
             raise ValueError("selected_columns must be a non-empty 1-D index list")
         if np.any((cols < 1) | (cols > self.k)) or np.any(np.diff(cols) <= 0):
             raise ValueError("selected_columns must be strictly increasing in 1..K")
         if np.any((self.raw_index < 1) | (self.raw_index > self.k)):
             raise ValueError("raw indices must lie in 1..K")
+        full = (self.raw_index - 1) + self.k * self.conjugated + 2 * self.k * (self.sign < 0)
+        table = full[:, cols - 1].astype(np.intp)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @property
     def n_t(self) -> int:
@@ -206,8 +227,22 @@ def puncture(structure: EncodingStructure, n_t: int) -> EncodingStructure:
     return replace(structure, selected_columns=np.arange(1, n_t + 1))
 
 
+def _signed_gather(parts, table) -> np.ndarray:
+    """``np.take`` of ``table`` from ``parts`` joined along the last axis.
+
+    ``np.take`` along the last axis returns a C-contiguous ``(..., *table.shape)``
+    array; fancy indexing ``joined[..., table]`` would put the leading axes
+    innermost, which slows every matmul on the result.
+    """
+    return np.take(np.concatenate(parts, axis=-1), table, axis=-1)
+
+
 def encode(structure: EncodingStructure, s) -> np.ndarray:
     """Instantiate the transmit matrix for a symbol vector.
+
+    One gather through ``structure.table`` from ``[s, conj(s), -s,
+    -conj(s)]``.  The output dtype is that of ``s`` times the int8 ``sign``
+    grid, so unsigned input is promoted before it is negated.
 
     Parameters
     ----------
@@ -224,9 +259,9 @@ def encode(structure: EncodingStructure, s) -> np.ndarray:
     s = np.asarray(s)
     if s.shape[-1] != structure.k:
         raise ValueError(f"symbol vector length {s.shape[-1]} != K={structure.k}")
-    vals = s[..., structure.raw_index - 1] * structure.sign
-    vals = np.where(structure.conjugated, np.conj(vals), vals)
-    return vals[..., :, structure.selected_columns - 1]
+    s = s.astype(np.result_type(s.dtype, structure.sign.dtype), copy=False)
+    sc = np.conj(s)
+    return _signed_gather((s, sc, -s, -sc), structure.table)
 
 
 def gram_check(c: np.ndarray):

@@ -1,6 +1,7 @@
 """Encoded-channel tests: gain-vector preprocessing, minor construction
-(golden sign patterns at K=32), the factorisation identity and the
-quasi-orthogonality of the channel manifolds."""
+(golden sign patterns at K=32, the gather tables against the recursion),
+the factorisation identity and the quasi-orthogonality of the channel
+manifolds."""
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from qostbc import (
     build_encoded_channel,
     build_mother,
     encode,
+    encoded_channel_minors,
     extend_channel,
     minors_to_text,
     modify_channel,
     symbolic_minors,
 )
+from qostbc.channels import _minor_tables, _upper_half
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
+TABLE_CASES = [(k, n_t) for k in ALL_K for n_t in sorted({1, 3, k - 1, k}) if n_t <= k]
 
 
 def crandn(rng, *shape):
@@ -108,6 +112,46 @@ class TestMinorConstruction:
         full = build_encoded_channel(np.concatenate([h, np.zeros(3)]), 8)
         np.testing.assert_array_equal(short.h1, full.h1)
         np.testing.assert_array_equal(short.h2, full.h2)
+
+
+def recursive_minors(h, k):
+    """Both minors by running the recursion on the gains themselves."""
+    hp = extend_channel(h, k)
+    return _upper_half(hp, "channel"), _upper_half(modify_channel(hp), "combining")
+
+
+class TestMinorTables:
+    @pytest.mark.parametrize("k,n_t", TABLE_CASES)
+    def test_gather_equals_recursion(self, k, n_t):
+        rng = np.random.default_rng(k * n_t)
+        inputs = [
+            crandn(rng, n_t),
+            crandn(rng, 5, 2, n_t),
+            rng.integers(-9, 10, size=(2, n_t)),
+            np.arange(1, n_t + 1, dtype=np.int32),
+        ]
+        for h in inputs:
+            for got, want in zip(encoded_channel_minors(h, k), recursive_minors(h, k)):
+                assert got.dtype == want.dtype
+                assert got.shape == h.shape[:-1] + (k // 2, k)
+                np.testing.assert_array_equal(got, want)
+                # a fancy-indexed gather puts the batch axes innermost,
+                # which slows the decoder's matched filter several-fold
+                assert got.flags.c_contiguous
+
+    def test_tables_built_once_per_shape(self):
+        rng = np.random.default_rng(4)
+        _minor_tables.cache_clear()
+        encoded_channel_minors(crandn(rng, 5), 8)
+        encoded_channel_minors(crandn(rng, 3, 5), 8)
+        encoded_channel_minors(crandn(rng, 6), 8)
+        info = _minor_tables.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_tables_are_read_only(self):
+        for table in _minor_tables(8, 5):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
 
 class TestAugmentedAndApply:

@@ -1,5 +1,8 @@
 """Construction-side tests: manifold recursion, mother matrix, puncturing,
-instantiation and Gram block-orthogonality."""
+instantiation (the gather table against the grid definition) and Gram
+block-orthogonality."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from qostbc import (
 )
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
+TABLE_CASES = [(k, n_t) for k in ALL_K for n_t in sorted({1, 3, k - 1, k}) if n_t <= k]
 
 
 def crandn(rng, *shape):
@@ -177,6 +181,54 @@ class TestEncode:
         batch = encode(st, s)
         assert batch.shape == (10, 4, 3)
         np.testing.assert_allclose(batch[4], encode(st, s[4]))
+
+
+def grid_encode(structure, s):
+    """Definition of the transmit matrix straight from the symbolic grids."""
+    vals = np.asarray(s)[..., structure.raw_index - 1] * structure.sign
+    vals = np.where(structure.conjugated, np.conj(vals), vals)
+    return vals[..., :, structure.selected_columns - 1]
+
+
+class TestEncodeTable:
+    @pytest.mark.parametrize("k,n_t", TABLE_CASES)
+    def test_gather_equals_grid_definition(self, k, n_t):
+        rng = np.random.default_rng(k + n_t)
+        st = puncture(build_mother(k), n_t)
+        inputs = [
+            crandn(rng, k),
+            crandn(rng, 5, 2, k),
+            rng.integers(-9, 10, size=(3, k)),
+            rng.integers(0, 10, size=k).astype(np.uint8),
+        ]
+        for s in inputs:
+            got, want = encode(st, s), grid_encode(st, s)
+            assert got.dtype == want.dtype
+            assert got.shape == s.shape[:-1] + (k, n_t)
+            np.testing.assert_array_equal(got, want)
+            # a fancy-indexed gather puts the batch axes innermost, which
+            # slows every matmul on the transmit matrix
+            assert got.flags.c_contiguous
+
+    def test_grids_and_table_are_read_only(self):
+        st = build_mother(4)
+        for grid in (st.raw_index, st.sign, st.conjugated, st.selected_columns, st.table):
+            with pytest.raises(ValueError):
+                grid[0] = 1
+
+    def test_replace_rebuilds_table(self):
+        st = build_mother(8)
+        assert puncture(st, 3).table.shape == (8, 3)
+        s = np.arange(1, 9) * 1j
+        np.testing.assert_array_equal(encode(replace(st, sign=-st.sign), s), -encode(st, s))
+
+    def test_table_ignores_later_caller_writes(self):
+        st = build_mother(4)
+        sign = np.array(st.sign)
+        own = replace(st, sign=sign)
+        sign[:] = -1
+        np.testing.assert_array_equal(own.sign, st.sign)
+        np.testing.assert_array_equal(encode(own, np.arange(4.0)), encode(st, np.arange(4.0)))
 
 
 class TestGram:

@@ -3,10 +3,12 @@ validation, the verification report, fault injection, capacity sweep
 properties and the command-line front end."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
 
+import qostbc
 import qostbc.harness as harness
 from qostbc import build_mother, modulation, puncture
 from qostbc.cli import main
@@ -136,6 +138,24 @@ class TestRunSweep:
         errors = harness._sim_batch(cfg, modulation(mod), structure, stats, 0.0, 0, 0, 512)
         assert errors == 0
 
+    @pytest.mark.parametrize(
+        "params,counts",
+        [
+            (dict(k=2, n_t=2, n_r=2, modulation="psk8", channel="mixed", trials=4096,
+                  batch=1024), [6373, 1200, 4]),
+            (dict(k=16, n_t=13, n_r=2, modulation="qam16", channel="mixed", trials=1024,
+                  batch=256, workers=2), [28557, 18263, 3681]),
+            (dict(k=128, n_t=96, n_r=1, modulation="qpsk", channel="rayleigh", trials=64,
+                  batch=32), [3875, 226, 0]),
+        ],
+        ids=["k2-psk8-mixed", "k16-nt13-qam16-mixed", "k128-nt96-qpsk"],
+    )
+    def test_golden_bit_errors(self, params, counts):
+        # fixed-seed counts of the encode/fade/decode/demap chain; a
+        # refactor that keeps the arithmetic must reproduce them exactly
+        cfg = ExperimentConfig(esno_db=(0.0, 10.0, 20.0), target_errors=10**9, seed=77, **params)
+        assert [row.bit_errors for row in run_sweep(cfg).rows] == counts
+
     def test_alamouti_brackets_analytic(self):
         cfg = small_config(esno_db=(6.0,), trials=300_000, target_errors=600, batch=8192)
         row = run_sweep(cfg).rows[0]
@@ -248,6 +268,11 @@ class TestCli:
         assert out.read_text().startswith(CSV_HEADER)
         sidecar = json.loads((tmp_path / "sweep.csv.json").read_text())
         assert sidecar["k"] == 2 and sidecar["seed"] == 5
+        assert set(ExperimentConfig.__dataclass_fields__) <= set(sidecar)
+        assert sidecar["qostbc_version"] == qostbc.__version__
+        assert sidecar["numpy_version"] == np.__version__
+        assert sidecar["python_version"] == platform.python_version()
+        assert sidecar["ber_analytic"].startswith("full-diversity ML bound")
 
     def test_capacity_command(self, capsys):
         rc = main([
