@@ -102,6 +102,7 @@ def _cmd_simulate(args):
         numpy_version=np.__version__,
         python_version="{}.{}.{}".format(*sys.version_info),
         ber_analytic=BER_ANALYTIC_NOTE,
+        min_eigenvalue_ratio=[row.min_eigenvalue_ratio for row in result.rows],
     )
     _write_csv(result.to_csv(), args.out, sidecar=sidecar)
     return 0

@@ -12,20 +12,16 @@ equal to 0 or ``+-2/K``, so one orthogonal basis ``Q`` diagonalises every
 channel's ``G = Q diag(lambda) Q^T``, each of the ``K/2`` eigenvalues
 repeated four times.  This is the decoupling of symbol groups that
 quasi-orthogonal codes are built on (Jafarkhani, IEEE Trans. Commun.
-2001).  Decoding is four dense products in double precision, with no matrix
-inversion:
+2001).  Decoding needs no matrix inversion.  ``S = sqrt(K/2) Q`` has
+entries in ``{0, +-1}``, and the eigenvalues are read off the channel:
+``lambda_g = (K/2) |P_g h|^2`` summed over receive antennas, with ``h`` the
+stacked ``Re h`` and ``-Im h``, is two real products of the channel with
+rows of ``S``, a square and a sum over each group's four columns.  The
+``+-1`` products are exact, so nearly singular channels keep their
+relative precision.  The estimate is ``S diag(2 / (K lambda)) S^T c =
+Q diag(1/lambda) Q^T c``, with ``c = A^T y`` from the encoded channel minors.
 
-1.  the matched filter ``c = A^T y``, formed from the encoded channel minors
-2.  ``Q^T c``
-3.  a division by the block's eigenvalues
-4.  ``Q``
-
-The columns ``P_g e_1`` are orthogonal and have ``K/2`` entries ``+-2/K``
-each, so the eigenvalues follow from the first Gram column as
-``lambda = W G e_1``, where the rows of ``W`` are the sign patterns of those
-columns.  ``G e_1 = A^T (A e_1)`` is one more matched filter.
-
-:func:`fixed_basis` builds ``Q`` and ``W`` once per ``K`` and process from
+:func:`fixed_basis` builds ``S`` once per ``K`` and process from
 the eigenvectors of one probe channel's Gram: four columns of each
 eigenprojector, rounded to the exact pattern, have disjoint supports and
 scale to an orthonormal basis of its range.  A second probe channel checks
@@ -79,9 +75,8 @@ __all__ = [
 # errors in the construction.
 STRUCTURE_TOL = 1e-8
 
-# Largest deviation of Q^T Q from the identity, and of Q^T G Q from the
-# diagonal of W eigenvalues relative to the largest, accepted for the check
-# channel when a basis is built (measured: below 1e-14 up to K=1024).
+# Largest deviation of Q^T Q from I, and of Q^T G Q from diag(lambda) relative
+# to max(lambda), for the check channel of a new basis (measured: < 1e-14 to K=1024).
 BASIS_TOL = 1e-12
 
 # Largest distance of a scaled probe projector entry from {0, +-1} that
@@ -287,14 +282,25 @@ def channel_gram(channels, k: int) -> np.ndarray:
 class FixedBasis:
     """Eigenbasis shared by the real Gram matrices of every channel at one ``K``.
 
-    ``q`` is the ``(2K, 2K)`` orthogonal basis; columns ``4g .. 4g+3`` span
-    the ``g``-th eigenspace.  ``w`` is the ``(K/2, 2K)`` matrix with
-    entries in ``{0, +-1}`` that maps a Gram matrix's first column to its
-    ``K/2`` eigenvalues in the same order.
+    ``signs`` is the ``(2K, 2K)`` matrix ``S`` with entries in ``{0, +-1}``
+    and orthogonal columns of ``K/2`` nonzeros; columns ``4g .. 4g+3`` span
+    the ``g``-th eigenspace.
     """
 
-    q: np.ndarray
-    w: np.ndarray
+    signs: np.ndarray
+
+    @property
+    def q(self) -> np.ndarray:
+        """The orthogonal basis ``Q = S / sqrt(K/2)``, built on each access."""
+        return self.signs / np.sqrt(len(self.signs) / 4)
+
+    def eigenvalues(self, channels) -> np.ndarray:
+        """``(B, K/2)`` Gram eigenvalues of ``(B, n_r, n_t)`` channels; see the module."""
+        nbatch, n_r, n_t = channels.shape
+        k = len(self.signs) // 2
+        p = channels.real.reshape(-1, n_t) @ self.signs[:n_t]
+        p -= channels.imag.reshape(-1, n_t) @ self.signs[k : k + n_t]
+        return np.square(p, out=p).reshape(nbatch, n_r, k // 2, 4).sum(axis=(1, 3))
 
 
 _BASES = {}
@@ -327,8 +333,7 @@ def _build_basis(k: int) -> FixedBasis:
     # at K=2 (Alamouti) every Gram is a multiple of the identity
     v = np.linalg.eigh(channel_gram(probe, k))[1] if k > 2 else np.eye(4)
     n = 2 * k
-    q = np.empty((n, n))
-    w = np.empty((k // 2, n))
+    signs = np.empty((n, n))
     for g in range(k // 2):
         vg = v[:, 4 * g : 4 * g + 4]
         # Columns (K/2) P e_j of the projector P = vg vg^T, rounded.  As
@@ -351,12 +356,11 @@ def _build_basis(k: int) -> FixedBasis:
             free &= col == 0
         if free.any():
             raise DecompositionError(f"probe eigenprojector {g} at K={k} has rank above 4")
-        # disjoint supports of K/2 entries +-1 each: scaling orthonormalises
-        q[:, 4 * g : 4 * g + 4] = np.stack(cols, axis=1) / np.sqrt(k / 2)
-        w[g] = cols[0]
-
-    gram = channel_gram(check, k)
-    lam = w @ gram[:, 0]
+        signs[:, 4 * g : 4 * g + 4] = np.stack(cols, axis=1)
+    # disjoint supports of K/2 entries +-1 each: scaling orthonormalises
+    basis = FixedBasis(signs)
+    q, gram = basis.q, channel_gram(check, k)
+    lam = basis.eigenvalues(check[None, None])[0]
     err = max(
         np.abs(q.T @ q - np.eye(n)).max(),
         np.abs(q.T @ gram @ q - np.diag(np.repeat(lam, 4))).max() / np.abs(lam).max(),
@@ -366,7 +370,7 @@ def _build_basis(k: int) -> FixedBasis:
             f"fixed basis at K={k} is not orthonormal or does not diagonalise a check "
             f"channel: error {err:.3e}"
         )
-    return FixedBasis(q, w)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -374,8 +378,8 @@ class DecodeResult:
     """Soft estimates in natural order plus the block's Gram eigenvalues.
 
     ``eigenvalues`` are the ``K/2`` distinct eigenvalues of the real Gram
-    matrix, in the order of :attr:`FixedBasis.w`; at ``K=2`` the single
-    eigenvalue is the channel energy.
+    matrix, in the order of the column groups of :attr:`FixedBasis.q`; at
+    ``K=2`` the single eigenvalue is the channel energy.
     """
 
     estimates: np.ndarray
@@ -419,21 +423,16 @@ def decode_batch(received, channels, k: int = None):
     if channels.shape[2] > k:
         raise ValueError(f"n_t={channels.shape[2]} exceeds K={k}")
     basis = fixed_basis(k)
-
-    h1, h2 = encoded_channel_minors(channels, k)  # (B, nr, K/2, K)
-    # A e_1, the response to a unit real first symbol, filters to the Gram
-    # column G e_1
-    unit = np.concatenate([h1[..., 0], h2[..., 0]], axis=-1)[..., None, :]
-    g1 = _matched_filter(unit, h1, h2).sum(axis=1)[:, 0]  # (B, K)
-    lam = np.concatenate([g1.real, g1.imag], axis=-1) @ basis.w.T  # (B, K/2)
+    lam = basis.eigenvalues(channels)
     singular = lam.min(axis=1) <= k * np.finfo(float).eps * lam.max(axis=1)
     if np.any(singular):
         raise DegenerateChannelError(
             f"singular channel Gram matrix in {int(singular.sum())} of {nbatch} blocks"
         )
-    c = _matched_filter(np.swapaxes(received, 1, 2)[..., None, :], h1, h2).sum(axis=1)[:, 0]
+    r = np.swapaxes(received, 1, 2)[..., None, :]  # (B, nr, 1, K)
+    c = _matched_filter(r, *encoded_channel_minors(channels, k)).sum(axis=1)[:, 0]
     x = np.concatenate([c.real, c.imag], axis=-1)  # (B, 2K)
-    est = ((x @ basis.q) / np.repeat(lam, 4, axis=1)) @ basis.q.T
+    est = ((x @ basis.signs) / np.repeat(lam * (k / 2), 4, axis=1)) @ basis.signs.T
     return est[:, :k] + 1j * est[:, k:], lam
 
 

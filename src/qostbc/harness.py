@@ -4,10 +4,12 @@ The simulator runs blocks in fixed-size batches.  Batch ``j`` of SNR point
 ``i`` draws everything it needs from its own RNG stream derived from
 ``(seed, i, j)``, and batches are always consumed in index order, so a
 sweep is bit-reproducible and independent of the worker count.  Transmit
-power is shared across antennas (the encoder output is scaled by
-``1/sqrt(n_t)``), which makes the per-branch mean SNR seen by the analytic
-reference ``omega / (n_t * N0)`` at a given Es/N0.  The receiver decodes
-with the gains it sees, ``gains / sqrt(n_t)``.
+power is shared across antennas, which makes the per-branch mean SNR seen
+by the analytic reference ``omega / (n_t * N0)`` at a given Es/N0.  The
+sharing is applied once per batch, to the drawn gains: the encoded blocks
+pass through ``gains / sqrt(n_t)``, and the receiver decodes with those
+same gains.  Each point also records the decoder's conditioning, the
+smallest ratio of smallest to largest Gram eigenvalue over its blocks.
 """
 
 from __future__ import annotations
@@ -146,6 +148,7 @@ class SweepPoint:
     trials: int
     bit_errors: int
     seconds: float
+    min_eigenvalue_ratio: float  # smallest lambda_min / lambda_max over the blocks
 
 
 @dataclass(frozen=True)
@@ -167,22 +170,25 @@ class SweepResult:
 
 
 def _sim_batch(config, mod, structure, stats, n0, snr_idx, batch_idx, nblocks):
-    """Simulate one batch of blocks; returns the bit error count."""
+    """Simulate one batch of blocks.
+
+    Returns the bit error count and the smallest ratio of smallest to
+    largest Gram eigenvalue over the batch's blocks.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(snr_idx, batch_idx))
     )
     k, n_t, n_r = config.k, config.n_t, config.n_r
     bits = rng.integers(0, 2, size=(nblocks, k, mod.bits_per_symbol), dtype=np.uint8)
-    syms = mod.map_bits(bits)
-    tx = encode(structure, syms) / np.sqrt(n_t)
+    tx = encode(structure, mod.map_bits(bits))
     gains = np.empty((nblocks, n_r, n_t), dtype=complex)
     for a, stat in enumerate(stats):
         gains[:, :, a] = fading.sample_gain(stat, rng, (nblocks, n_r))
-    rx = np.einsum("bka,bia->bki", tx, gains)
-    rx = fading.add_awgn(rx, n0, rng)
-    gains /= np.sqrt(n_t)  # the channel the receiver sees
-    estimates = decode_batch(rx, gains, k)[0]
-    return count_bit_errors(bits, mod.demap(estimates))
+    gains /= np.sqrt(n_t)  # shared transmit power: the channel the receiver sees
+    rx = fading.add_awgn(tx @ gains.swapaxes(1, 2), n0, rng)
+    estimates, lam = decode_batch(rx, gains, k)
+    ratio = float((lam.min(axis=1) / lam.max(axis=1)).min())
+    return count_bit_errors(bits, mod.demap(estimates)), ratio
 
 
 def _batch_plan(cap, batch):
@@ -199,9 +205,12 @@ def _run_point(config, mod, structure, stats, esno_db, snr_idx):
     t0 = time.perf_counter()
     errors = 0
     trials = 0
+    ratio = 1.0
     if config.workers == 1:
         for idx, n in _batch_plan(config.trials, config.batch):
-            errors += _sim_batch(config, mod, structure, stats, n0, snr_idx, idx, n)
+            e, r = _sim_batch(config, mod, structure, stats, n0, snr_idx, idx, n)
+            errors += e
+            ratio = min(ratio, r)
             trials += n
             if errors >= config.target_errors:
                 break
@@ -227,7 +236,9 @@ def _run_point(config, mod, structure, stats, esno_db, snr_idx):
                 if not pending:
                     break
                 n, fut = pending.popleft()
-                errors += fut.result()
+                e, r = fut.result()
+                errors += e
+                ratio = min(ratio, r)
                 trials += n
                 if errors >= config.target_errors:
                     for _, f in pending:
@@ -236,16 +247,17 @@ def _run_point(config, mod, structure, stats, esno_db, snr_idx):
                     break
     seconds = time.perf_counter() - t0
     nbits = trials * config.k * mod.bits_per_symbol
-    return errors, trials, nbits, seconds
+    return errors, trials, nbits, seconds, ratio
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the Monte Carlo sweep and attach the analytic reference column.
 
-    Per block: draw bits, modulate, encode with power normalisation,
-    apply one block-fading gain per branch, add AWGN at the configured
-    Es/N0, decode, hard-demap, count bit errors.  Each SNR point stops at
-    ``target_errors`` bit errors or at the trial cap, whichever first.
+    Per block: draw bits, modulate, encode, apply one block-fading gain
+    per branch scaled by ``1/sqrt(n_t)``, add AWGN at the configured Es/N0,
+    decode, hard-demap, count bit errors.  Each SNR point stops at
+    ``target_errors`` bit errors or at the trial cap, whichever first, and
+    records the smallest Gram eigenvalue ratio of the blocks it consumed.
 
     The ``ber_analytic`` column is the full-diversity ML bound of
     :func:`analytic_ber`; it matches the simulated linear decoder at
@@ -257,7 +269,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     ber_analytic = analytic_ber(config, config.esno_db)
     rows = []
     for snr_idx, esno_db in enumerate(config.esno_db):
-        errors, trials, nbits, seconds = _run_point(
+        errors, trials, nbits, seconds, ratio = _run_point(
             config, mod, structure, stats, esno_db, snr_idx
         )
         rows.append(
@@ -268,6 +280,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 trials=trials,
                 bit_errors=errors,
                 seconds=seconds,
+                min_eigenvalue_ratio=ratio,
             )
         )
     return SweepResult(config=config, rows=tuple(rows))
@@ -407,8 +420,8 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
             worst = max(r for _, r in reduction_residuals(red))
             checks.append(CheckResult("reduction-block-diagonal", k, worst, BLOCK_TOL, worst <= BLOCK_TOL))
 
-        basis = fixed_basis(k)
-        d = basis.q.T @ channel_gram(h, k) @ basis.q
+        q = fixed_basis(k).q
+        d = q.T @ channel_gram(h, k) @ q
         res = float(np.abs(d - np.diag(np.diag(d))).max() / np.abs(np.diag(d)).max())
         checks.append(CheckResult("fixed-basis-diagonal", k, res, BASIS_TOL, res <= BASIS_TOL))
 

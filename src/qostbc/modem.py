@@ -4,6 +4,8 @@ PSK points sit on the unit circle at angles ``2*pi*m/M`` and carry the
 binary-reflected Gray label of the ring index ``m``.  Square QAM uses the
 ``{+-1, +-3, ...}`` grid with an independent Gray label per axis and is
 scaled to unit average energy.  Bit words are MSB-first uint8 arrays.
+Mapping weights each word's bits into its label and looks the point up; a
+hard decision finds the nearest point's index and looks up its label bits.
 """
 
 from __future__ import annotations
@@ -20,17 +22,6 @@ __all__ = [
 
 def _gray(m: np.ndarray) -> np.ndarray:
     return m ^ (m >> 1)
-
-
-def _bits_to_int(bits: np.ndarray) -> np.ndarray:
-    b = bits.shape[-1]
-    weights = 1 << np.arange(b - 1, -1, -1)
-    return np.tensordot(bits.astype(np.int64), weights, axes=([-1], [0]))
-
-
-def _int_to_bits(vals: np.ndarray, b: int) -> np.ndarray:
-    shifts = np.arange(b - 1, -1, -1)
-    return ((vals[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 class Modulation:
@@ -68,9 +59,14 @@ class Modulation:
             i_idx, q_idx = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
             self.points = (lev[i_idx] + 1j * lev[q_idx]).ravel()
             self.labels = (_gray(i_idx) * side + _gray(q_idx)).ravel()
-        # label -> point lookup
+        # label -> point lookup, and MSB-first bit weights in the narrowest
+        # unsigned type that holds every label
         self._point_of_label = np.empty(order, dtype=complex)
         self._point_of_label[self.labels] = self.points
+        self._weights = (1 << np.arange(b - 1, -1, -1)).astype(np.min_scalar_type(order - 1))
+        # point index -> (b,) bits of its label
+        labels = self.labels.astype(self._weights.dtype)
+        self._point_bits = ((labels[:, None] & self._weights) != 0).astype(np.uint8)
 
     def __repr__(self):
         return f"{self.order}-{self.family.upper()}"
@@ -82,20 +78,17 @@ class Modulation:
             raise ValueError(
                 f"expected {self.bits_per_symbol} bits per symbol, got {bits.shape[-1]}"
             )
-        return self._point_of_label[_bits_to_int(bits)]
+        return self._point_of_label.take(bits @ self._weights)
 
     def demap(self, symbols) -> np.ndarray:
         """Nearest-point hard decision; returns ``(..., bits_per_symbol)`` bits."""
         symbols = np.asarray(symbols, dtype=complex)
         if self.family == "psk":
             sector = np.round(np.angle(symbols) * self.order / (2 * np.pi)).astype(int)
-            labels = self.labels[np.mod(sector, self.order)]
+            index = sector & (self.order - 1)  # the ring index, modulo M
         else:
-            side = self._side
-            i_idx = self._axis_index(symbols.real)
-            q_idx = self._axis_index(symbols.imag)
-            labels = _gray(i_idx) * side + _gray(q_idx)
-        return _int_to_bits(labels, self.bits_per_symbol)
+            index = self._axis_index(symbols.real) * self._side + self._axis_index(symbols.imag)
+        return self._point_bits.take(index, axis=0)
 
     def _axis_index(self, coord):
         side = self._side

@@ -5,6 +5,7 @@ oracle, probing combiner and noise behaviour."""
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qostbc import (
     build_encoded_channel,
     build_mother,
     chain_decode,
+    channel_gram,
     combiner_weights,
     decode,
     decode_batch,
@@ -387,7 +389,7 @@ class TestFixedBasis:
     def test_diagonalises_every_gram(self, k):
         rng = np.random.default_rng(4000 + k)
         basis = fixed_basis(k)
-        assert set(np.unique(basis.w)) <= {-1.0, 0.0, 1.0}
+        assert set(np.unique(basis.signs)) <= {-1.0, 0.0, 1.0}
         assert np.abs(basis.q.T @ basis.q - np.eye(2 * k)).max() <= 1e-14
         for n_r, n_t in ((1, k), (2, max(1, 3 * k // 4))):
             gains = crandn(rng, n_r, n_t)
@@ -396,13 +398,62 @@ class TestFixedBasis:
             d = basis.q.T @ gram @ basis.q
             lam = np.diag(d)
             assert np.abs(d - np.diag(lam)).max() <= 1e-12 * lam.max()
-            # W maps the first Gram column to the eigenvalues, four per group
+            # the decoder's eigenvalues, one per group of four columns
             np.testing.assert_allclose(
-                np.repeat(basis.w @ gram[:, 0], 4), lam, rtol=0, atol=1e-12 * lam.max()
+                decode(np.zeros((k, n_r)), gains, k).eigenvalues, lam[::4],
+                rtol=0, atol=1e-12 * lam.max()
             )
-            np.testing.assert_allclose(
-                decode(np.zeros((k, n_r)), gains, k).eigenvalues, basis.w @ gram[:, 0], rtol=1e-12
-            )
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256, 512])
+    def test_eigenvalues_match_gram_diagonal(self, k):
+        # decode's eigenvalues, read off the channel, against diag(Q^T G Q)
+        # of the Gram itself; the n_r = 1, 2, 4 Grams are prefix sums of
+        # single-antenna Grams
+        rng = np.random.default_rng(4100 + k)
+        q4 = fixed_basis(k).q[:, ::4]
+        for n_t in sorted({1, min(3, k), k - 1, k}):
+            gains = crandn(rng, 4, n_t)
+            per_antenna = [np.einsum("ij,ij->j", q4, channel_gram(h, k) @ q4) for h in gains]
+            for n_r in (1, 2, 4):
+                want = np.sum(per_antenna[:n_r], axis=0)
+                got = decode(np.zeros((k, n_r)), gains[:n_r], k).eigenvalues
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("n_r", [1, 2])
+    @pytest.mark.parametrize("ratio", [1e-10, 1e-14])
+    def test_nearly_singular_eigenvalues_exact(self, k, n_r, ratio):
+        # Channels whose stacked [Re h; -Im h] is nearly orthogonal to the
+        # sign columns of group 0, so lambda_0 / lambda_max is about
+        # `ratio`.  The exact eigenvalues come from the Gram of the float
+        # inputs in rational arithmetic: A has entries +-Re h, +-Im h and
+        # 0 exactly, and every sign column is an exact eigenvector of it.
+        rng = np.random.default_rng(int(6000 + k + 10 * n_r - np.log10(ratio)))
+        signs = fixed_basis(k).signs
+        s0 = signs[:, :4]
+        gains = np.empty((n_r, k), dtype=complex)
+        for r in range(n_r):
+            x = rng.standard_normal(2 * k)
+            x -= s0 @ (s0.T @ x) / (k / 2)
+            x += np.sqrt(ratio) * s0 @ rng.standard_normal(4)
+            gains[r] = x[:k] - 1j * x[k:]
+        _, a = lstsq_oracle(np.zeros((k, n_r), dtype=complex), gains, k)
+        fa = [[Fraction(v) for v in row] for row in a]
+        gram = [[sum(fa[i][r] * fa[i][c] for i in range(len(fa))) for c in range(2 * k)]
+                for r in range(2 * k)]
+        exact = []
+        for g in range(k // 2):
+            cols = [[int(v) for v in signs[:, 4 * g + j]] for j in range(4)]
+            lam = sum(cols[0][i] * gram[i][j] * cols[0][j]
+                      for i in range(2 * k) for j in range(2 * k)) / Fraction(k, 2)
+            for col in cols:
+                assert [sum(gram[i][j] * col[j] for j in range(2 * k)) for i in range(2 * k)] == [
+                    lam * v for v in col]
+            exact.append(lam)
+        assert min(exact) / max(exact) < 10 * ratio  # the case is as ill-conditioned as meant
+        got = decode(np.zeros((k, n_r)), gains, k).eigenvalues
+        err = max(abs(Fraction(float(v)) - e) / e for v, e in zip(got, exact))
+        assert err <= 1e-9, float(err)
 
     def test_built_once_under_concurrent_first_use(self, monkeypatch):
         k = 32

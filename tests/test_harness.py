@@ -12,6 +12,7 @@ import qostbc
 import qostbc.harness as harness
 from qostbc import build_mother, modulation, puncture
 from qostbc.cli import main
+from qostbc.decoder import channel_gram, decode_batch
 from qostbc.harness import (
     CSV_HEADER,
     ConfigError,
@@ -135,7 +136,7 @@ class TestRunSweep:
         cfg = small_config(k=k, n_t=k, modulation=mod)
         stats = branch_stats(k, cfg.channel, cfg.profile)
         structure = puncture(build_mother(k), k)
-        errors = harness._sim_batch(cfg, modulation(mod), structure, stats, 0.0, 0, 0, 512)
+        errors, _ = harness._sim_batch(cfg, modulation(mod), structure, stats, 0.0, 0, 0, 512)
         assert errors == 0
 
     @pytest.mark.parametrize(
@@ -155,6 +156,37 @@ class TestRunSweep:
         # refactor that keeps the arithmetic must reproduce them exactly
         cfg = ExperimentConfig(esno_db=(0.0, 10.0, 20.0), target_errors=10**9, seed=77, **params)
         assert [row.bit_errors for row in run_sweep(cfg).rows] == counts
+
+    def test_conditioning_is_worker_invariant(self):
+        # the error target stops each point after a batch or two, so the
+        # speculative batches of 2 and 3 workers are drawn and discarded
+        cfg = dict(k=4, n_t=4, modulation="qpsk", esno_db=(0.0, 10.0), trials=20 * 64,
+                   target_errors=100, batch=64)
+        runs = [run_sweep(small_config(workers=w, **cfg)) for w in (1, 2, 3)]
+        ratios = [[row.min_eigenvalue_ratio for row in res.rows] for res in runs]
+        assert ratios[0] == ratios[1] == ratios[2]
+        assert [row.trials for row in runs[0].rows] == [row.trials for row in runs[2].rows]
+        assert all(0.0 < r < 1.0 for r in ratios[0])
+
+    def test_conditioning_is_smallest_block_ratio(self, monkeypatch):
+        # record every channel the decoder sees and take lambda_min /
+        # lambda_max of each block's Gram with a dense eigensolver
+        seen = []
+
+        def recording(received, gains, k):
+            seen.append(gains.copy())
+            return decode_batch(received, gains, k)
+
+        monkeypatch.setattr(harness, "decode_batch", recording)
+        cfg = small_config(k=8, n_t=6, n_r=2, modulation="qpsk", esno_db=(5.0,), trials=300,
+                           target_errors=10**9, batch=128)
+        row = run_sweep(cfg).rows[0]
+        assert [len(g) for g in seen] == [128, 128, 44]
+        eig = np.linalg.eigvalsh(channel_gram(np.concatenate(seen), 8))
+        want = (eig[:, 0] / eig[:, -1]).min()
+        assert row.min_eigenvalue_ratio == pytest.approx(want, rel=1e-9)
+        # K=2 has one eigenvalue per block
+        assert run_sweep(small_config()).rows[0].min_eigenvalue_ratio == 1.0
 
     def test_alamouti_brackets_analytic(self):
         cfg = small_config(esno_db=(6.0,), trials=300_000, target_errors=600, batch=8192)
@@ -273,6 +305,20 @@ class TestCli:
         assert sidecar["numpy_version"] == np.__version__
         assert sidecar["python_version"] == platform.python_version()
         assert sidecar["ber_analytic"].startswith("full-diversity ML bound")
+
+    def test_simulate_sidecar_records_conditioning(self, tmp_path, capsys):
+        argv = ["simulate", "--K", "4", "--mod", "qpsk",
+                "--esno-start", "0", "--esno-stop", "10", "--esno-step", "5",
+                "--trials", "512", "--target-errors", "100", "--batch", "64", "--seed", "8"]
+        sidecars = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"sweep{workers}.csv"
+            assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[0] == CSV_HEADER
+            sidecars.append(json.loads((tmp_path / f"sweep{workers}.csv.json").read_text()))
+        ratios = sidecars[0]["min_eigenvalue_ratio"]
+        assert len(ratios) == 3 and all(0.0 < r < 1.0 for r in ratios)
+        assert sidecars[1]["min_eigenvalue_ratio"] == ratios
 
     def test_capacity_command(self, capsys):
         rc = main([

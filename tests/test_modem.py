@@ -1,6 +1,7 @@
-"""Modem tests: Gray maps, round trips, energy normalisation, the PSK
-distance spectrum against a brute-force enumeration, and hard-decision
-Monte Carlo against the analytic AWGN reference."""
+"""Modem tests: Gray maps, round trips, energy normalisation, the table
+forms of map and demap against integer-label references, the PSK distance
+spectrum against a brute-force enumeration, and hard-decision Monte Carlo
+against the analytic AWGN reference."""
 
 import zlib
 
@@ -10,6 +11,7 @@ import pytest
 from qostbc import count_bit_errors, modulation, psk_distance_spectrum
 from qostbc.analysis import BerParams, psk_ber, qam_ber
 from qostbc.fading import BranchStat
+from qostbc.harness import CAPACITY_MODULATIONS
 
 
 def all_words(b):
@@ -68,6 +70,78 @@ class TestConstellations:
     def test_wrong_bit_count(self):
         with pytest.raises(ValueError):
             modulation("qpsk").map_bits(np.zeros((5, 3), dtype=np.uint8))
+
+
+def tensordot_map(mod, bits):
+    """Reference map: int64 tensordot of the bits with their weights, then a label lookup."""
+    b = mod.bits_per_symbol
+    point_of_label = np.empty(mod.order, dtype=complex)
+    point_of_label[mod.labels] = mod.points
+    weights = 1 << np.arange(b - 1, -1, -1)
+    labels = np.tensordot(np.asarray(bits).astype(np.int64), weights, axes=([-1], [0]))
+    return point_of_label[labels]
+
+
+def label_demap(mod, symbols):
+    """Reference demap: the decided Gray label as an integer, then its bits by shifts."""
+    symbols = np.asarray(symbols, dtype=complex)
+    m, b = mod.order, mod.bits_per_symbol
+    if mod.family == "psk":
+        sector = np.round(np.angle(symbols) * m / (2 * np.pi)).astype(int)
+        labels = mod.labels[np.mod(sector, m)]
+    else:
+        side = int(round(np.sqrt(m)))
+        scale = np.sqrt(3.0 / (2.0 * (m - 1)))
+
+        def gray_axis(coord):
+            idx = np.clip(np.round((coord / scale + side - 1) / 2.0).astype(int), 0, side - 1)
+            return idx ^ (idx >> 1)
+
+        labels = gray_axis(symbols.real) * side + gray_axis(symbols.imag)
+    return ((labels[..., None] >> np.arange(b - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+class TestTableForms:
+    """``map_bits`` and ``demap`` go through small tables; they must equal
+    the integer-label forms above for every modulation the capacity sweep
+    uses."""
+
+    @pytest.mark.parametrize("name", CAPACITY_MODULATIONS)
+    def test_map_bits_matches_tensordot_form(self, name):
+        mod = modulation(name)
+        b = mod.bits_per_symbol
+        words = all_words(b)  # every label, 12 bits wide for qam4096
+        for bits in (words, words.astype(bool), words.astype(np.int64), words.reshape(2, -1, b)):
+            got = mod.map_bits(bits)
+            assert got.dtype == np.complex128 and got.shape == bits.shape[:-1]
+            np.testing.assert_array_equal(got, tensordot_map(mod, bits))
+
+    @pytest.mark.parametrize("name", CAPACITY_MODULATIONS)
+    def test_demap_matches_label_form(self, name):
+        mod = modulation(name)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        noisy = np.resize(mod.points, 3000) + 0.3 * (
+            rng.standard_normal(3000) + 1j * rng.standard_normal(3000))
+        edges = [complex(-1.0, 0.0), complex(-1.0, -0.0), complex(-2.5, 0.0),
+                 complex(-1.0, -1e-300), 1j, -1j, 1 + 1j, -1 - 1j, 0j, 10 - 10j]
+        if mod.family == "psk":
+            # angles at +-pi and half-way between neighbouring points
+            ties = np.exp(1j * np.pi * (2 * np.arange(mod.order) + 1) / mod.order)
+            sym = np.concatenate([noisy, edges, ties, 3.0 * ties])
+            frac = np.angle(sym) * mod.order / (2 * np.pi) % 1
+            assert np.any(frac == 0.5)  # at least one exact rounding tie
+            assert np.angle(complex(-1.0, 0.0)) == np.pi
+            assert np.angle(complex(-1.0, -0.0)) == -np.pi
+        else:
+            # coordinates on and beyond the decision boundaries
+            side = int(round(np.sqrt(mod.order)))
+            scale = np.sqrt(3.0 / (2.0 * (mod.order - 1)))
+            bounds = (2 * np.arange(side + 1) - side) * scale
+            sym = np.concatenate([noisy, edges, bounds + 1j * bounds[::-1], -bounds + 0j])
+        for symbols in (sym, sym.reshape(-1, 2)[:-1]):
+            got = mod.demap(symbols)
+            assert got.dtype == np.uint8 and got.shape == symbols.shape + (mod.bits_per_symbol,)
+            np.testing.assert_array_equal(got, label_demap(mod, symbols))
 
 
 class TestDistanceSpectrum:
