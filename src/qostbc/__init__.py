@@ -17,36 +17,26 @@ from .codes import (
     structure_to_text,
 )
 from .channels import (
-    EncodedChannel,
     extend_channel,
     modify_channel,
-    build_encoded_channel,
     encoded_channel_minors,
-    augmented,
-    apply_encoded_channel,
     symbolic_minors,
     minors_to_text,
 )
 from .decoder import (
     PermutationPair,
-    ReducedChannel,
     FixedBasis,
     DecodeResult,
     ChainResult,
     DecompositionError,
     DegenerateChannelError,
     permutation_indexes,
-    first_stage,
-    reduce_channel,
-    higher_order_reduce,
     symbol_order,
     channel_gram,
     fixed_basis,
     decode,
     decode_batch,
     chain_decode,
-    combiner_weights,
-    apply_combiner,
 )
 from .modem import Modulation, modulation, psk_distance_spectrum, count_bit_errors
 from .fading import (

@@ -19,7 +19,6 @@ per minor through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,13 +26,9 @@ import numpy as np
 from .codes import abba_manifold, _is_power_of_two, _signed_gather
 
 __all__ = [
-    "EncodedChannel",
     "extend_channel",
     "modify_channel",
     "encoded_channel_minors",
-    "build_encoded_channel",
-    "augmented",
-    "apply_encoded_channel",
     "symbolic_minors",
     "minors_to_text",
 ]
@@ -102,50 +97,6 @@ def _upper_half(vec, generator):
     halves = abba_manifold(vec.reshape(vec.shape[:-1] + (2, k // 2)), generator)
     b = halves[..., 1, :, :]
     return np.concatenate([halves[..., 0, :, :], b if generator == "channel" else -b], axis=-1)
-
-
-@dataclass(frozen=True)
-class EncodedChannel:
-    """Dense minors of the encoded channel matrix for one receive antenna."""
-
-    k: int
-    h1: np.ndarray
-    h2: np.ndarray
-
-    def __post_init__(self):
-        want = (self.k // 2, self.k)
-        if self.h1.shape != want or self.h2.shape != want:
-            raise ValueError(f"minors must have shape {want}")
-
-
-def build_encoded_channel(h, k: int) -> EncodedChannel:
-    """Assemble the encoded channel minors for a single gain vector."""
-    h = np.atleast_1d(np.asarray(h, dtype=complex))
-    if h.ndim != 1:
-        raise ValueError("expected a single 1-D gain vector")
-    h1, h2 = encoded_channel_minors(h, k)
-    return EncodedChannel(k, h1, h2)
-
-
-def augmented(s) -> np.ndarray:
-    """Stack ``[s, conj(s)]`` along the last axis."""
-    s = np.asarray(s)
-    return np.concatenate([s, np.conj(s)], axis=-1)
-
-
-def apply_encoded_channel(enc: EncodedChannel, sbar) -> np.ndarray:
-    """Apply the block-diagonal encoded channel to an augmented vector.
-
-    ``sbar`` must be ``[s, conj(s)]`` of length ``2K``; the result equals
-    ``C(s) . h`` for the matching code and gains.
-    """
-    sbar = np.asarray(sbar)
-    k = enc.k
-    if sbar.shape[-1] != 2 * k:
-        raise ValueError(f"augmented vector length {sbar.shape[-1]} != 2K={2 * k}")
-    top = sbar[..., :k] @ enc.h1.T
-    bot = sbar[..., k:] @ enc.h2.T
-    return np.concatenate([top, bot], axis=-1)
 
 
 def symbolic_minors(k: int, n_t: int = None):

@@ -27,15 +27,20 @@ eigenprojector, rounded to the exact pattern, have disjoint supports and
 scale to an orthonormal basis of its range.  A second probe channel checks
 the result.
 
-The paper's nested combining chain is kept once, as the reference
-:func:`chain_decode`.  Per receive antenna it combines the received block
-with the encoded channel minors into two half-length vectors that depend on
-disjoint symbol halves, then repeatedly multiplies them by reduced channel
-matrices and splits them along a fixed index permutation until every
-symbol is decoupled.  It computes the same estimate and shows the paper's
+The paper's nested combining chain exists once in floating point, as the
+reference :func:`chain_decode`.  Per receive antenna it combines the
+received block with the encoded channel minors into two half-length
+vectors that depend on disjoint symbol halves: the first-order reduced
+matrix ``M = conj(H1 H1^H + H2 H2^H) / 2`` maps each half to its vector.
+At every order the real product of the two current matrices splits into
+blocks along :func:`permutation_indexes`; the chain advances the vectors,
+splits them the same way and carries the two diagonal blocks on, until
+every symbol is decoupled.  It computes the same estimate and shows the paper's
 structure: its raw output order (:func:`symbol_order`) and one gain shared
 by every symbol.  It runs in complex128, where its precision degrades as
-``K`` grows, so it serves tests at small ``K`` only.
+``K`` grows, so it serves tests at small ``K`` only.  The block splitting
+itself is checked exactly, at any ``K``, by
+:func:`qostbc.harness.reduction_residuals`.
 """
 
 from __future__ import annotations
@@ -45,34 +50,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import encoded_channel_minors, EncodedChannel
+from .channels import encoded_channel_minors
 from .codes import _is_power_of_two
 
 __all__ = [
     "PermutationPair",
-    "ReducedChannel",
     "FixedBasis",
     "DecodeResult",
     "ChainResult",
     "DecompositionError",
     "DegenerateChannelError",
     "permutation_indexes",
-    "first_stage",
-    "reduce_channel",
-    "higher_order_reduce",
     "symbol_order",
     "channel_gram",
     "fixed_basis",
     "decode",
     "decode_batch",
     "chain_decode",
-    "combiner_weights",
-    "apply_combiner",
 ]
 
-# Relative tolerance for the block-diagonality of permuted real products.
-# Loose enough for double precision at K=512, tight enough to catch sign
-# errors in the construction.
+# Relative tolerance of the reference chain (chain_decode) for the
+# block-diagonality of its permuted products, met in complex128 at the small
+# K the chain serves; harness.reduction_residuals checks the same property
+# exactly.
 STRUCTURE_TOL = 1e-8
 
 # Largest deviation of Q^T Q from I, and of Q^T G Q from diag(lambda) relative
@@ -124,29 +124,6 @@ def permutation_indexes(n: int) -> PermutationPair:
     return PermutationPair(x[p == 1], x[p == 0])
 
 
-def first_stage(r, enc: EncodedChannel):
-    """Split one received block into two decoupled half combinations.
-
-    Parameters
-    ----------
-    r : array_like
-        Received block of length ``K`` for a single antenna.
-    enc : EncodedChannel
-
-    Returns
-    -------
-    (r1, r2) : tuple of np.ndarray
-        Length ``K/2`` combinations depending only on the first/second
-        half of the symbol vector, respectively.
-    """
-    r = np.asarray(r, dtype=complex)
-    k = enc.k
-    if r.shape != (k,):
-        raise ValueError(f"received vector must have length {k}")
-    c = _matched_filter(r[None], enc.h1, enc.h2)[0]
-    return c[: k // 2], c[k // 2 :]
-
-
 def _matched_filter(r, h1, h2):
     """Complex form ``c`` of the matched filter, ``[Re c; Im c] = A^T [Re r; Im r]``.
 
@@ -161,70 +138,6 @@ def _matched_filter(r, h1, h2):
     np.conjugate(c, out=c)
     c += r[..., half:].conj() @ h2
     return c
-
-
-@dataclass(frozen=True)
-class ReducedChannel:
-    """Order-``n`` reduced channel matrix (size ``K/2^n``)."""
-
-    order: int
-    matrix: np.ndarray
-
-
-def reduce_channel(enc: EncodedChannel) -> ReducedChannel:
-    """First-order reduced channel matrix ``conj(H1 H1^H + H2 H2^H) / 2``.
-
-    The result is a ``K/2`` square matrix with the "combining" manifold
-    structure and real diagonal entries equal to the total channel energy;
-    it maps each symbol half to the corresponding first-stage combination.
-    """
-    m = _reduce_batch(enc.h1[None], enc.h2[None])[0]
-    return ReducedChannel(1, m)
-
-
-def _reduce_batch(h1, h2):
-    # h1, h2: (..., K/2, K) -> (..., K/2, K/2)
-    g = h1 @ np.conj(np.swapaxes(h1, -1, -2)) + h2 @ np.conj(np.swapaxes(h2, -1, -2))
-    return np.conj(g) / 2.0
-
-
-def _split_blocks(g, q0, q1, order, where=""):
-    """Check block-diagonality of ``g`` under (q0, q1) and return the blocks."""
-    off = max(
-        float(np.abs(g[..., q0[:, None], q1[None, :]]).max()),
-        float(np.abs(g[..., q1[:, None], q0[None, :]]).max()),
-    )
-    scale = float(np.abs(g).max())
-    if off > STRUCTURE_TOL * max(scale, 1e-300):
-        raise DecompositionError(
-            f"permuted real product not block-diagonal at order {order}{where}: "
-            f"off-block {off:.3e} vs scale {scale:.3e}"
-        )
-    return g[..., q0[:, None], q0[None, :]], g[..., q1[:, None], q1[None, :]]
-
-
-def higher_order_reduce(reduced: ReducedChannel):
-    """One reduction step: split along the permutation and cross-multiply.
-
-    At order 1 the real product ``M^T M`` of the reduced matrix is formed;
-    at higher orders the matrix is itself already such a product and is
-    split directly.  The (p0, p1) off-blocks must vanish; the diagonal
-    blocks ``B0`` and ``B1`` satisfy ``B0^T B1 = B1^T B0``, which becomes
-    the next-order reduced matrix.
-
-    Returns
-    -------
-    (b0, b1, next_reduced) : tuple
-        The two diagonal blocks and the next :class:`ReducedChannel`.
-    """
-    m = reduced.matrix
-    n = m.shape[-1]
-    if n < 2:
-        raise ValueError("matrix is already scalar")
-    g = m.T @ m if reduced.order == 1 else m
-    pair = permutation_indexes(n)
-    b0, b1 = _split_blocks(g, pair.p0 - 1, pair.p1 - 1, reduced.order)
-    return b0, b1, ReducedChannel(reduced.order + 1, b0.T @ b1)
 
 
 def symbol_order(k: int) -> np.ndarray:
@@ -504,7 +417,9 @@ def _combining_chain(received, h1, h2, k):
     # antenna summation in fixed index order (reproducible reduction)
     c = _matched_filter(r, h1, h2)[:, :, 0].sum(axis=1)
     vecs = c.reshape(nbatch, 2, k // 2)
-    m1 = _reduce_batch(h1, h2).sum(axis=1)  # (B, K/2, K/2)
+    # first-order reduced matrix conj(H1 H1^H + H2 H2^H) / 2, (B, K/2, K/2)
+    g = h1 @ np.swapaxes(h1, -1, -2).conj() + h2 @ np.swapaxes(h2, -1, -2).conj()
+    m1 = np.conj(g).sum(axis=1) / 2.0
     m2 = m1.copy()
 
     def _normalise(m1, m2, vecs, log_scale):
@@ -565,46 +480,3 @@ def _combining_chain(received, h1, h2, k):
     estimates = np.empty((nbatch, k), dtype=complex)
     estimates[:, order - 1] = raw / scal
     return estimates, t1.real, log_scale, raw
-
-
-def combiner_weights(channels, k: int):
-    """Flattened single-step combining weights for a fixed channel.
-
-    The decoder is a fixed linear map of ``(r, conj(r))`` once the channel
-    is fixed, so probing it with basis vectors ``e_j`` and ``1j * e_j``
-    recovers per-symbol weight pairs ``(F1, F2)`` with
-
-        estimate_k = sum_i  F1[:, k, i]^H r[:, i]  +  F2[:, k, i]^T conj(r[:, i])
-
-    reproducing :func:`decode` exactly.
-
-    Returns
-    -------
-    (f1, f2) : tuple of np.ndarray
-        Arrays of shape ``(K, K, n_r)`` indexed by (sample, symbol, antenna).
-    """
-    channels = np.atleast_2d(np.asarray(channels, dtype=complex))
-    n_r = channels.shape[0]
-    nprobe = k * n_r
-    probes = np.zeros((2 * nprobe, k, n_r), dtype=complex)
-    for i in range(n_r):
-        for j in range(k):
-            probes[i * k + j, j, i] = 1.0
-            probes[nprobe + i * k + j, j, i] = 1.0j
-    chans = np.broadcast_to(channels, (2 * nprobe,) + channels.shape)
-    est = decode_batch(probes, chans, k)[0]
-    a = est[:nprobe].reshape(n_r, k, k)  # response to e_j: (antenna, sample, symbol)
-    b = est[nprobe:].reshape(n_r, k, k)  # response to 1j * e_j
-    f1 = np.conj((a - 1j * b) / 2.0).transpose(1, 2, 0)
-    f2 = ((a + 1j * b) / 2.0).transpose(1, 2, 0)
-    return f1, f2
-
-
-def apply_combiner(f1, f2, received) -> np.ndarray:
-    """Evaluate the probed single-step combiner on a received block."""
-    received = np.asarray(received, dtype=complex)
-    if received.ndim == 1:
-        received = received[:, None]
-    return np.einsum("jki,ji->k", np.conj(f1), received) + np.einsum(
-        "jki,ji->k", f2, np.conj(received)
-    )

@@ -23,21 +23,8 @@ import numpy as np
 
 from . import analysis, fading
 from .codes import build_mother, puncture, encode, gram_check, _is_power_of_two
-from .channels import (
-    extend_channel,
-    encoded_channel_minors,
-    build_encoded_channel,
-    abba_manifold,
-)
-from .decoder import (
-    BASIS_TOL,
-    channel_gram,
-    decode_batch,
-    fixed_basis,
-    reduce_channel,
-    permutation_indexes,
-    ReducedChannel,
-)
+from .channels import extend_channel, encoded_channel_minors, abba_manifold
+from .decoder import BASIS_TOL, channel_gram, decode_batch, fixed_basis, permutation_indexes
 from .modem import modulation, count_bit_errors
 
 __all__ = [
@@ -301,6 +288,12 @@ IDENTITY_TOL = 1e-12
 BLOCK_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-9
 
+# Modulus of the exact reduction check: the largest prime below 2^25.
+RESIDUE_PRIME = 33_554_393
+# Largest K whose residue products stay exact in int64: the first one sums
+# 2K products of magnitude below RESIDUE_PRIME^2, and 2 * 4096 * P^2 < 2^63.
+RESIDUE_K_MAX = 4096
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -332,34 +325,51 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def reduction_residuals(red: ReducedChannel):
-    """Off-block residual of the permuted products at each reduction order.
+def reduction_residuals(k: int, rng):
+    """Nonzero off-block entries of the permuted products at every reduction order.
 
-    The off-blocks are algebraic zeros, so each residual is reported
-    relative to the norms of the factors that formed the product; the
-    factors are renormalised at every order, which keeps the chain both
-    overflow-free and scale-invariant.  The chain runs in extended
-    precision so that round-off accumulation stays clear of the check
-    tolerance even for the largest supported sizes.
+    The chain of :func:`qostbc.decoder.chain_decode` starts from the
+    first-order reduced matrix ``M = conj(H1 H1^H + H2 H2^H) / 2``, forms
+    ``g = M^T M``, splits it along ``permutation_indexes``, forms
+    ``g = B0^T B1`` from the two diagonal blocks, and so on.  It rests on
+    the off-blocks of every ``g`` vanishing for every channel.  This runs
+    the same chain on integers modulo ``RESIDUE_PRIME``, which checks that
+    exactly.
+
+    Minor entries are ``+-h_j`` or 0 and the products use transposes only,
+    so each off-block entry is an integer polynomial ``p(h, conj(h))``.  It
+    vanishes for all real ``Re h`` and ``Im h``, and ``(Re h, Im h) -> (h,
+    conj(h))`` is an invertible linear substitution, so ``p(u, v)`` is the
+    zero polynomial in independent ``u`` and ``v``: its integer
+    coefficients are zero and it vanishes modulo any prime.  So ``u`` and
+    ``v`` are drawn from ``rng`` as independent residues; the minors of
+    ``v`` stand for the conjugates of those of ``u``, which gives ``2M``.
+    The factor 2, and the normalisations the float chain applies, scale
+    each product by a nonzero constant and leave its zeros in place.  A
+    correct code thus counts 0 on every draw, while a sign error leaves a
+    nonzero polynomial of degree at most ``K``, zero at a random point with
+    probability at most ``K / RESIDUE_PRIME`` (Schwartz, J. ACM 1980).
+
+    Returns
+    -------
+    list of (order, count)
+        One pair per order ``1 .. log2(K) - 1``; empty at ``K=2``.
     """
-    a = np.asarray(red.matrix, dtype=np.clongdouble)
-    a = a / np.linalg.norm(a)
-    b = a
-    order = red.order
+    if k > RESIDUE_K_MAX:
+        raise ValueError(f"K={k} exceeds {RESIDUE_K_MAX}: the residue products would overflow int64")
+    u, v = rng.integers(0, RESIDUE_PRIME, size=(2, k))
+    u1, u2 = encoded_channel_minors(u, k)
+    v1, v2 = encoded_channel_minors(v, k)
+    a = b = (v1 @ u1.T + v2 @ u2.T) % RESIDUE_PRIME
     out = []
+    order = 1
     while a.shape[-1] >= 2:
-        g = a.T @ b
+        g = (a.T @ b) % RESIDUE_PRIME
         pair = permutation_indexes(a.shape[-1])
         q0, q1 = pair.p0 - 1, pair.p1 - 1
-        off = max(
-            float(np.abs(g[np.ix_(q0, q1)]).max()),
-            float(np.abs(g[np.ix_(q1, q0)]).max()),
-        )
-        out.append((order, off))  # factors have unit norm
-        a = g[np.ix_(q0, q0)]
-        b = g[np.ix_(q1, q1)]
-        a = a / np.linalg.norm(a)
-        b = b / np.linalg.norm(b)
+        count = np.count_nonzero(g[np.ix_(q0, q1)]) + np.count_nonzero(g[np.ix_(q1, q0)])
+        out.append((order, int(count)))
+        a, b = g[np.ix_(q0, q0)], g[np.ix_(q1, q1)]
         order += 1
     return out
 
@@ -370,12 +380,20 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     Covers: the encoded-channel factorisation identity, the Gram
     block-orthogonality of the code, the quasi-orthogonality of the
     channel manifolds, block-diagonality of the permuted reduced products
-    at every order, the diagonalisation of a channel's real Gram matrix
-    by the decoder's fixed basis, noiseless decoding round trips, and the
-    listed permutation index sets.
+    at every order (exact, modulo a prime: see :func:`reduction_residuals`;
+    its value is the count of nonzero off-block entries and must be 0),
+    the diagonalisation of a channel's real Gram matrix by the decoder's
+    fixed basis, noiseless decoding round trips, and the listed
+    permutation index sets.  ``k_max`` is capped at ``RESIDUE_K_MAX``,
+    beyond which the exact check would overflow int64.
     """
     if not _is_power_of_two(k_max) or k_max < 2:
         raise ConfigError(f"K={k_max} must be a power of two >= 2")
+    if k_max > RESIDUE_K_MAX:
+        raise ConfigError(
+            f"K={k_max} exceeds {RESIDUE_K_MAX}, the largest block size the exact "
+            "reduction check supports"
+        )
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -416,9 +434,8 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         checks.append(CheckResult("channel-quasi-orthogonality", k, res, BLOCK_TOL, res <= BLOCK_TOL))
 
         if k >= 4:
-            red = reduce_channel(build_encoded_channel(h, k))
-            worst = max(r for _, r in reduction_residuals(red))
-            checks.append(CheckResult("reduction-block-diagonal", k, worst, BLOCK_TOL, worst <= BLOCK_TOL))
+            count = sum(c for _, c in reduction_residuals(k, rng))
+            checks.append(CheckResult("reduction-block-diagonal", k, count, 0.0, count == 0))
 
         q = fixed_basis(k).q
         d = q.T @ channel_gram(h, k) @ q

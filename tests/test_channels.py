@@ -8,9 +8,6 @@ import pytest
 
 from qostbc import (
     abba_manifold,
-    apply_encoded_channel,
-    augmented,
-    build_encoded_channel,
     build_mother,
     encode,
     encoded_channel_minors,
@@ -27,6 +24,12 @@ TABLE_CASES = [(k, n_t) for k in ALL_K for n_t in sorted({1, 3, k - 1, k}) if n_
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def minors_model(h, s, k):
+    """Received block ``[H1 s ; H2 conj(s)]`` through the encoded channel minors."""
+    h1, h2 = encoded_channel_minors(h, k)
+    return np.concatenate([h1 @ s, h2 @ np.conj(s)])
 
 
 class TestGainPreprocessing:
@@ -86,9 +89,9 @@ GOLDEN_32 = {
 
 class TestMinorConstruction:
     def test_k2_base_case(self):
-        enc = build_encoded_channel(np.array([1.0 + 1j, 2.0 - 1j]), 2)
-        np.testing.assert_array_equal(enc.h1[0], [1.0 + 1j, 2.0 - 1j])
-        np.testing.assert_array_equal(enc.h2[0], [2.0 - 1j, -1.0 - 1j])
+        h1, h2 = encoded_channel_minors(np.array([1.0 + 1j, 2.0 - 1j]), 2)
+        np.testing.assert_array_equal(h1[0], [1.0 + 1j, 2.0 - 1j])
+        np.testing.assert_array_equal(h2[0], [2.0 - 1j, -1.0 - 1j])
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_32))
     def test_golden_rows_k32(self, key):
@@ -108,10 +111,10 @@ class TestMinorConstruction:
     def test_zero_padding_transparency(self):
         rng = np.random.default_rng(9)
         h = crandn(rng, 5)
-        short = build_encoded_channel(h, 8)
-        full = build_encoded_channel(np.concatenate([h, np.zeros(3)]), 8)
-        np.testing.assert_array_equal(short.h1, full.h1)
-        np.testing.assert_array_equal(short.h2, full.h2)
+        short = encoded_channel_minors(h, 8)
+        full = encoded_channel_minors(np.concatenate([h, np.zeros(3)]), 8)
+        np.testing.assert_array_equal(short[0], full[0])
+        np.testing.assert_array_equal(short[1], full[1])
 
 
 def recursive_minors(h, k):
@@ -155,18 +158,11 @@ class TestMinorTables:
 
 
 class TestAugmentedAndApply:
-    def test_augmented_examples(self):
-        np.testing.assert_array_equal(augmented([1.0]), [1.0, 1.0])
-        np.testing.assert_array_equal(augmented([1.0j]), [1.0j, -1.0j])
-        s = np.array([1 + 2j, 3 - 4j])
-        np.testing.assert_array_equal(augmented(s), [1 + 2j, 3 - 4j, 1 - 2j, 3 + 4j])
-
     def test_alamouti_algebra(self):
         rng = np.random.default_rng(4)
         h = crandn(rng, 2)
         s = crandn(rng, 2)
-        enc = build_encoded_channel(h, 2)
-        r = apply_encoded_channel(enc, augmented(s))
+        r = minors_model(h, s, 2)
         np.testing.assert_allclose(r[0], h[0] * s[0] + h[1] * s[1])
         np.testing.assert_allclose(r[1], h[1] * np.conj(s[0]) - h[0] * np.conj(s[1]))
 
@@ -175,17 +171,8 @@ class TestAugmentedAndApply:
         s = crandn(rng, 16)
         h = crandn(rng, 16)
         direct = encode(build_mother(16), s) @ h
-        model = apply_encoded_channel(build_encoded_channel(h, 16), augmented(s))
+        model = minors_model(h, s, 16)
         assert np.linalg.norm(model - direct) <= 1e-12 * np.linalg.norm(direct)
-
-    def test_zero_symbols(self):
-        enc = build_encoded_channel(np.ones(4, dtype=complex), 4)
-        np.testing.assert_array_equal(apply_encoded_channel(enc, np.zeros(8)), np.zeros(4))
-
-    def test_dimension_mismatch(self):
-        enc = build_encoded_channel(np.ones(4, dtype=complex), 4)
-        with pytest.raises(ValueError):
-            apply_encoded_channel(enc, np.zeros(6))
 
 
 @pytest.mark.parametrize("k", ALL_K)
@@ -195,7 +182,7 @@ def test_factorisation_identity(k):
     s = crandn(rng, k)
     h = crandn(rng, k)
     direct = encode(build_mother(k), s) @ h
-    model = apply_encoded_channel(build_encoded_channel(h, k), augmented(s))
+    model = minors_model(h, s, k)
     assert np.linalg.norm(model - direct) <= 1e-12 * np.linalg.norm(direct)
 
 

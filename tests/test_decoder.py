@@ -1,6 +1,6 @@
 """Decoder tests: permutation split, stagewise combining, reduction chain,
 output ordering, round trips, the fixed basis against a least-squares
-oracle, probing combiner and noise behaviour."""
+oracle, the Alamouti combiner and noise behaviour."""
 
 import sys
 import threading
@@ -13,22 +13,16 @@ import pytest
 from qostbc import (
     DecompositionError,
     DegenerateChannelError,
-    ReducedChannel,
-    apply_combiner,
-    build_encoded_channel,
     build_mother,
     chain_decode,
     channel_gram,
-    combiner_weights,
     decode,
     decode_batch,
     encode,
-    first_stage,
+    encoded_channel_minors,
     fixed_basis,
-    higher_order_reduce,
     permutation_indexes,
     puncture,
-    reduce_channel,
     symbol_order,
 )
 import qostbc.decoder as decoder
@@ -37,6 +31,27 @@ from qostbc.harness import reduction_residuals
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def first_stage(r, h):
+    """The two half-length combinations of one block on one antenna."""
+    k = len(r)
+    c = decoder._matched_filter(np.asarray(r)[None], *encoded_channel_minors(h, k))[0]
+    return c[: k // 2], c[k // 2 :]
+
+
+def reduced_matrix(h, k):
+    """First-order reduced matrix ``conj(H1 H1^H + H2 H2^H) / 2`` of one antenna."""
+    h1, h2 = encoded_channel_minors(h, k)
+    return np.conj(h1 @ h1.conj().T + h2 @ h2.conj().T) / 2
+
+
+def split_blocks(g):
+    """Largest off-block magnitude of ``g`` along the permutation, and its diagonal blocks."""
+    pair = permutation_indexes(g.shape[-1])
+    q0, q1 = pair.p0 - 1, pair.p1 - 1
+    off = max(np.abs(g[np.ix_(q0, q1)]).max(), np.abs(g[np.ix_(q1, q0)]).max())
+    return off, g[np.ix_(q0, q0)], g[np.ix_(q1, q1)]
 
 
 class TestPermutationIndexes:
@@ -80,9 +95,8 @@ class TestFirstStage:
         rng = np.random.default_rng(1)
         h = crandn(rng, 2)
         s = crandn(rng, 2)
-        enc = build_encoded_channel(h, 2)
         r = encode(build_mother(2), s) @ h
-        r1, r2 = first_stage(r, enc)
+        r1, r2 = first_stage(r, h)
         energy = np.sum(np.abs(h) ** 2)
         np.testing.assert_allclose(r1, energy * s[0])
         np.testing.assert_allclose(r2, energy * s[1])
@@ -94,19 +108,17 @@ class TestFirstStage:
         h = crandn(rng, 8)
         s = crandn(rng, 8)
         s[4:] = 0.0
-        enc = build_encoded_channel(h, 8)
         r = encode(build_mother(8), s) @ h
-        _, r2 = first_stage(r, enc)
+        _, r2 = first_stage(r, h)
         assert np.abs(r2).max() <= 1e-13 * np.abs(r).max()
 
     def test_reduced_matrix_identity(self):
         rng = np.random.default_rng(3)
         h = crandn(rng, 8)
         s = crandn(rng, 8)
-        enc = build_encoded_channel(h, 8)
         r = encode(build_mother(8), s) @ h
-        r1, r2 = first_stage(r, enc)
-        red = reduce_channel(enc).matrix
+        r1, r2 = first_stage(r, h)
+        red = reduced_matrix(h, 8)
         np.testing.assert_allclose(r1, red @ s[:4], rtol=1e-12)
         np.testing.assert_allclose(r2, red @ s[4:], rtol=1e-12)
 
@@ -115,10 +127,10 @@ class TestFirstStage:
         # right columns of the minors gives the same result
         rng = np.random.default_rng(4)
         for k in (4, 16, 64):
-            enc = build_encoded_channel(crandn(rng, k), k)
+            h1, h2 = encoded_channel_minors(crandn(rng, k), k)
             h = k // 2
-            upper = enc.h1[:, :h].conj().T @ enc.h1 + enc.h2[:, :h].T @ enc.h2.conj()
-            lower = enc.h1[:, h:].conj().T @ enc.h1 + enc.h2[:, h:].T @ enc.h2.conj()
+            upper = h1[:, :h].conj().T @ h1 + h2[:, :h].T @ h2.conj()
+            lower = h1[:, h:].conj().T @ h1 + h2[:, h:].T @ h2.conj()
             m1, m2 = upper[:, :h], lower[:, h:]
             assert np.abs(m1 - m2).max() <= 1e-12 * np.abs(m1).max()
             # and the complementary halves are algebraic zeros
@@ -130,13 +142,11 @@ class TestReduceChannel:
     def test_k2_scalar(self):
         rng = np.random.default_rng(5)
         h = crandn(rng, 2)
-        red = reduce_channel(build_encoded_channel(h, 2))
-        assert red.order == 1
-        np.testing.assert_allclose(red.matrix, [[np.sum(np.abs(h) ** 2)]])
+        np.testing.assert_allclose(reduced_matrix(h, 2), [[np.sum(np.abs(h) ** 2)]])
 
     def test_k4_structure(self):
         rng = np.random.default_rng(6)
-        red = reduce_channel(build_encoded_channel(crandn(rng, 4), 4)).matrix
+        red = reduced_matrix(crandn(rng, 4), 4)
         assert red.shape == (2, 2)
         assert abs(red[0, 0].imag) < 1e-12
         np.testing.assert_allclose(red[0, 0], red[1, 1], rtol=1e-12)
@@ -145,53 +155,66 @@ class TestReduceChannel:
     def test_k8_diagonal_is_total_energy(self):
         rng = np.random.default_rng(7)
         h = crandn(rng, 8)
-        red = reduce_channel(build_encoded_channel(h, 8)).matrix
+        red = reduced_matrix(h, 8)
         np.testing.assert_allclose(np.diag(red), np.sum(np.abs(h) ** 2), rtol=1e-12)
 
 
 class TestHigherOrderReduce:
     def test_terminal_scalar_case(self):
+        # at K=4 one split of M^T M leaves 1x1 blocks, which end the chain
         rng = np.random.default_rng(8)
-        red = reduce_channel(build_encoded_channel(crandn(rng, 4), 4))
-        b0, b1, nxt = higher_order_reduce(red)
+        g = reduced_matrix(crandn(rng, 4), 4)
+        g = g.T @ g
+        off, b0, b1 = split_blocks(g)
         assert b0.shape == b1.shape == (1, 1)
-        assert nxt.order == 2 and nxt.matrix.shape == (1, 1)
-        np.testing.assert_allclose(nxt.matrix, b0 * b1)
+        assert off <= 1e-12 * np.abs(g).max()
+        assert reduction_residuals(4, rng) == [(1, 0)]
 
     def test_k8_chain_block_diagonal(self):
+        # the float products the reference chain forms split at both orders
         rng = np.random.default_rng(9)
-        red = reduce_channel(build_encoded_channel(crandn(rng, 8), 8))
+        a = b = reduced_matrix(crandn(rng, 8), 8)
         sizes = []
-        while red.matrix.shape[-1] >= 2:
-            _, _, red = higher_order_reduce(red)
-            sizes.append(red.matrix.shape[-1])
+        while a.shape[-1] >= 2:
+            g = a.T @ b
+            off, a, b = split_blocks(g)
+            assert off <= 1e-12 * np.abs(g).max()
+            sizes.append(a.shape[-1])
         assert sizes == [2, 1]
-        worst = max(r for _, r in reduction_residuals(
-            reduce_channel(build_encoded_channel(crandn(rng, 8), 8))))
-        assert worst <= 1e-10
 
     @pytest.mark.parametrize("k", [8, 16, 64, 256, 512])
     def test_block_vanishing_every_order(self, k):
         rng = np.random.default_rng(k)
-        red = reduce_channel(build_encoded_channel(crandn(rng, k), k))
-        for order, res in reduction_residuals(red):
-            assert res <= 1e-10, (k, order, res)
+        res = reduction_residuals(k, rng)
+        assert [order for order, _ in res] == list(range(1, int(np.log2(k))))
+        for order, count in res:
+            assert count == 0, (k, order, count)
 
     def test_cross_product_commutes(self):
         rng = np.random.default_rng(10)
-        red = reduce_channel(build_encoded_channel(crandn(rng, 16), 16))
-        b0, b1, _ = higher_order_reduce(red)
+        red = reduced_matrix(crandn(rng, 16), 16)
+        _, b0, b1 = split_blocks(red.T @ red)
         lhs = b0.T @ b1
         rhs = b1.T @ b0
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
 
-    def test_corrupted_matrix_raises(self):
+    def test_corrupted_matrix_raises(self, monkeypatch):
+        # one flipped sign in a minor breaks the manifold structure, and the
+        # reference chain refuses to split its products
+        real = decoder.encoded_channel_minors
+
+        def corrupted(h, k):
+            h1, h2 = real(h, k)
+            h1 = h1.copy()
+            h1[..., 0, 1] *= -1
+            return h1, h2
+
+        monkeypatch.setattr(decoder, "encoded_channel_minors", corrupted)
         rng = np.random.default_rng(11)
-        red = reduce_channel(build_encoded_channel(crandn(rng, 8), 8))
-        bad = red.matrix.copy()
-        bad[0, 1] += 0.5 * np.abs(bad).max()  # break the manifold structure
+        h = crandn(rng, 8)
+        r = encode(build_mother(8), crandn(rng, 8)) @ h
         with pytest.raises(DecompositionError):
-            higher_order_reduce(ReducedChannel(1, bad))
+            chain_decode(r, h, 8)
 
 
 class TestSymbolOrder:
@@ -317,26 +340,17 @@ class TestDecode:
 
 class TestCombinerWeights:
     def test_alamouti_closed_form(self):
+        # at K=2 the decoder is Alamouti's combiner: the estimate of s1 reads
+        # (h1^* r1 + h2 r2^*) / energy, that of s2 (h2^* r1 - h1 r2^*) / energy
         rng = np.random.default_rng(19)
         h = crandn(rng, 2)
-        f1, f2 = combiner_weights(h, 2)
+        r = crandn(rng, 2)
         energy = np.sum(np.abs(h) ** 2)
-        # estimate of s1 reads h1^* r1 + h2 r2^* up to the 1/energy gain
-        np.testing.assert_allclose(f1[:, 0, 0], [h[0] / energy, 0.0], atol=1e-12)
-        np.testing.assert_allclose(f2[:, 0, 0], [0.0, h[1] / energy], atol=1e-12)
-        np.testing.assert_allclose(f1[:, 1, 0], [h[1] / energy, 0.0], atol=1e-12)
-        np.testing.assert_allclose(f2[:, 1, 0], [0.0, -h[0] / energy], atol=1e-12)
-
-    def test_reproduces_decoder_k16(self):
-        rng = np.random.default_rng(20)
-        k, n_r = 16, 2
-        hh = crandn(rng, n_r, k)
-        f1, f2 = combiner_weights(hh, k)
-        s = crandn(rng, k)
-        r = encode(build_mother(k), s) @ hh.T + 0.1 * crandn(rng, k, n_r)
-        direct = decode(r, hh, k).estimates
-        flat = apply_combiner(f1, f2, r)
-        assert np.linalg.norm(flat - direct) <= 1e-10 * np.linalg.norm(direct)
+        want = [
+            (np.conj(h[0]) * r[0] + h[1] * np.conj(r[1])) / energy,
+            (np.conj(h[1]) * r[0] - h[0] * np.conj(r[1])) / energy,
+        ]
+        np.testing.assert_allclose(decode(r, h, 2).estimates, want, rtol=1e-12)
 
     def test_alamouti_gain_tracks_channel_energy(self):
         # the absolute combining gain equals the channel energy for the

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qostbc
+import qostbc.channels as channels
 import qostbc.harness as harness
 from qostbc import build_mother, modulation, puncture
 from qostbc.cli import main
@@ -244,6 +245,51 @@ class TestVerify:
         failed = [c for c in report.checks if not c.passed]
         assert any(c.k == 8 for c in failed)
 
+    def test_passes_on_seed_the_float_check_failed(self):
+        # a 1e-10 float tolerance on the reduction residuals failed here at
+        # K=256; the exact check counts zero nonzero off-block entries
+        report = verify(256, seed=3001)
+        assert report.ok
+        reduction = [c for c in report.checks if c.name == "reduction-block-diagonal"]
+        assert [c.k for c in reduction] == [2**i for i in range(2, 9)]
+        assert all(c.value == 0 and c.tol == 0 for c in reduction)
+
+    def test_rejects_k_beyond_residue_bound(self):
+        with pytest.raises(ConfigError, match="4096"):
+            verify(2 * harness.RESIDUE_K_MAX)
+
+
+class TestReductionResiduals:
+    @pytest.mark.parametrize("k", [4, 8, 64, 256])
+    def test_single_sign_flip_detected(self, k, monkeypatch):
+        # flipping the sign of one minor entry breaks the block split at
+        # some order, and the exact check counts the broken entries
+        real = channels._minor_tables(k, k)
+        rng = np.random.default_rng(k)
+        for _ in range(6):
+            which = int(rng.integers(2))
+            idx = tuple(rng.choice(np.argwhere(real[which] != 0)))
+            bad = [t.copy() for t in real]
+            v = bad[which][idx]
+            bad[which][idx] = v + k if v <= k else v - k  # +h_j <-> -h_j
+            monkeypatch.setattr(channels, "_minor_tables", lambda kk, n_t, bad=tuple(bad): bad)
+            res = harness.reduction_residuals(k, rng)
+            assert any(count for _, count in res), (k, which, idx, res)
+
+    @pytest.mark.parametrize("k", [128, 256])
+    def test_zero_on_every_seed(self, k):
+        for seed in range(100):
+            res = harness.reduction_residuals(k, np.random.default_rng(seed))
+            assert all(count == 0 for _, count in res), (k, seed, res)
+
+    def test_residue_bounds(self):
+        p = harness.RESIDUE_PRIME
+        assert p < 2**25 and all(p % d for d in range(2, int(p**0.5) + 1))
+        # the first product sums 2K terms of magnitude below p^2 in int64
+        assert 2 * harness.RESIDUE_K_MAX * (p - 1) ** 2 < 2**63
+        with pytest.raises(ValueError):
+            harness.reduction_residuals(2 * harness.RESIDUE_K_MAX, np.random.default_rng(0))
+
 
 class TestCapacitySweep:
     def test_envelope_properties(self):
@@ -341,6 +387,7 @@ class TestCli:
             ["analyze", "--mod", "qpsk", "--nt", "0"],
             ["capacity", "--nt", "2", "--mods", "psk0"],
             ["verify", "--K", "3"],
+            ["verify", "--K", "8192"],
             ["capacity", "--nt", "2", "--esno-start", "0", "--esno-stop", "1e9",
              "--esno-step", "1e-9"],
             ["analyze", "--mod", "qpsk", "--nt", "2", "--esno-start", "nan"],
