@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, harness
-from .fading import parse_channel_spec
+from .fading import BranchStat, parse_channel_spec, severity_family
 from .modem import modulation
 
 
@@ -60,17 +60,13 @@ def _write_csv(text, out_path, sidecar=None):
 
 
 def _branches_from_args(args, n_t):
-    from .fading import BranchStat
-
     stats = harness.branch_stats(n_t, args.channel, args.profile)
     if getattr(args, "m_list", None):
         ms = [float(x) for x in args.m_list.split(",")]
         if len(ms) != n_t:
             raise harness.ConfigError(f"--m-list needs {n_t} entries")
-        fams = ["hoyt" if m < 1 else ("rayleigh" if m == 1 else "rice") for m in ms]
-        family = parse_channel_spec(args.channel)[0]
-        if family == "nakagami":
-            fams = ["nakagami"] * n_t
+        nakagami = parse_channel_spec(args.channel)[0] == "nakagami"
+        fams = ["nakagami" if nakagami else severity_family(m) for m in ms]
         stats = [BranchStat(f, m, s.omega) for f, m, s in zip(fams, ms, stats)]
     if getattr(args, "omega_list", None):
         oms = [float(x) for x in args.omega_list.split(",")]

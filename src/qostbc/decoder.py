@@ -21,11 +21,14 @@ rows of ``S``, a square and a sum over each group's four columns.  The
 relative precision.  The estimate is ``S diag(2 / (K lambda)) S^T c =
 Q diag(1/lambda) Q^T c``, with ``c = A^T y`` from the encoded channel minors.
 
-:func:`fixed_basis` builds ``S`` once per ``K`` and process from
-the eigenvectors of one probe channel's Gram: four columns of each
-eigenprojector, rounded to the exact pattern, have disjoint supports and
-scale to an orthonormal basis of its range.  A second probe channel checks
-the result.
+:func:`fixed_basis` builds ``S`` exactly, once per ``K`` and process.  The
+real channel coordinates whose unit-gain Gram cross term with ``Re h_1`` is
+nonzero are ``p0 - 1`` and ``K + p1 - 1`` of ``permutation_indexes(K/2)``, a
+set closed under XOR.  For each of its Sylvester generators ``j`` (sorted
+positions 1, 2, 4, ...) the Gram of ``e_0 + e_j`` is ``2 (I + Z_j)``, with
+commuting signed permutations ``Z_j``.  A butterfly from the unit columns
+``e_0, e_1, e_{K/2}, e_{K/2+1}`` splits every column ``v`` into
+``v +- Z_j v`` per generator; a seeded check channel confirms the result.
 
 The paper's nested combining chain exists once in floating point, as the
 reference :func:`chain_decode`.  Per receive antenna it combines the
@@ -76,15 +79,11 @@ __all__ = [
 STRUCTURE_TOL = 1e-8
 
 # Largest deviation of Q^T Q from I, and of Q^T G Q from diag(lambda) relative
-# to max(lambda), for the check channel of a new basis (measured: < 1e-14 to K=1024).
+# to max(lambda), for the check channel of a new basis (measured: <= 2.4e-15 up to K=1024).
 BASIS_TOL = 1e-12
 
-# Largest distance of a scaled probe projector entry from {0, +-1} that
-# still counts as that value (measured: below 1e-10 up to K=1024).
-ROUND_TOL = 1e-6
-
-# Fixed seed of the two probe channels a basis is built and checked with.
-PROBE_SEED = 2005
+# Fixed seed of the channel a new basis is checked with.
+CHECK_SEED = 2005
 
 
 class DecompositionError(RuntimeError):
@@ -229,7 +228,7 @@ def fixed_basis(k: int) -> FixedBasis:
     Raises
     ------
     DecompositionError
-        The probe channels do not share one exact eigenbasis.
+        The built basis fails its check channel.
     """
     if not _is_power_of_two(k) or k < 2:
         raise ValueError(f"K={k} must be a power of two >= 2")
@@ -240,38 +239,38 @@ def fixed_basis(k: int) -> FixedBasis:
     return basis
 
 
+def _generators(k: int) -> np.ndarray:
+    """Real coordinates ``j`` of the generator channels ``e_0 + e_j`` (``j >= K``: ``Im``)."""
+    pair = permutation_indexes(k // 2)
+    support = np.sort(np.concatenate([pair.p0 - 1, k + pair.p1 - 1]))
+    return support[2 ** np.arange(int(np.log2(k)) - 1)]
+
+
 def _build_basis(k: int) -> FixedBasis:
-    rng = np.random.default_rng(PROBE_SEED)
-    probe, check = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-    # at K=2 (Alamouti) every Gram is a multiple of the identity
-    v = np.linalg.eigh(channel_gram(probe, k))[1] if k > 2 else np.eye(4)
     n = 2 * k
-    signs = np.empty((n, n))
-    for g in range(k // 2):
-        vg = v[:, 4 * g : 4 * g + 4]
-        # Columns (K/2) P e_j of the projector P = vg vg^T, rounded.  As
-        # P_ij = (P e_i).(P e_j) and every column has norm^2 2/K, column i
-        # is parallel to column j where P_ij != 0 and orthogonal to it
-        # where P_ij = 0.  Taking each next column among those orthogonal
-        # to all columns taken so far gives four that span the range of P.
-        free = np.ones(n, dtype=bool)
-        cols = []
-        for _ in range(4):
-            if not free.any():
-                raise DecompositionError(f"probe eigenprojector {g} at K={k} has rank below 4")
-            exact = vg @ vg[int(np.argmax(free))] * (k / 2)
-            col = np.rint(exact)
-            if np.abs(exact - col).max() > ROUND_TOL:
-                raise DecompositionError(
-                    f"probe eigenprojector {g} at K={k} has no exact {{0, +-2/K}} pattern"
-                )
-            cols.append(col)
-            free &= col == 0
-        if free.any():
-            raise DecompositionError(f"probe eigenprojector {g} at K={k} has rank above 4")
-        signs[:, 4 * g : 4 * g + 4] = np.stack(cols, axis=1)
-    # disjoint supports of K/2 entries +-1 each: scaling orthonormalises
+    if k == 2:
+        # Alamouti: every Gram is a multiple of the identity
+        signs = np.eye(4)
+    else:
+        # groups along axis 1, the four columns of a group along axis 2
+        cols = np.zeros((n, 1, 4))
+        cols[[0, 1, k // 2, k // 2 + 1], 0, np.arange(4)] = 1.0
+        index = np.arange(1.0, n + 1)
+        s = index[:k] + 1j * index[k:]
+        for j in _generators(k):
+            h = np.zeros(k, dtype=complex)
+            h[0], h[j % k] = 1.0, (1j if j >= k else 1.0)
+            # Z = (G - 2I)/2, a signed permutation: G index, through the
+            # minors instead of a dense Gram, gives it as a signed gather
+            h1, h2 = encoded_channel_minors(h, k)
+            c = _matched_filter(np.concatenate([h1 @ s, h2 @ s.conj()]), h1, h2)
+            z = np.concatenate([c.real, c.imag]) / 2 - index
+            zc = cols[np.abs(z).astype(np.intp) - 1] * np.sign(z)[:, None, None]
+            cols = np.concatenate([cols + zc, cols - zc], axis=1)
+        signs = cols.reshape(n, n)
     basis = FixedBasis(signs)
+    rng = np.random.default_rng(CHECK_SEED)
+    check = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     q, gram = basis.q, channel_gram(check, k)
     lam = basis.eigenvalues(check[None, None])[0]
     err = max(
@@ -279,10 +278,7 @@ def _build_basis(k: int) -> FixedBasis:
         np.abs(q.T @ gram @ q - np.diag(np.repeat(lam, 4))).max() / np.abs(lam).max(),
     )
     if not err <= BASIS_TOL:
-        raise DecompositionError(
-            f"fixed basis at K={k} is not orthonormal or does not diagonalise a check "
-            f"channel: error {err:.3e}"
-        )
+        raise DecompositionError(f"fixed basis at K={k} fails its check channel: error {err:.3e}")
     return basis
 
 
@@ -291,8 +287,10 @@ class DecodeResult:
     """Soft estimates in natural order plus the block's Gram eigenvalues.
 
     ``eigenvalues`` are the ``K/2`` distinct eigenvalues of the real Gram
-    matrix, in the order of the column groups of :attr:`FixedBasis.q`; at
-    ``K=2`` the single eigenvalue is the channel energy.
+    matrix, in the order of the column groups of :attr:`FixedBasis.q`: bit
+    ``i`` of the group index ``g`` is the sign taken for generator ``i`` of
+    the butterfly (0 for ``+``, 1 for ``-``).  At ``K=2`` the single
+    eigenvalue is the channel energy.
     """
 
     estimates: np.ndarray

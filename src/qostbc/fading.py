@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "BranchStat",
+    "severity_family",
     "m_to_hoyt_q",
     "m_to_rice_k",
     "sample_gain",
@@ -40,16 +41,21 @@ class BranchStat:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown fading family {self.family!r}")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-        if self.m < 0.5:
-            raise ValueError("severity m must be >= 0.5")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not 0.5 <= self.m < np.inf:
+            raise ValueError(f"severity m must be finite and >= 0.5, got {self.m}")
         if self.family == "rayleigh" and self.m != 1.0:
             raise ValueError("Rayleigh is the m=1 point")
         if self.family == "rice" and self.m < 1.0:
             raise ValueError("Rice needs m >= 1")
         if self.family == "hoyt" and self.m > 1.0:
             raise ValueError("Hoyt needs m <= 1")
+
+
+def severity_family(m: float) -> str:
+    """The family severity ``m`` selects in the binding mode: Hoyt, Rayleigh or Rice."""
+    return "hoyt" if m < 1 else ("rayleigh" if m == 1 else "rice")
 
 
 def m_to_hoyt_q(m: float) -> float:

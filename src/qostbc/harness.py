@@ -92,8 +92,7 @@ def branch_stats(n_t: int, channel: str, profile: str):
         # ascending severity paired with descending power, total power one
         ms = fading.severity_profile(n_t)
         omegas = fading.linear_profile(n_t, 1.0)[::-1] / n_t
-        fams = ["hoyt" if mm < 1 else ("rayleigh" if mm == 1 else "rice") for mm in ms]
-        return [fading.BranchStat(f, mm, om) for f, mm, om in zip(fams, ms, omegas)]
+        return [fading.BranchStat(fading.severity_family(mm), mm, om) for mm, om in zip(ms, omegas)]
     kind, pmax = fading.parse_profile_spec(profile)
     if kind == "equipower":
         omegas = np.ones(n_t)

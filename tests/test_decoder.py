@@ -418,6 +418,65 @@ class TestFixedBasis:
                 rtol=0, atol=1e-12 * lam.max()
             )
 
+    def test_built_exactly_without_eigh(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the fixed basis must not need an eigendecomposition")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(decoder, "_BASES", {})
+        for k in (2**e for e in range(1, 11)):
+            signs = fixed_basis(k).signs
+            assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
+            assert np.array_equal(signs.T @ signs, (k // 2) * np.eye(2 * k)), k
+
+    @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
+    def test_generators_are_sylvester_positions_of_permutation_indexes(self, k):
+        def unit(j):  # unit gain at 0-based real coordinate j; K + i is Im of gain i
+            h = np.zeros(k, dtype=complex)
+            h[j % k] = 1j if j >= k else 1.0
+            return h
+
+        # coordinates whose unit-gain Gram cross term with Re h_1 is nonzero
+        g0 = channel_gram(unit(0), k)
+        cross = [j for j in range(1, 2 * k)
+                 if np.any(channel_gram(unit(0) + unit(j), k) - g0 - channel_gram(unit(j), k))]
+        pair = permutation_indexes(k // 2)
+        support = sorted([0] + cross)
+        assert support == sorted(np.concatenate([pair.p0[: k // 4] - 1, k + pair.p1[: k // 4] - 1]))
+        # Sylvester order: entry m is the XOR of the entries at the set bits
+        # of m, so the set is closed under XOR and spanned by positions 2^i
+        bits = int(np.log2(len(support)))
+        for m, x in enumerate(support):
+            acc = 0
+            for i in range(bits):
+                if m >> i & 1:
+                    acc ^= support[1 << i]
+            assert x == acc, (m, x)
+        gens = [support[1 << i] for i in range(bits)]
+        assert list(decoder._generators(k)) == gens
+        assert gens == [2**i + 1 for i in range(1, bits)] + [k + 1]
+
+    @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
+    def test_group_order_follows_generator_signs(self, k):
+        # group g's first column is prod_i (I +- Z_i) e_0, the sign of
+        # generator i taken from bit i of g, with Z_i = (G_i - 2I) / 2
+        zs = []
+        for j in decoder._generators(k):
+            h = np.zeros(k, dtype=complex)
+            h[0], h[j % k] = 1.0, (1j if j >= k else 1.0)
+            z = (channel_gram(h, k) - 2 * np.eye(2 * k)) / 2
+            assert np.array_equal(np.abs(z).sum(axis=0), np.ones(2 * k))  # signed permutation
+            zs.append(z)
+        for a in zs:
+            for b in zs:
+                assert np.array_equal(a @ b, b @ a)
+        signs = fixed_basis(k).signs
+        for g in range(k // 2):
+            col = np.eye(2 * k)[0]
+            for i, z in enumerate(zs):
+                col = col + (-1) ** (g >> i & 1) * (z @ col)
+            assert np.array_equal(signs[:, 4 * g], col), g
+
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256, 512])
     def test_eigenvalues_match_gram_diagonal(self, k):
         # decode's eigenvalues, read off the channel, against diag(Q^T G Q)

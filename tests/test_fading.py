@@ -15,7 +15,7 @@ from qostbc import (
     sample_gain,
     severity_profile,
 )
-from qostbc.fading import parse_channel_spec, parse_profile_spec
+from qostbc.fading import parse_channel_spec, parse_profile_spec, severity_family
 
 
 class TestSeverityConversions:
@@ -62,6 +62,21 @@ class TestBranchStat:
             BranchStat("nakagami", 1.0, omega=0.0)
         with pytest.raises(ValueError):
             BranchStat("laplace", 1.0)
+
+    @pytest.mark.parametrize("family", ["rice", "hoyt", "nakagami"])
+    @pytest.mark.parametrize("m", [np.nan, np.inf])
+    def test_rejects_non_finite_severity(self, family, m):
+        with pytest.raises(ValueError, match="finite"):
+            BranchStat(family, m)
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_rejects_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            BranchStat("rayleigh", 1.0, omega)
+
+    def test_severity_family(self):
+        assert [severity_family(m) for m in (0.5, 0.99, 1.0, 1.01, 4.0)] == [
+            "hoyt", "hoyt", "rayleigh", "rice", "rice"]
 
 
 STATS = [

@@ -394,6 +394,11 @@ class TestCli:
             ["capacity", "--nt", "2", "--esno-stop", "inf"],
             ["simulate", "--K", "4", "--esno-step", "inf"],
             ["analyze", "--mod", "qpsk", "--nt", "2", "--points", "5"],
+            ["analyze", "--mod", "qpsk", "--nt", "2", "--m-list", "nan,1"],
+            ["analyze", "--mod", "qpsk", "--nt", "2", "--channel", "rice:m=inf"],
+            ["analyze", "--mod", "qpsk", "--nt", "2", "--omega-list", "1,inf"],
+            ["analyze", "--mod", "qpsk", "--nt", "2", "--profile", "linear:pmax=inf"],
+            ["simulate", "--K", "4", "--channel", "nakagami:m=inf"],
         ],
         ids=" ".join,
     )
