@@ -7,21 +7,18 @@ hard-decision capacity analysis, and a reproducible Monte Carlo harness.
 """
 
 from .codes import (
-    CodeEntry,
     EncodingStructure,
     abba_manifold,
     build_mother,
     puncture,
     encode,
     gram_check,
-    structure_to_text,
 )
 from .channels import (
     extend_channel,
     modify_channel,
     encoded_channel_minors,
     symbolic_minors,
-    minors_to_text,
 )
 from .decoder import (
     PermutationPair,
@@ -55,8 +52,8 @@ from .analysis import (
     psk_ber,
     qam_ber,
     qam_bit_coefficients,
+    bit_error_rate,
     capacity,
-    order_stat_mean,
 )
 from .harness import (
     ConfigError,

@@ -1,5 +1,5 @@
 """Exact average BER of linear STBCs over generalised fading, plus
-hard-decision rate capacity and the uniform order-statistic mean.
+hard-decision rate capacity.
 
 The fading average is computed by the MGF method: the conditional AWGN
 error probabilities are written as finite angular integrals with the SNR
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
@@ -43,8 +42,8 @@ __all__ = [
     "psk_ber",
     "qam_ber",
     "qam_bit_coefficients",
+    "bit_error_rate",
     "capacity",
-    "order_stat_mean",
 ]
 
 DEFAULT_POINTS = 96  # quadrature nodes per integral
@@ -288,14 +287,24 @@ def qam_ber(m: int, params: BerParams, esno_db):
     side = int(round(np.sqrt(m)))
     if 2**b != m or side * side != m or b % 2:
         raise ValueError(f"M={m} is not a square power of two")
+    # the term of index i has the same integral for every bit: weigh it once
+    weights = np.zeros(side)
+    for k in range(1, b // 2 + 1):
+        d = qam_bit_coefficients(m, k)
+        weights[: len(d)] += d
     esno_db = np.asarray(esno_db, dtype=float)
     integral = _integrator(params, esno_db)
     total = 0.0
-    for k in range(1, b // 2 + 1):
-        for i, d in enumerate(qam_bit_coefficients(m, k)):
-            g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
-            total = total + d * integral(0.5, g)
+    for i in np.flatnonzero(weights):
+        g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
+        total = total + weights[i] * integral(0.5, g)
     return _like(4.0 * total / (side * b), esno_db)
+
+
+def bit_error_rate(mod, params: BerParams, esno_db):
+    """:func:`psk_ber` or :func:`qam_ber` of a :class:`~qostbc.modem.Modulation`."""
+    fn = psk_ber if mod.family == "psk" else qam_ber
+    return fn(mod.order, params, esno_db)
 
 
 def capacity(bits_per_symbol: int, rho: float, pbar: float) -> float:
@@ -311,16 +320,3 @@ def capacity(bits_per_symbol: int, rho: float, pbar: float) -> float:
         entropy = -(pbar * np.log2(pbar) + (1.0 - pbar) * np.log2(1.0 - pbar))
     return rho * bits_per_symbol * (1.0 - entropy)
 
-
-def order_stat_mean(k: int, n: int, pmax: float = 1.0) -> float:
-    """Mean of the k-th smallest of ``n`` i.i.d. uniforms on [0, pmax].
-
-    The underlying Beta integral has the closed form
-    ``(n-k)! k! / (n+1)!``, which combined with the binomial prefactor
-    collapses to ``k / (n+1) * pmax``.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
-    prefactor = factorial(n) // (factorial(k - 1) * factorial(n - k))
-    integral = factorial(n - k) * factorial(k) / factorial(n + 1)
-    return prefactor * integral * pmax

@@ -30,7 +30,6 @@ __all__ = [
     "modify_channel",
     "encoded_channel_minors",
     "symbolic_minors",
-    "minors_to_text",
 ]
 
 
@@ -106,27 +105,10 @@ def symbolic_minors(k: int, n_t: int = None):
     with zeros: ``H1`` is the upper half of the "channel" manifold and
     ``H2`` that of the "combining" manifold of the half-swapped vector.  It
     yields the sign/index pattern of the minors exactly and is the source of
-    the gather tables of :func:`encoded_channel_minors`, the golden-data
-    tests and the text dump.
+    the gather tables of :func:`encoded_channel_minors`.
     """
     if n_t is None:
         n_t = k
     hp = extend_channel(np.arange(1, n_t + 1, dtype=np.int32), k)
     return _upper_half(hp, "channel"), _upper_half(modify_channel(hp), "combining")
 
-
-def minors_to_text(k: int, n_t: int = None) -> str:
-    """Text dump of both symbolic minors, entries rendered like ``-h12``."""
-
-    def fmt(v: int) -> str:
-        if v == 0:
-            return "   0 "
-        return "{}h{:<3d}".format("-" if v < 0 else " ", abs(v))
-
-    h1, h2 = symbolic_minors(k, n_t)
-    lines = []
-    for name, m in (("H1", h1), ("H2", h2)):
-        lines.append(f"{name} ({m.shape[0]}x{m.shape[1]}):")
-        for row in m:
-            lines.append(" ".join(fmt(int(v)) for v in row))
-    return "\n".join(lines)

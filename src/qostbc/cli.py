@@ -115,10 +115,10 @@ def _cmd_analyze(args):
         eta=args.eta,
         nakagami_approx=args.nakagami_approx,
     )
-    fn = analysis.psk_ber if mod.family == "psk" else analysis.qam_ber
     esno_db = _esno_list(args)
+    ber = analysis.bit_error_rate(mod, params, esno_db)
     lines = ["esno_db,ber"]
-    lines += [f"{e:.10g},{b:.10g}" for e, b in zip(esno_db, fn(mod.order, params, esno_db))]
+    lines += [f"{e:.10g},{b:.10g}" for e, b in zip(esno_db, ber)]
     _write_csv("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -3,36 +3,30 @@
 The codes built here map a block of ``K`` complex symbols (``K`` a power of
 two) onto ``K`` transmit epochs over ``n_t <= K`` antennas.  Every matrix
 entry is ``+-s_k`` or ``+-conj(s_k)`` for exactly one *raw* symbol ``s_k``,
-so the full structure can be represented symbolically by three integer/bool
-grids (raw index, sign, conjugation flag) and instantiated with any complex
-symbol vector afterwards.
+so a code is fully described by one ``(K, n_t)`` integer table
+(:class:`EncodingStructure`) into ``[s, conj(s), -s, -conj(s)]``, and
+:func:`encode` is a single gather through that table.
 
 The K-by-K *mother* matrix is obtained by wrapping two recursive block
 matrices (see :func:`abba_manifold`) built from the two halves of the symbol
-vector.  Transmit matrices for fewer antennas are column selections of the
-mother matrix (:func:`puncture`).
-
-The layout is evaluated once per structure: :class:`EncodingStructure`
-folds the grids of the recursion and its selected columns into one
-``(K, n_t)`` integer table into ``[s, conj(s), -s, -conj(s)]``, and
-:func:`encode` is a single gather through that table.
+vector; the recursion runs once, over the signed raw indices, and is folded
+straight into the table.  Transmit matrices for fewer antennas keep the
+leftmost columns of the mother matrix (:func:`puncture`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CodeEntry",
     "EncodingStructure",
     "abba_manifold",
     "build_mother",
     "puncture",
     "encode",
     "gram_check",
-    "structure_to_text",
 ]
 
 
@@ -97,92 +91,42 @@ def abba_manifold(vec, generator: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CodeEntry:
-    """A single symbolic entry ``sign * s_raw_index`` (conjugated if flagged)."""
-
-    raw_index: int
-    sign: int
-    conjugated: bool
-
-    def __post_init__(self):
-        if self.raw_index < 1:
-            raise ValueError("raw_index is 1-based and must be >= 1")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    def __str__(self) -> str:
-        return "{}s{}{}".format(
-            "-" if self.sign < 0 else " ",
-            self.raw_index,
-            "*" if self.conjugated else "",
-        )
-
-
-@dataclass(frozen=True)
 class EncodingStructure:
-    """Symbolic K-by-K mother encoding matrix plus the retained columns.
+    """The transmit matrix of a code as one signed-gather table.
 
     Attributes
     ----------
-    k : int
-        Block size (power of two).  Rows are transmit epochs.
-    raw_index, sign, conjugated : np.ndarray
-        ``(k, k)`` grids; ``raw_index`` is 1-based.
-    selected_columns : np.ndarray
-        Strictly increasing 1-based column indices; the transmit matrix
-        uses these ``n_t`` columns of the mother matrix.
     table : np.ndarray
-        ``(k, n_t)`` index of each transmitted entry into
-        ``[s, conj(s), -s, -conj(s)]``: ``raw_index - 1 + k*conjugated +
-        2k*(sign < 0)`` over the selected columns.  Derived, never passed.
-
-    All four arrays are read-only copies, so the table cannot go stale;
-    :func:`puncture` and :func:`dataclasses.replace` rebuild it.
+        ``(K, n_t)`` integer index of each transmitted entry into
+        ``[s, conj(s), -s, -conj(s)]``: entry ``sign * s_r``, conjugated or
+        not, is ``r - 1 + K*conjugated + 2K*(sign < 0)`` with ``r`` 1-based.
+        Rows are epochs, columns antennas.  Kept as a read-only copy.
     """
 
-    k: int
-    raw_index: np.ndarray
-    sign: np.ndarray
-    conjugated: np.ndarray
-    selected_columns: np.ndarray = field(default=None)
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    table: np.ndarray
 
     def __post_init__(self):
-        if not _is_power_of_two(self.k):
-            raise ValueError(f"K={self.k} is not a power of two")
-        if self.selected_columns is None:
-            object.__setattr__(self, "selected_columns", np.arange(1, self.k + 1))
-        for name in ("raw_index", "sign", "conjugated", "selected_columns"):
-            grid = np.array(getattr(self, name))
-            grid.flags.writeable = False
-            object.__setattr__(self, name, grid)
-        cols = self.selected_columns
-        if cols.ndim != 1 or not (1 <= len(cols) <= self.k):
-            raise ValueError("selected_columns must be a non-empty 1-D index list")
-        if np.any((cols < 1) | (cols > self.k)) or np.any(np.diff(cols) <= 0):
-            raise ValueError("selected_columns must be strictly increasing in 1..K")
-        if np.any((self.raw_index < 1) | (self.raw_index > self.k)):
-            raise ValueError("raw indices must lie in 1..K")
-        full = (self.raw_index - 1) + self.k * self.conjugated + 2 * self.k * (self.sign < 0)
-        table = full[:, cols - 1].astype(np.intp)
+        table = np.array(self.table, dtype=np.intp)
+        if table.ndim != 2 or not _is_power_of_two(table.shape[0]):
+            raise ValueError(f"table of shape {table.shape} is not (K, n_t) with K a power of two")
+        if not 1 <= table.shape[1] <= table.shape[0]:
+            raise ValueError(f"n_t={table.shape[1]} out of range 1..{table.shape[0]}")
+        if np.any((table < 0) | (table >= 4 * table.shape[0])):
+            raise ValueError("table entries must lie in 0..4K-1")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
-    def n_t(self) -> int:
-        return len(self.selected_columns)
+    def k(self) -> int:
+        return self.table.shape[0]
 
-    def entry(self, row: int, col: int) -> CodeEntry:
-        """Entry at 0-based (row, col) of the mother matrix."""
-        return CodeEntry(
-            int(self.raw_index[row, col]),
-            int(self.sign[row, col]),
-            bool(self.conjugated[row, col]),
-        )
+    @property
+    def n_t(self) -> int:
+        return self.table.shape[1]
 
 
 def build_mother(k: int) -> EncodingStructure:
-    """Build the symbolic K-by-K mother encoding matrix.
+    """Build the K-by-K mother encoding matrix.
 
     The top half is ``[A, B]`` with ``A``/``B`` the "symbol" manifolds of
     the first/second halves of the symbol vector; the bottom half is
@@ -192,28 +136,22 @@ def build_mother(k: int) -> EncodingStructure:
     Parameters
     ----------
     k : int
-        Block size, a power of two.
+        Block size, a power of two >= 2.
 
     Returns
     -------
     EncodingStructure
     """
-    if not _is_power_of_two(k):
-        raise ValueError(f"K={k} is not a power of two")
-    if k == 1:
-        idx = np.array([[1]], dtype=np.int32)
-        return EncodingStructure(1, idx, np.ones((1, 1), np.int8), np.zeros((1, 1), bool))
-    half = np.arange(1, k // 2 + 1, dtype=np.int32)
+    if not _is_power_of_two(k) or k < 2:
+        raise ValueError(f"K={k} must be a power of two >= 2")
+    # the manifolds of the signed 1-based raw indices carry each entry's
+    # index and sign; the bottom half is conjugated and transposed
+    half = np.arange(1, k // 2 + 1)
     a = abba_manifold(half, "symbol")
     b = abba_manifold(half + k // 2, "symbol")
-    top = np.concatenate([a, b], axis=1)
-    # bottom blocks are Hermitian transposes: transpose the symbolic grid,
-    # flip signs for the left block, conjugate everything
-    bot = np.concatenate([-b.T, a.T], axis=1)
-    signed = np.concatenate([top, bot], axis=0)
-    conj = np.zeros((k, k), dtype=bool)
-    conj[k // 2 :, :] = True
-    return EncodingStructure(k, np.abs(signed).astype(np.int32), np.sign(signed).astype(np.int8), conj)
+    signed = np.block([[a, b], [-b.T, a.T]])
+    conj = np.repeat([0, k], k // 2)[:, None]
+    return EncodingStructure(np.abs(signed) - 1 + conj + 2 * k * (signed < 0))
 
 
 def puncture(structure: EncodingStructure, n_t: int) -> EncodingStructure:
@@ -222,9 +160,9 @@ def puncture(structure: EncodingStructure, n_t: int) -> EncodingStructure:
     The leftmost rule keeps the selection deterministic and preserves the
     half/half column split behind the block-orthogonality of the code.
     """
-    if not (1 <= n_t <= structure.k):
-        raise ValueError(f"n_t={n_t} out of range 1..{structure.k}")
-    return replace(structure, selected_columns=np.arange(1, n_t + 1))
+    if not (1 <= n_t <= structure.n_t):
+        raise ValueError(f"n_t={n_t} out of range 1..{structure.n_t}")
+    return EncodingStructure(structure.table[:, :n_t])
 
 
 def _signed_gather(parts, table) -> np.ndarray:
@@ -241,8 +179,8 @@ def encode(structure: EncodingStructure, s) -> np.ndarray:
     """Instantiate the transmit matrix for a symbol vector.
 
     One gather through ``structure.table`` from ``[s, conj(s), -s,
-    -conj(s)]``.  The output dtype is that of ``s`` times the int8 ``sign``
-    grid, so unsigned input is promoted before it is negated.
+    -conj(s)]``.  The output dtype is that of ``s`` promoted with int8, so
+    unsigned input is promoted before it is negated.
 
     Parameters
     ----------
@@ -259,7 +197,7 @@ def encode(structure: EncodingStructure, s) -> np.ndarray:
     s = np.asarray(s)
     if s.shape[-1] != structure.k:
         raise ValueError(f"symbol vector length {s.shape[-1]} != K={structure.k}")
-    s = s.astype(np.result_type(s.dtype, structure.sign.dtype), copy=False)
+    s = s.astype(np.result_type(s.dtype, np.int8), copy=False)
     sc = np.conj(s)
     return _signed_gather((s, sc, -s, -sc), structure.table)
 
@@ -278,12 +216,3 @@ def gram_check(c: np.ndarray):
     h = k // 2
     residual = float(np.abs(g[:h, h:]).max()) if h else 0.0
     return g[:h, :h], residual
-
-
-def structure_to_text(structure: EncodingStructure) -> str:
-    """Human-readable dump, one line per epoch, entries like ``-s3*``."""
-    lines = []
-    for i in range(structure.k):
-        cells = [str(structure.entry(i, int(j) - 1)) for j in structure.selected_columns]
-        lines.append(" ".join(f"{c:>6s}" for c in cells))
-    return "\n".join(lines)

@@ -201,11 +201,6 @@ class FixedBasis:
 
     signs: np.ndarray
 
-    @property
-    def q(self) -> np.ndarray:
-        """The orthogonal basis ``Q = S / sqrt(K/2)``, built on each access."""
-        return self.signs / np.sqrt(len(self.signs) / 4)
-
     def eigenvalues(self, channels) -> np.ndarray:
         """``(B, K/2)`` Gram eigenvalues of ``(B, n_r, n_t)`` channels; see the module."""
         nbatch, n_r, n_t = channels.shape
@@ -213,6 +208,19 @@ class FixedBasis:
         p = channels.real.reshape(-1, n_t) @ self.signs[:n_t]
         p -= channels.imag.reshape(-1, n_t) @ self.signs[k : k + n_t]
         return np.square(p, out=p).reshape(nbatch, n_r, k // 2, 4).sum(axis=(1, 3))
+
+    def error(self, channel) -> float:
+        """``max(|Q^T Q - I|, |Q^T G Q - diag(lambda)| / max(lambda))`` for the
+        real Gram ``G`` of the ``(n_t,)`` gains ``channel``, with ``Q = S /
+        sqrt(K/2)`` and ``lambda`` from :meth:`eigenvalues`."""
+        channel = np.asarray(channel, dtype=complex)
+        n, s = len(self.signs), self.signs
+        lam = self.eigenvalues(channel[None, None])[0] * (n / 4)
+        d = s.T @ channel_gram(channel, n // 2) @ s
+        d[np.diag_indices(n)] -= np.repeat(lam, 4)
+        o = s.T @ s
+        o[np.diag_indices(n)] -= n / 4
+        return float(max(np.abs(d, out=d).max() / lam.max(), np.abs(o, out=o).max() / (n / 4)))
 
 
 _BASES = {}
@@ -270,13 +278,7 @@ def _build_basis(k: int) -> FixedBasis:
         signs = cols.reshape(n, n)
     basis = FixedBasis(signs)
     rng = np.random.default_rng(CHECK_SEED)
-    check = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    q, gram = basis.q, channel_gram(check, k)
-    lam = basis.eigenvalues(check[None, None])[0]
-    err = max(
-        np.abs(q.T @ q - np.eye(n)).max(),
-        np.abs(q.T @ gram @ q - np.diag(np.repeat(lam, 4))).max() / np.abs(lam).max(),
-    )
+    err = basis.error(rng.standard_normal(k) + 1j * rng.standard_normal(k))
     if not err <= BASIS_TOL:
         raise DecompositionError(f"fixed basis at K={k} fails its check channel: error {err:.3e}")
     return basis
@@ -287,9 +289,9 @@ class DecodeResult:
     """Soft estimates in natural order plus the block's Gram eigenvalues.
 
     ``eigenvalues`` are the ``K/2`` distinct eigenvalues of the real Gram
-    matrix, in the order of the column groups of :attr:`FixedBasis.q`: bit
-    ``i`` of the group index ``g`` is the sign taken for generator ``i`` of
-    the butterfly (0 for ``+``, 1 for ``-``).  At ``K=2`` the single
+    matrix, in the order of the column groups of :attr:`FixedBasis.signs`:
+    bit ``i`` of the group index ``g`` is the sign taken for generator ``i``
+    of the butterfly (0 for ``+``, 1 for ``-``).  At ``K=2`` the single
     eigenvalue is the channel energy.
     """
 

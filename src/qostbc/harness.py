@@ -23,8 +23,8 @@ import numpy as np
 
 from . import analysis, fading
 from .codes import build_mother, puncture, encode, gram_check, _is_power_of_two
-from .channels import extend_channel, encoded_channel_minors, abba_manifold
-from .decoder import BASIS_TOL, channel_gram, decode_batch, fixed_basis, permutation_indexes
+from .channels import extend_channel, modify_channel, encoded_channel_minors, abba_manifold
+from .decoder import BASIS_TOL, decode_batch, fixed_basis, permutation_indexes
 from .modem import modulation, count_bit_errors
 
 __all__ = [
@@ -122,8 +122,7 @@ def analytic_ber(config: ExperimentConfig, esno_db):
     params = analysis.BerParams(
         n_t=config.n_t, n_r=config.n_r, branches=_shared_power(stats)
     )
-    fn = analysis.psk_ber if mod.family == "psk" else analysis.qam_ber
-    return fn(mod.order, params, esno_db)
+    return analysis.bit_error_rate(mod, params, esno_db)
 
 
 @dataclass(frozen=True)
@@ -424,7 +423,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
 
         hp = extend_channel(h, k)
         m_full = abba_manifold(hp, "channel")
-        m_mod = abba_manifold(np.concatenate([hp[k // 2 :], hp[: k // 2]]), "combining")
+        m_mod = abba_manifold(modify_channel(hp), "combining")
         p = m_full.conj().T @ m_full + m_mod.T @ np.conj(m_mod)
         half = k // 2
         res = max(
@@ -436,9 +435,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
             count = sum(c for _, c in reduction_residuals(k, rng))
             checks.append(CheckResult("reduction-block-diagonal", k, count, 0.0, count == 0))
 
-        q = fixed_basis(k).q
-        d = q.T @ channel_gram(h, k) @ q
-        res = float(np.abs(d - np.diag(np.diag(d))).max() / np.abs(np.diag(d)).max())
+        res = fixed_basis(k).error(h)
         checks.append(CheckResult("fixed-basis-diagonal", k, res, BASIS_TOL, res <= BASIS_TOL))
 
         for n_r in (1, 2, 4):
@@ -479,7 +476,6 @@ def capacity_sweep(
     channel: str = "rayleigh",
     profile: str = "equipower",
     rho: float = 1.0,
-    eta: float = 1.0,
     mods=CAPACITY_MODULATIONS,
 ):
     """Achievable hard-decision rate per modulation plus the envelope.
@@ -491,13 +487,12 @@ def capacity_sweep(
         ``(esno_db, rates..., envelope)``.
     """
     stats = _shared_power(branch_stats(n_t, channel, profile))
-    params = analysis.BerParams(n_t=n_t, n_r=n_r, branches=stats, rho=rho, eta=eta)
+    params = analysis.BerParams(n_t=n_t, n_r=n_r, branches=stats, rho=rho)
     esno_db = np.ravel(np.asarray(esno_db, dtype=float))
     columns = []
     for name in mods:
         mod = modulation(name)
-        fn = analysis.psk_ber if mod.family == "psk" else analysis.qam_ber
-        pbar = np.clip(fn(mod.order, params, esno_db), 0.0, 0.5)
+        pbar = np.clip(analysis.bit_error_rate(mod, params, esno_db), 0.0, 0.5)
         columns.append([analysis.capacity(mod.bits_per_symbol, rho, float(p)) for p in pbar])
     rows = [(float(e), *rates, max(rates)) for e, rates in zip(esno_db, zip(*columns))]
     return list(mods), rows

@@ -13,16 +13,18 @@ from scipy.special import comb, erfc
 from qostbc import (
     BerParams,
     BranchStat,
+    bit_error_rate,
     capacity,
     mgf,
     mgf_integral,
-    order_stat_mean,
+    modulation,
     psk_ber,
     psk_distance_spectrum,
     qam_ber,
     qam_bit_coefficients,
 )
-from qostbc.fading import m_to_hoyt_q, m_to_rice_k
+from qostbc import analysis
+from qostbc.fading import linear_profile, m_to_hoyt_q, m_to_rice_k
 from qostbc.harness import CAPACITY_MODULATIONS, _shared_power, branch_stats
 
 
@@ -142,6 +144,45 @@ class TestQamBer:
         assert sweep.shape == (3,)
         assert np.all(np.diff(sweep) < 0)
 
+    @pytest.mark.parametrize("m", [4, 16, 64, 256, 1024, 4096])
+    def test_equals_per_bit_loop(self, m):
+        # each Q-function term integrated once per bit, as the BER's
+        # definition sums them
+        params = BerParams(n_t=8, n_r=2, branches=_shared_power(branch_stats(8, "mixed", "equipower")))
+        esno_db = np.arange(-10.0, 41.0, 5.0)
+        gbars = 10.0 ** (esno_db[:, None] / 10.0) * [b.omega for b in params.branches]
+        bits, side = int(np.log2(m)), int(round(np.sqrt(m)))
+        total = 0.0
+        for k in range(1, bits // 2 + 1):
+            for i, d in enumerate(qam_bit_coefficients(m, k)):
+                g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
+                total = total + d * mgf_integral(0.5, g, 16, 1.0, 1.0, params.branches, gbars)
+        want = 4.0 * total / (side * bits)
+        np.testing.assert_allclose(qam_ber(m, params, esno_db), want, rtol=1e-13, atol=0.0)
+
+    def test_one_integral_per_term(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return mgf_integral(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "mgf_integral", counting)
+        counts = {}
+        for m in (4, 16, 64, 256, 1024, 4096):
+            calls.clear()
+            qam_ber(m, rayleigh_params(0.0), [0.0, 10.0])
+            assert len(set(calls)) == len(calls)
+            counts[m] = len(calls)
+        assert counts == {4: 1, 16: 3, 64: 5, 256: 13, 1024: 29, 4096: 61}
+
+    def test_bit_error_rate_picks_the_formula(self):
+        params = rayleigh_params(3.0)
+        for name, fn in (("psk8", psk_ber), ("qam64", qam_ber)):
+            mod = modulation(name)
+            got = bit_error_rate(mod, params, [0.0, 5.0])
+            np.testing.assert_array_equal(got, fn(mod.order, params, [0.0, 5.0]))
+
 
 class TestStructuralProperties:
     def test_monotone_in_snr_and_order(self):
@@ -214,23 +255,32 @@ class TestCapacity:
 
 
 class TestOrderStatMean:
+    """``fading.linear_profile`` is the mean of the ascending order
+    statistics of uniform branch powers: entry ``k`` of ``linear_profile(n,
+    pmax / 2)`` is the mean of the k-th smallest of ``n`` uniforms on [0,
+    pmax]."""
+
+    @staticmethod
+    def mean(k, n, pmax=1.0):
+        return linear_profile(n, pmax / 2.0)[k - 1]
+
     def test_single_uniform(self):
-        assert order_stat_mean(1, 1, 1.0) == pytest.approx(0.5)
+        assert self.mean(1, 1, 1.0) == pytest.approx(0.5)
 
     def test_largest(self):
-        assert order_stat_mean(7, 7, 2.0) == pytest.approx(7.0 / 8.0 * 2.0)
+        assert self.mean(7, 7, 2.0) == pytest.approx(7.0 / 8.0 * 2.0)
 
     def test_matches_direct_quadrature(self):
-        # oracle: K!/((k-1)!(K-k)!) * int_0^1 x^k (1-x)^(K-k) dx
+        # oracle: n!/((k-1)!(n-k)!) * int_0^1 x^k (1-x)^(n-k) dx
         k, n = 3, 7
         pref = comb(n, k - 1, exact=True) * (n - k + 1)  # == n!/((k-1)!(n-k)!)
         val, _ = integrate.quad(lambda x: x**k * (1 - x) ** (n - k), 0.0, 1.0)
-        assert order_stat_mean(k, n, 1.0) == pytest.approx(pref * val, rel=1e-10)
-        assert order_stat_mean(k, n, 1.0) == pytest.approx(3.0 / 8.0)
+        assert self.mean(k, n, 1.0) == pytest.approx(pref * val, rel=1e-10)
+        assert self.mean(k, n, 1.0) == pytest.approx(3.0 / 8.0)
 
     def test_range(self):
         with pytest.raises(ValueError):
-            order_stat_mean(0, 5)
+            linear_profile(0)
 
 
 # ---------------------------------------------------------------------------

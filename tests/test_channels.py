@@ -12,7 +12,6 @@ from qostbc import (
     encode,
     encoded_channel_minors,
     extend_channel,
-    minors_to_text,
     modify_channel,
     symbolic_minors,
 )
@@ -199,10 +198,3 @@ def test_channel_manifold_quasi_orthogonality(k):
     off = max(np.abs(p[:h, h:]).max(), np.abs(p[h:, :h]).max())
     assert off <= 1e-10 * np.abs(p).max()
 
-
-def test_minor_dump_format():
-    text = minors_to_text(2)
-    lines = text.splitlines()
-    assert lines[0].startswith("H1")
-    assert lines[1].split() == ["h1", "h2"]
-    assert lines[3].split() == ["h2", "-h1"]

@@ -1,5 +1,5 @@
 """Construction-side tests: manifold recursion, mother matrix, puncturing,
-instantiation (the gather table against the grid definition) and Gram
+instantiation (the gather table against the numeric recursion) and Gram
 block-orthogonality."""
 
 from dataclasses import replace
@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from qostbc import (
-    CodeEntry,
+    EncodingStructure,
     abba_manifold,
     build_mother,
     encode,
     gram_check,
     puncture,
-    structure_to_text,
 )
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
@@ -23,6 +22,24 @@ TABLE_CASES = [(k, n_t) for k in ALL_K for n_t in sorted({1, 3, k - 1, k}) if n_
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def raw_index(st):
+    """1-based raw symbol index of every table entry."""
+    return st.table % st.k + 1
+
+
+def conjugated(st):
+    return st.table % (2 * st.k) >= st.k
+
+
+def entries(st):
+    """Table entries rendered like ``-s3*``."""
+    neg = st.table >= 2 * st.k
+    return [
+        [("-" if n else "") + f"s{r}" + ("*" if c else "") for r, n, c in zip(*row)]
+        for row in zip(raw_index(st), neg, conjugated(st))
+    ]
 
 
 class TestManifold:
@@ -80,53 +97,53 @@ class TestManifold:
 
 class TestMotherMatrix:
     def test_k2_is_the_classic_two_antenna_code(self):
-        st = build_mother(2)
-        grid = [[str(st.entry(i, j)) for j in range(2)] for i in range(2)]
-        assert grid == [[" s1", " s2"], ["-s2*", " s1*"]]
+        assert entries(build_mother(2)) == [["s1", "s2"], ["-s2*", "s1*"]]
 
     def test_k4_bottom_rows(self):
-        st = build_mother(4)
-        row3 = [str(st.entry(2, j)).strip() for j in range(4)]
-        row4 = [str(st.entry(3, j)).strip() for j in range(4)]
-        assert row3 == ["-s3*", "s4*", "s1*", "-s2*"]
-        assert row4 == ["-s4*", "-s3*", "s2*", "s1*"]
+        rows = entries(build_mother(4))
+        assert rows[2] == ["-s3*", "s4*", "s1*", "-s2*"]
+        assert rows[3] == ["-s4*", "-s3*", "s2*", "s1*"]
 
     @pytest.mark.parametrize("k", [k for k in ALL_K if k >= 4])
     def test_top_left_block(self, k):
         # unconjugated 2x2 block [[s1, s2], [-s2, s1]] for every k >= 4
-        st = build_mother(k)
-        assert st.entry(0, 0) == CodeEntry(1, 1, False)
-        assert st.entry(0, 1) == CodeEntry(2, 1, False)
-        assert st.entry(1, 0) == CodeEntry(2, -1, False)
-        assert st.entry(1, 1) == CodeEntry(1, 1, False)
+        rows = entries(build_mother(k))
+        assert [row[:2] for row in rows[:2]] == [["s1", "s2"], ["-s2", "s1"]]
 
     @pytest.mark.parametrize("k", ALL_K)
     def test_dense_and_complete(self, k):
+        # dense: every entry is one signed, possibly conjugated raw symbol;
+        # complete: each row and column uses every raw symbol once
         st = build_mother(k)
-        want = np.arange(1, k + 1)
-        assert np.all(st.raw_index >= 1)  # dense: no zero raw symbols
+        assert st.table.shape == (k, k) and st.k == k and st.n_t == k
+        assert np.all((st.table >= 0) & (st.table < 4 * k))
+        raw, want = raw_index(st), np.arange(1, k + 1)
         for i in range(k):
-            np.testing.assert_array_equal(np.sort(st.raw_index[i, :]), want)
-            np.testing.assert_array_equal(np.sort(st.raw_index[:, i]), want)
+            np.testing.assert_array_equal(np.sort(raw[i, :]), want)
+            np.testing.assert_array_equal(np.sort(raw[:, i]), want)
+        # the bottom half, and only it, is conjugated
+        assert np.all(conjugated(st) == (np.arange(k)[:, None] >= k // 2))
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            build_mother(6)
+        for k in (6, 1):
+            with pytest.raises(ValueError):
+                build_mother(k)
 
 
 class TestPuncture:
     def test_full_selection(self):
-        st = puncture(build_mother(4), 4)
-        assert list(st.selected_columns) == [1, 2, 3, 4]
+        mother = build_mother(4)
+        np.testing.assert_array_equal(puncture(mother, 4).table, mother.table)
 
     def test_leftmost_rule(self):
-        st = puncture(build_mother(4), 3)
-        assert list(st.selected_columns) == [1, 2, 3]
+        mother = build_mother(4)
+        st = puncture(mother, 3)
+        assert (st.k, st.n_t) == (4, 3)
+        np.testing.assert_array_equal(st.table, mother.table[:, :3])
 
     def test_rows_keep_distinct_raw_indices(self):
         st = puncture(build_mother(8), 5)
-        kept = st.raw_index[:, st.selected_columns - 1]
-        for row in kept:
+        for row in raw_index(st):
             assert len(set(row)) == 5
 
     @pytest.mark.parametrize("n_t", [0, 9])
@@ -168,7 +185,7 @@ class TestEncode:
         alpha, beta = 0.7 - 0.3j, -1.1 + 2.2j
         combo = encode(st, alpha * s + beta * t)
         parts = np.where(
-            st.conjugated,
+            conjugated(st),
             np.conj(alpha) * encode(st, s) + np.conj(beta) * encode(st, t),
             alpha * encode(st, s) + beta * encode(st, t),
         )
@@ -183,11 +200,19 @@ class TestEncode:
         np.testing.assert_allclose(batch[4], encode(st, s[4]))
 
 
-def grid_encode(structure, s):
-    """Definition of the transmit matrix straight from the symbolic grids."""
-    vals = np.asarray(s)[..., structure.raw_index - 1] * structure.sign
-    vals = np.where(structure.conjugated, np.conj(vals), vals)
-    return vals[..., :, structure.selected_columns - 1]
+def recursion_encode(st, s):
+    """The definition ``[[A(s1), B(s2)], [-B(s2)^H, A(s1)^H]]``, evaluated
+    numerically from the "symbol" manifolds, with its leftmost ``n_t``
+    columns kept; in the dtype :func:`encode` promises."""
+    s = np.asarray(s)
+    s = s.astype(np.result_type(s.dtype, np.int8))
+    a = abba_manifold(s[..., : st.k // 2], "symbol")
+    b = abba_manifold(s[..., st.k // 2 :], "symbol")
+
+    def herm(m):
+        return np.conj(np.swapaxes(m, -1, -2))
+
+    return np.block([[a, b], [-herm(b), herm(a)]])[..., : st.n_t]
 
 
 class TestEncodeTable:
@@ -198,11 +223,12 @@ class TestEncodeTable:
         inputs = [
             crandn(rng, k),
             crandn(rng, 5, 2, k),
+            crandn(rng, 3, k).astype(np.complex64),
             rng.integers(-9, 10, size=(3, k)),
             rng.integers(0, 10, size=k).astype(np.uint8),
         ]
         for s in inputs:
-            got, want = encode(st, s), grid_encode(st, s)
+            got, want = encode(st, s), recursion_encode(st, s)
             assert got.dtype == want.dtype
             assert got.shape == s.shape[:-1] + (k, n_t)
             np.testing.assert_array_equal(got, want)
@@ -211,24 +237,37 @@ class TestEncodeTable:
             assert got.flags.c_contiguous
 
     def test_grids_and_table_are_read_only(self):
-        st = build_mother(4)
-        for grid in (st.raw_index, st.sign, st.conjugated, st.selected_columns, st.table):
+        # the table is the code's only grid
+        for st in (build_mother(4), puncture(build_mother(4), 3)):
             with pytest.raises(ValueError):
-                grid[0] = 1
+                st.table[0] = 1
 
     def test_replace_rebuilds_table(self):
         st = build_mother(8)
-        assert puncture(st, 3).table.shape == (8, 3)
+        negated = replace(st, table=(st.table + 16) % 32)
+        assert not negated.table.flags.writeable
         s = np.arange(1, 9) * 1j
-        np.testing.assert_array_equal(encode(replace(st, sign=-st.sign), s), -encode(st, s))
+        np.testing.assert_array_equal(encode(negated, s), -encode(st, s))
 
     def test_table_ignores_later_caller_writes(self):
         st = build_mother(4)
-        sign = np.array(st.sign)
-        own = replace(st, sign=sign)
-        sign[:] = -1
-        np.testing.assert_array_equal(own.sign, st.sign)
+        table = np.array(st.table)
+        own = EncodingStructure(table)
+        table[:] = 0
+        np.testing.assert_array_equal(own.table, st.table)
         np.testing.assert_array_equal(encode(own, np.arange(4.0)), encode(st, np.arange(4.0)))
+
+    @pytest.mark.parametrize(
+        "table",
+        [np.zeros((3, 2)), np.zeros((4, 5)), np.zeros((4, 0)), np.full((2, 2), 8), -np.ones((2, 1))],
+    )
+    def test_rejects_malformed_table(self, table):
+        with pytest.raises(ValueError):
+            EncodingStructure(table)
+
+    def test_puncture_keeps_within_the_structure(self):
+        with pytest.raises(ValueError):
+            puncture(puncture(build_mother(8), 3), 5)
 
 
 class TestGram:
@@ -255,10 +294,3 @@ class TestGram:
         a, b = c[:h, :h], c[:h, h:]
         np.testing.assert_allclose(top, a @ a.conj().T + b @ b.conj().T, atol=1e-10)
 
-
-def test_structure_dump_format():
-    text = structure_to_text(puncture(build_mother(4), 2))
-    lines = text.splitlines()
-    assert len(lines) == 4
-    assert lines[0].split() == ["s1", "s2"]
-    assert lines[2].split() == ["-s3*", "s4*"]

@@ -404,12 +404,13 @@ class TestFixedBasis:
         rng = np.random.default_rng(4000 + k)
         basis = fixed_basis(k)
         assert set(np.unique(basis.signs)) <= {-1.0, 0.0, 1.0}
-        assert np.abs(basis.q.T @ basis.q - np.eye(2 * k)).max() <= 1e-14
+        q = basis.signs / np.sqrt(k / 2)
+        assert np.abs(q.T @ q - np.eye(2 * k)).max() <= 1e-14
         for n_r, n_t in ((1, k), (2, max(1, 3 * k // 4))):
             gains = crandn(rng, n_r, n_t)
             _, a = lstsq_oracle(np.zeros((k, n_r), dtype=complex), gains, k)
             gram = a.T @ a
-            d = basis.q.T @ gram @ basis.q
+            d = q.T @ gram @ q
             lam = np.diag(d)
             assert np.abs(d - np.diag(lam)).max() <= 1e-12 * lam.max()
             # the decoder's eigenvalues, one per group of four columns
@@ -428,6 +429,21 @@ class TestFixedBasis:
             signs = fixed_basis(k).signs
             assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
             assert np.array_equal(signs.T @ signs, (k // 2) * np.eye(2 * k)), k
+
+    @pytest.mark.parametrize("k", [4, 16, 128])
+    def test_error_detects_a_wrong_basis(self, k):
+        rng = np.random.default_rng(5000 + k)
+        h = crandn(rng, k)
+        basis = fixed_basis(k)
+        assert basis.error(h) <= decoder.BASIS_TOL
+        flipped = basis.signs.copy()
+        row = np.flatnonzero(flipped[:, 0])[-1]
+        flipped[row, 0] *= -1  # no longer orthogonal
+        swapped = basis.signs.copy()
+        swapped[:, [0, -1]] = swapped[:, [-1, 0]]  # orthogonal, groups mixed
+        scaled = 2 * basis.signs  # diagonalises every Gram, Q not orthonormal
+        for signs in (flipped, swapped, scaled):
+            assert decoder.FixedBasis(signs).error(h) > 1e-3
 
     @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
     def test_generators_are_sylvester_positions_of_permutation_indexes(self, k):
@@ -483,7 +499,7 @@ class TestFixedBasis:
         # of the Gram itself; the n_r = 1, 2, 4 Grams are prefix sums of
         # single-antenna Grams
         rng = np.random.default_rng(4100 + k)
-        q4 = fixed_basis(k).q[:, ::4]
+        q4 = fixed_basis(k).signs[:, ::4] / np.sqrt(k / 2)
         for n_t in sorted({1, min(3, k), k - 1, k}):
             gains = crandn(rng, 4, n_t)
             per_antenna = [np.einsum("ij,ij->j", q4, channel_gram(h, k) @ q4) for h in gains]

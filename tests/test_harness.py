@@ -225,25 +225,24 @@ class TestVerify:
         assert "pass  " in text
 
     def test_fault_injection(self, monkeypatch):
-        # flip one sign inside the mother construction and expect the
-        # suite to fail while naming the broken check and size
-        import qostbc.codes as codes
-
-        real = codes.build_mother
+        # negate one entry of the K=8 code and expect the suite to fail,
+        # naming the broken checks and size
+        real = harness.build_mother
 
         def corrupted(k):
             st = real(k)
             if k == 8:
-                sign = st.sign.copy()
-                sign[3, 5] *= -1
-                object.__setattr__(st, "sign", sign)
+                table = st.table.copy()
+                table[3, 5] = (table[3, 5] + 2 * k) % (4 * k)
+                st = qostbc.EncodingStructure(table)
             return st
 
         monkeypatch.setattr(harness, "build_mother", corrupted)
         report = verify(8)
         assert not report.ok
-        failed = [c for c in report.checks if not c.passed]
-        assert any(c.k == 8 for c in failed)
+        failed = {c.name for c in report.checks if not c.passed and c.k == 8}
+        assert {"received-block-identity", "code-gram-blocks"} <= failed
+        assert all(c.passed for c in report.checks if c.k != 8)
 
     def test_passes_on_seed_the_float_check_failed(self):
         # a 1e-10 float tolerance on the reduction residuals failed here at

@@ -1,0 +1,33 @@
+"""The package namespace: every name a module lists in ``__all__`` exists,
+and each name ``qostbc`` exports is listed by exactly one module and is
+that module's object."""
+
+import importlib
+import pkgutil
+from types import ModuleType
+
+import pytest
+
+import qostbc
+
+MODULES = [importlib.import_module(f"qostbc.{m.name}") for m in pkgutil.iter_modules(qostbc.__path__)]
+LISTING = [m for m in MODULES if hasattr(m, "__all__")]
+
+
+@pytest.mark.parametrize("module", LISTING, ids=lambda m: m.__name__)
+def test_all_names_exist(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+
+
+def test_package_exports_are_listed_once_and_identical():
+    exported = [
+        name for name, value in vars(qostbc).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert exported
+    for name in exported:
+        owners = [m for m in LISTING if name in m.__all__]
+        assert len(owners) == 1, (name, [m.__name__ for m in owners])
+        assert getattr(qostbc, name) is getattr(owners[0], name), name
