@@ -14,12 +14,7 @@ from .codes import (
     encode,
     gram_check,
 )
-from .channels import (
-    extend_channel,
-    modify_channel,
-    encoded_channel_minors,
-    symbolic_minors,
-)
+from .channels import encoded_channel_minors
 from .decoder import (
     PermutationPair,
     FixedBasis,

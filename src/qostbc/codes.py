@@ -4,8 +4,9 @@ The codes built here map a block of ``K`` complex symbols (``K`` a power of
 two) onto ``K`` transmit epochs over ``n_t <= K`` antennas.  Every matrix
 entry is ``+-s_k`` or ``+-conj(s_k)`` for exactly one *raw* symbol ``s_k``,
 so a code is fully described by one ``(K, n_t)`` integer table
-(:class:`EncodingStructure`) into ``[s, conj(s), -s, -conj(s)]``, and
-:func:`encode` is a single gather through that table.
+(:class:`EncodingStructure`) into ``[s, conj(s), -s, -conj(s)]``.  That
+table is the code's only representation: :func:`encode` is a single gather
+through it, and :mod:`qostbc.channels` reads the channel minors off it.
 
 The K-by-K *mother* matrix is obtained by wrapping two recursive block
 matrices (see :func:`abba_manifold`) built from the two halves of the symbol
@@ -34,44 +35,20 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-# The three 2x2 block templates used throughout.  Each one assembles a
-# matrix of twice the size from two equally sized blocks ``a`` and ``b``:
-#
-#   "symbol":     [[ a,  b], [-b,  a]]     symbol-side recursion
-#   "channel":    [[ a,  b], [ b, -a]]     first channel minor recursion
-#   "combining":  [[ a, -b], [ b,  a]]     second minor / reduced matrices
-def _assemble(a: np.ndarray, b: np.ndarray, generator: str) -> np.ndarray:
-    if generator == "symbol":
-        top = np.concatenate([a, b], axis=-1)
-        bot = np.concatenate([-b, a], axis=-1)
-    elif generator == "channel":
-        top = np.concatenate([a, b], axis=-1)
-        bot = np.concatenate([b, -a], axis=-1)
-    elif generator == "combining":
-        top = np.concatenate([a, -b], axis=-1)
-        bot = np.concatenate([b, a], axis=-1)
-    else:
-        raise ValueError(f"unknown generator {generator!r}")
-    return np.concatenate([top, bot], axis=-2)
-
-
-def abba_manifold(vec, generator: str) -> np.ndarray:
+def abba_manifold(vec) -> np.ndarray:
     """Recursive block matrix of a length-``2**n`` vector.
 
-    The vector is folded pairwise: neighbouring entries are combined with
-    the 2x2 template named by ``generator`` ("symbol", "channel" or
-    "combining"), then neighbouring blocks are combined again with the same
-    template, until a single square matrix remains.  This is equivalent to
-    the top-down recursion ``T(first half) , T(second half)`` wrapped once
-    more with the template.
+    The vector is folded pairwise: neighbouring entries ``a`` and ``b`` are
+    combined into ``[[a, b], [-b, a]]``, then neighbouring blocks are
+    combined again with the same template, until a single square matrix
+    remains.  This is equivalent to the top-down recursion
+    ``T(first half) , T(second half)`` wrapped once more with the template.
 
     Parameters
     ----------
     vec : array_like
         Input of shape ``(..., K)`` with ``K`` a power of two.  Any numeric
         dtype works; signed integers give the symbolic (index, sign) form.
-    generator : str
-        One of ``"symbol"``, ``"channel"``, ``"combining"``.
 
     Returns
     -------
@@ -86,13 +63,18 @@ def abba_manifold(vec, generator: str) -> np.ndarray:
     while blocks.shape[-3] > 1:
         a = blocks[..., 0::2, :, :]
         b = blocks[..., 1::2, :, :]
-        blocks = _assemble(a, b, generator)
+        top = np.concatenate([a, b], axis=-1)
+        bot = np.concatenate([-b, a], axis=-1)
+        blocks = np.concatenate([top, bot], axis=-2)
     return blocks[..., 0, :, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodingStructure:
     """The transmit matrix of a code as one signed-gather table.
+
+    Two structures are equal when their tables are; the hash is over the
+    table's shape and bytes.
 
     Attributes
     ----------
@@ -116,6 +98,14 @@ class EncodingStructure:
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
+    def __eq__(self, other):
+        if not isinstance(other, EncodingStructure):
+            return NotImplemented
+        return np.array_equal(self.table, other.table)
+
+    def __hash__(self):
+        return hash((self.table.shape, self.table.tobytes()))
+
     @property
     def k(self) -> int:
         return self.table.shape[0]
@@ -128,8 +118,8 @@ class EncodingStructure:
 def build_mother(k: int) -> EncodingStructure:
     """Build the K-by-K mother encoding matrix.
 
-    The top half is ``[A, B]`` with ``A``/``B`` the "symbol" manifolds of
-    the first/second halves of the symbol vector; the bottom half is
+    The top half is ``[A, B]`` with ``A``/``B`` the manifolds of the
+    first/second halves of the symbol vector; the bottom half is
     ``[-B^H, A^H]``.  The result is dense (no zero entries) and complete
     (each row and each column uses every raw symbol exactly once).
 
@@ -147,8 +137,8 @@ def build_mother(k: int) -> EncodingStructure:
     # the manifolds of the signed 1-based raw indices carry each entry's
     # index and sign; the bottom half is conjugated and transposed
     half = np.arange(1, k // 2 + 1)
-    a = abba_manifold(half, "symbol")
-    b = abba_manifold(half + k // 2, "symbol")
+    a = abba_manifold(half)
+    b = abba_manifold(half + k // 2)
     signed = np.block([[a, b], [-b.T, a.T]])
     conj = np.repeat([0, k], k // 2)[:, None]
     return EncodingStructure(np.abs(signed) - 1 + conj + 2 * k * (signed < 0))
@@ -205,14 +195,15 @@ def encode(structure: EncodingStructure, s) -> np.ndarray:
 def gram_check(c: np.ndarray):
     """Gram matrix diagnostics of an instantiated K-by-K mother matrix.
 
-    Computes ``G = C C^H`` and returns the top-left ``K/2`` block together
-    with the largest absolute entry of the off-diagonal ``K/2`` block.  For
-    a valid code the off-diagonal blocks vanish and both diagonal blocks
-    equal ``A A^H + B B^H``.
+    Computes ``G = C C^H`` once and returns the top-left ``K/2`` block
+    together with the largest absolute entry of the off-diagonal ``K/2``
+    block relative to the largest absolute entry of ``G``.  For a valid code
+    the off-diagonal blocks vanish and both diagonal blocks equal
+    ``A A^H + B B^H``.
     """
     c = np.asarray(c)
     k = c.shape[0]
     g = c @ c.conj().T
     h = k // 2
-    residual = float(np.abs(g[:h, h:]).max()) if h else 0.0
+    residual = float(np.abs(g[:h, h:]).max()) / float(np.abs(g).max()) if h else 0.0
     return g[:h, :h], residual

@@ -1,24 +1,18 @@
-"""Encoded-channel tests: gain-vector preprocessing, minor construction
-(golden sign patterns at K=32, the gather tables against the recursion),
-the factorisation identity and the quasi-orthogonality of the channel
-manifolds."""
+"""Encoded-channel tests: minor construction (golden sign patterns at
+K=32, the gather tables read off the code against the channel-side
+recursion), the factorisation identity and the block-diagonality of the
+matched filter's product."""
 
 import numpy as np
 import pytest
 
-from qostbc import (
-    abba_manifold,
-    build_mother,
-    encode,
-    encoded_channel_minors,
-    extend_channel,
-    modify_channel,
-    symbolic_minors,
-)
-from qostbc.channels import _minor_tables, _upper_half
+from qostbc import build_mother, encode, encoded_channel_minors
+from qostbc.channels import _minor_tables
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
-TABLE_CASES = [(k, n_t) for k in ALL_K for n_t in sorted({1, 3, k - 1, k}) if n_t <= k]
+TABLE_CASES = [
+    (k, n_t) for k in ALL_K + [512, 1024] for n_t in sorted({1, 3, k // 2, k - 1, k}) if n_t <= k
+]
 
 
 def crandn(rng, *shape):
@@ -31,7 +25,61 @@ def minors_model(h, s, k):
     return np.concatenate([h1 @ s, h2 @ np.conj(s)])
 
 
+# The channel-side ABBA recursion (Tirkkonen, Boariu & Hottinen, ISSSTA
+# 2000), a derivation of the minors independent of the code's table: H1 is
+# the upper half of the "channel" manifold of the zero-extended gains, H2
+# that of the "combining" manifold of the half-swapped gains.  Each template
+# builds a matrix of twice the size from two equal blocks a and b.
+TEMPLATES = {
+    "channel": lambda a, b: ((a, b), (b, -a)),
+    "combining": lambda a, b: ((a, -b), (b, a)),
+}
+
+
+def manifold(vec, generator):
+    """Recursive block matrix ``(..., K, K)`` of ``vec`` of shape ``(..., K)``."""
+    blocks = np.asarray(vec)[..., :, None, None]
+    while blocks.shape[-3] > 1:
+        rows = TEMPLATES[generator](blocks[..., 0::2, :, :], blocks[..., 1::2, :, :])
+        blocks = np.concatenate([np.concatenate(row, axis=-1) for row in rows], axis=-2)
+    return blocks[..., 0, :, :]
+
+
+def extend_channel(h, k):
+    """Zero-pad gains to length ``k`` (unused antennas are trailing zeros)."""
+    h = np.asarray(h)
+    if h.shape[-1] > k:
+        raise ValueError(f"n_t={h.shape[-1]} exceeds K={k}")
+    return np.pad(h, [(0, 0)] * (h.ndim - 1) + [(0, k - h.shape[-1])])
+
+
+def modify_channel(hplus):
+    """Swap the two halves of an extended gain vector."""
+    hplus = np.asarray(hplus)
+    k = hplus.shape[-1]
+    if k % 2:
+        raise ValueError("length must be even")
+    return np.concatenate([hplus[..., k // 2 :], hplus[..., : k // 2]], axis=-1)
+
+
+def upper_half(vec, generator):
+    # the top rows of both templates are [A, +-B], with A and B the
+    # manifolds of the two halves of the vector
+    k = vec.shape[-1]
+    halves = manifold(vec.reshape(vec.shape[:-1] + (2, k // 2)), generator)
+    b = halves[..., 1, :, :]
+    return np.concatenate([halves[..., 0, :, :], b if generator == "channel" else -b], axis=-1)
+
+
+def recursive_minors(h, k):
+    """Both minors by running the recursion on the gains themselves."""
+    hp = extend_channel(h, k)
+    return upper_half(hp, "channel"), upper_half(modify_channel(hp), "combining")
+
+
 class TestGainPreprocessing:
+    """The reference recursion's preprocessing of the gain vector."""
+
     def test_extend_no_padding(self):
         np.testing.assert_array_equal(extend_channel([1.0, 2.0], 2), [1.0, 2.0])
 
@@ -40,8 +88,11 @@ class TestGainPreprocessing:
         np.testing.assert_array_equal(extend_channel([1.0], 4), [1, 0, 0, 0])
 
     def test_extend_rejects_overfull(self):
-        with pytest.raises(ValueError):
-            extend_channel([1.0, 2.0, 3.0], 2)
+        # the minors themselves reject more antennas than K, and a K that
+        # is not a power of two
+        for h, k in (([1.0, 2.0, 3.0], 2), (np.ones(5), 4), ([1.0, 2.0], 6), ([1.0], 0)):
+            with pytest.raises(ValueError):
+                encoded_channel_minors(h, k)
 
     def test_modify_swaps_halves(self):
         np.testing.assert_array_equal(modify_channel([1.0, 2.0]), [2.0, 1.0])
@@ -94,18 +145,17 @@ class TestMinorConstruction:
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_32))
     def test_golden_rows_k32(self, key):
-        h1, h2 = symbolic_minors(32)
+        h1, h2 = encoded_channel_minors(np.arange(1, 33), 32)
         minor = h1 if key[0] == "h1" else h2
         np.testing.assert_array_equal(minor[key[1]], GOLDEN_32[key])
 
     def test_first_minor_first_row_is_the_gain_vector(self):
-        h1, _ = symbolic_minors(64)
+        h1, _ = encoded_channel_minors(np.arange(1, 65), 64)
         np.testing.assert_array_equal(h1[0], np.arange(1, 65))
 
     def test_punctured_entries_are_zero(self):
-        h1, h2 = symbolic_minors(8, n_t=5)
-        assert np.all(np.isin(np.abs(h1), np.arange(6)))
-        assert set(np.abs(np.concatenate([h1.ravel(), h2.ravel()]))) <= set(range(9))
+        h1, h2 = encoded_channel_minors(np.arange(1, 6), 8)
+        assert set(np.abs(h1).ravel()) == set(np.abs(h2).ravel()) == set(range(6))
 
     def test_zero_padding_transparency(self):
         rng = np.random.default_rng(9)
@@ -116,19 +166,15 @@ class TestMinorConstruction:
         np.testing.assert_array_equal(short[1], full[1])
 
 
-def recursive_minors(h, k):
-    """Both minors by running the recursion on the gains themselves."""
-    hp = extend_channel(h, k)
-    return _upper_half(hp, "channel"), _upper_half(modify_channel(hp), "combining")
-
-
 class TestMinorTables:
     @pytest.mark.parametrize("k,n_t", TABLE_CASES)
     def test_gather_equals_recursion(self, k, n_t):
         rng = np.random.default_rng(k * n_t)
+        # ten K=1024 channels would take the recursion past 500 MB
+        batch = (5, 2) if k <= 256 else (2, 1)
         inputs = [
             crandn(rng, n_t),
-            crandn(rng, 5, 2, n_t),
+            crandn(rng, *batch, n_t),
             rng.integers(-9, 10, size=(2, n_t)),
             np.arange(1, n_t + 1, dtype=np.int32),
         ]
@@ -187,14 +233,11 @@ def test_factorisation_identity(k):
 
 @pytest.mark.parametrize("k", ALL_K)
 def test_channel_manifold_quasi_orthogonality(k):
-    # off-diagonal half-blocks of M^H M + Mt^T conj(Mt) vanish, where M and
-    # Mt are the full channel manifolds of the extended/modified gains
+    # the off-diagonal half-blocks of H1^H H1 + H2^T conj(H2), the product
+    # the matched filter applies to a noiseless block, vanish
     rng = np.random.default_rng(k + 17)
-    hp = extend_channel(crandn(rng, k), k)
-    m = abba_manifold(hp, "channel")
-    mt = abba_manifold(modify_channel(hp), "combining")
-    p = m.conj().T @ m + mt.T @ np.conj(mt)
+    h1, h2 = encoded_channel_minors(crandn(rng, k), k)
+    p = h1.conj().T @ h1 + h2.T @ np.conj(h2)
     h = k // 2
     off = max(np.abs(p[:h, h:]).max(), np.abs(p[h:, :h]).max())
     assert off <= 1e-10 * np.abs(p).max()
-
