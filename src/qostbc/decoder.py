@@ -21,14 +21,20 @@ rows of ``S``, a square and a sum over each group's four columns.  The
 relative precision.  The estimate is ``S diag(2 / (K lambda)) S^T c =
 Q diag(1/lambda) Q^T c``, with ``c = A^T y`` from the encoded channel minors.
 
-:func:`fixed_basis` builds ``S`` exactly, once per ``K`` and process.  The
-real channel coordinates whose unit-gain Gram cross term with ``Re h_1`` is
-nonzero are ``p0 - 1`` and ``K + p1 - 1`` of ``permutation_indexes(K/2)``, a
-set closed under XOR.  For each of its Sylvester generators ``j`` (sorted
-positions 1, 2, 4, ...) the Gram of ``e_0 + e_j`` is ``2 (I + Z_j)``, with
-commuting signed permutations ``Z_j``.  A butterfly from the unit columns
-``e_0, e_1, e_{K/2}, e_{K/2+1}`` splits every column ``v`` into
-``v +- Z_j v`` per generator; a seeded check channel confirms the result.
+:func:`fixed_basis` builds ``S`` in closed form.  Every ABBA manifold is
+diagonalised by tensor powers of the eigenvectors ``(1, +-i)`` of ``J =
+[[0, 1], [-1, 0]]``: with the Sylvester-Hadamard matrix ``W[i, j] =
+(-1)^popcount(i & j)`` of order ``K/2`` and ``D = diag(i^popcount(j))``,
+the columns of ``D W`` are eigenvectors of both ``K/2``-square halves of
+every channel's complex Gram matrix ``H1^H H1 + H2^T conj(H2)``.  ``S`` is
+the real form of ``blockdiag(D W, D W)``: group ``e`` holds the four real
+columns from column ``e``, one per symbol half, each as is and rotated by
+``i``.  Every entry of ``D W`` is ``+-1`` or ``+-i``, so ``S`` is exact,
+with no rounding and no dependence on any channel;
+:func:`qostbc.harness.verify` checks it exactly.  The eigenvalues come
+in Walsh order, ``lambda_e = sum_r |(W D h_a)_e|^2 + |(W D h_b)_e|^2`` with
+``h_a`` the first ``K/2`` gains of antenna ``r`` and ``h_b`` the rest,
+zero-padded: the per-index gains of an Alamouti combiner.
 
 The paper's nested combining chain exists once in floating point, as the
 reference :func:`chain_decode`.  Per receive antenna it combines the
@@ -48,8 +54,8 @@ itself is checked exactly, at any ``K``, by
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,14 +83,6 @@ __all__ = [
 # K the chain serves; harness.reduction_residuals checks the same property
 # exactly.
 STRUCTURE_TOL = 1e-8
-
-# Largest deviation of Q^T Q from I, and of Q^T G Q from diag(lambda) relative
-# to max(lambda), for the check channel of a new basis (measured: <= 2.4e-15 up to K=1024).
-BASIS_TOL = 1e-12
-
-# Fixed seed of the channel a new basis is checked with.
-CHECK_SEED = 2005
-
 
 class DecompositionError(RuntimeError):
     """A structural property of the code failed to hold."""
@@ -194,7 +192,7 @@ def channel_gram(channels, k: int) -> np.ndarray:
 class FixedBasis:
     """Eigenbasis shared by the real Gram matrices of every channel at one ``K``.
 
-    ``signs`` is the ``(2K, 2K)`` matrix ``S`` with entries in ``{0, +-1}``
+    ``signs`` is the read-only ``(2K, 2K)`` matrix ``S`` with entries in ``{0, +-1}``
     and orthogonal columns of ``K/2`` nonzeros; columns ``4g .. 4g+3`` span
     the ``g``-th eigenspace.
     """
@@ -223,65 +221,34 @@ class FixedBasis:
         return float(max(np.abs(d, out=d).max() / lam.max(), np.abs(o, out=o).max() / (n / 4)))
 
 
-_BASES = {}
-_BASES_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=16)
 def fixed_basis(k: int) -> FixedBasis:
-    """The basis for block size ``k``, built on first use and kept.
-
-    Building takes a lock, so concurrent first decodes at a new ``K`` build
-    it once.
+    """The basis for block size ``k`` in closed form, built on first use and kept.
 
     Raises
     ------
-    DecompositionError
-        The built basis fails its check channel.
+    ValueError
+        ``k`` is not a power of two >= 2.
     """
     if not _is_power_of_two(k) or k < 2:
         raise ValueError(f"K={k} must be a power of two >= 2")
-    with _BASES_LOCK:
-        basis = _BASES.get(k)
-        if basis is None:
-            basis = _BASES[k] = _build_basis(k)
-    return basis
-
-
-def _generators(k: int) -> np.ndarray:
-    """Real coordinates ``j`` of the generator channels ``e_0 + e_j`` (``j >= K``: ``Im``)."""
-    pair = permutation_indexes(k // 2)
-    support = np.sort(np.concatenate([pair.p0 - 1, k + pair.p1 - 1]))
-    return support[2 ** np.arange(int(np.log2(k)) - 1)]
-
-
-def _build_basis(k: int) -> FixedBasis:
-    n = 2 * k
-    if k == 2:
-        # Alamouti: every Gram is a multiple of the identity
-        signs = np.eye(4)
-    else:
-        # groups along axis 1, the four columns of a group along axis 2
-        cols = np.zeros((n, 1, 4))
-        cols[[0, 1, k // 2, k // 2 + 1], 0, np.arange(4)] = 1.0
-        index = np.arange(1.0, n + 1)
-        s = index[:k] + 1j * index[k:]
-        for j in _generators(k):
-            h = np.zeros(k, dtype=complex)
-            h[0], h[j % k] = 1.0, (1j if j >= k else 1.0)
-            # Z = (G - 2I)/2, a signed permutation: G index, through the
-            # minors instead of a dense Gram, gives it as a signed gather
-            h1, h2 = encoded_channel_minors(h, k)
-            c = _matched_filter(np.concatenate([h1 @ s, h2 @ s.conj()]), h1, h2)
-            z = np.concatenate([c.real, c.imag]) / 2 - index
-            zc = cols[np.abs(z).astype(np.intp) - 1] * np.sign(z)[:, None, None]
-            cols = np.concatenate([cols + zc, cols - zc], axis=1)
-        signs = cols.reshape(n, n)
-    basis = FixedBasis(signs)
-    rng = np.random.default_rng(CHECK_SEED)
-    err = basis.error(rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    if not err <= BASIS_TOL:
-        raise DecompositionError(f"fixed basis at K={k} fails its check channel: error {err:.3e}")
-    return basis
+    half = k // 2
+    # Sylvester-Hadamard W and the phases i^popcount(j), by doubling
+    w = np.ones((1, 1))
+    phase = np.ones(1, dtype=complex)
+    while len(w) < half:
+        w = np.block([[w, w], [w, -w]])
+        phase = np.concatenate([phase, 1j * phase])
+    v = phase[:, None] * w
+    cols = np.stack([v, 1j * v], axis=-1)  # (row, group, as is / rotated)
+    # axes: Re/Im, symbol half, row; group, symbol half, as is / rotated
+    signs = np.zeros((2, 2, half, half, 2, 2))
+    for part in (0, 1):
+        signs[0, part, :, :, part] = cols.real
+        signs[1, part, :, :, part] = cols.imag
+    signs = signs.reshape(2 * k, 2 * k)
+    signs.flags.writeable = False
+    return FixedBasis(signs)
 
 
 @dataclass(frozen=True)
@@ -289,10 +256,10 @@ class DecodeResult:
     """Soft estimates in natural order plus the block's Gram eigenvalues.
 
     ``eigenvalues`` are the ``K/2`` distinct eigenvalues of the real Gram
-    matrix, in the order of the column groups of :attr:`FixedBasis.signs`:
-    bit ``i`` of the group index ``g`` is the sign taken for generator ``i``
-    of the butterfly (0 for ``+``, 1 for ``-``).  At ``K=2`` the single
-    eigenvalue is the channel energy.
+    matrix, in the Walsh order of the column groups of
+    :attr:`FixedBasis.signs`: ``lambda_e`` belongs to column ``e`` of ``D W``
+    (see the module).  At ``K=2`` the single eigenvalue is the channel
+    energy.
     """
 
     estimates: np.ndarray

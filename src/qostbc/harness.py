@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, fading
 from .codes import build_mother, puncture, encode, gram_check, _is_power_of_two
 from .channels import encoded_channel_minors
-from .decoder import BASIS_TOL, decode_batch, fixed_basis, permutation_indexes
+from .decoder import decode_batch, fixed_basis, permutation_indexes
 from .modem import modulation, count_bit_errors
 
 __all__ = [
@@ -367,9 +367,11 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     permuted reduced products at every order (exact, modulo a prime: see
     :func:`reduction_residuals`; its value is the count of nonzero
     off-block entries and must be 0), the diagonalisation of a channel's
-    real Gram matrix by the decoder's fixed basis, noiseless decoding round
-    trips, and the listed permutation index sets.  ``k_max`` is capped at
-    ``RESIDUE_K_MAX``, beyond which the exact check would overflow int64.
+    real Gram matrix by the decoder's fixed basis (exact: on a
+    Gaussian-integer channel every product is an integer below 2^53, so
+    :meth:`~qostbc.decoder.FixedBasis.error` must be 0), noiseless decoding
+    round trips, and the listed permutation index sets.  ``k_max`` is capped
+    at ``RESIDUE_K_MAX``, beyond which the exact checks would overflow.
     """
     if not _is_power_of_two(k_max) or k_max < 2:
         raise ConfigError(f"K={k_max} must be a power of two >= 2")
@@ -418,8 +420,12 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
             count = sum(c for _, c in reduction_residuals(k, rng))
             checks.append(CheckResult("reduction-block-diagonal", k, count, 0.0, count == 0))
 
-        res = fixed_basis(k).error(h)
-        checks.append(CheckResult("fixed-basis-diagonal", k, res, BASIS_TOL, res <= BASIS_TOL))
+        # Gaussian-integer gains below 2^8 keep every sum in the basis check
+        # an integer below K^3 * 2^15, exact in float64 up to K = 4096 =
+        # RESIDUE_K_MAX, so any nonzero residual is an error
+        g = rng.integers(-255, 256, size=(2, k))
+        res = fixed_basis(k).error(g[0] + 1j * g[1])
+        checks.append(CheckResult("fixed-basis-diagonal", k, res, 0.0, res == 0))
 
         for n_r in (1, 2, 4):
             for n_t in sorted({k, k - 1, min(3, k)}):

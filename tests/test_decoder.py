@@ -2,7 +2,6 @@
 output ordering, round trips, the fixed basis against a least-squares
 oracle, the Alamouti combiner and noise behaviour."""
 
-import sys
 import threading
 import time
 from fractions import Fraction
@@ -31,6 +30,12 @@ from qostbc.harness import reduction_residuals
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def gaussian_int(rng, *shape):
+    """Gaussian-integer gains with |Re| and |Im| below 2^8."""
+    g = rng.integers(-255, 256, size=(2,) + shape)
+    return g[0] + 1j * g[1]
 
 
 def first_stage(r, h):
@@ -424,18 +429,23 @@ class TestFixedBasis:
             raise AssertionError("the fixed basis must not need an eigendecomposition")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        monkeypatch.setattr(decoder, "_BASES", {})
+        fixed_basis.cache_clear()
+        rng = np.random.default_rng(4300)
         for k in (2**e for e in range(1, 11)):
-            signs = fixed_basis(k).signs
-            assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
-            assert np.array_equal(signs.T @ signs, (k // 2) * np.eye(2 * k)), k
+            basis = fixed_basis(k)
+            assert not basis.signs.flags.writeable
+            assert set(np.unique(basis.signs)) <= {-1.0, 0.0, 1.0}
+            assert np.array_equal(basis.signs.T @ basis.signs, (k // 2) * np.eye(2 * k)), k
+            if k <= 256:
+                assert basis.error(gaussian_int(rng, k)) == 0, k
 
     @pytest.mark.parametrize("k", [4, 16, 128])
     def test_error_detects_a_wrong_basis(self, k):
         rng = np.random.default_rng(5000 + k)
-        h = crandn(rng, k)
+        h = gaussian_int(rng, k)
+        fixed_basis.cache_clear()
         basis = fixed_basis(k)
-        assert basis.error(h) <= decoder.BASIS_TOL
+        assert basis.error(h) == 0
         flipped = basis.signs.copy()
         row = np.flatnonzero(flipped[:, 0])[-1]
         flipped[row, 0] *= -1  # no longer orthogonal
@@ -445,53 +455,26 @@ class TestFixedBasis:
         for signs in (flipped, swapped, scaled):
             assert decoder.FixedBasis(signs).error(h) > 1e-3
 
-    @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
-    def test_generators_are_sylvester_positions_of_permutation_indexes(self, k):
-        def unit(j):  # unit gain at 0-based real coordinate j; K + i is Im of gain i
-            h = np.zeros(k, dtype=complex)
-            h[j % k] = 1j if j >= k else 1.0
-            return h
-
-        # coordinates whose unit-gain Gram cross term with Re h_1 is nonzero
-        g0 = channel_gram(unit(0), k)
-        cross = [j for j in range(1, 2 * k)
-                 if np.any(channel_gram(unit(0) + unit(j), k) - g0 - channel_gram(unit(j), k))]
-        pair = permutation_indexes(k // 2)
-        support = sorted([0] + cross)
-        assert support == sorted(np.concatenate([pair.p0[: k // 4] - 1, k + pair.p1[: k // 4] - 1]))
-        # Sylvester order: entry m is the XOR of the entries at the set bits
-        # of m, so the set is closed under XOR and spanned by positions 2^i
-        bits = int(np.log2(len(support)))
-        for m, x in enumerate(support):
-            acc = 0
-            for i in range(bits):
-                if m >> i & 1:
-                    acc ^= support[1 << i]
-            assert x == acc, (m, x)
-        gens = [support[1 << i] for i in range(bits)]
-        assert list(decoder._generators(k)) == gens
-        assert gens == [2**i + 1 for i in range(1, bits)] + [k + 1]
-
-    @pytest.mark.parametrize("k", [4, 8, 16, 32, 64])
-    def test_group_order_follows_generator_signs(self, k):
-        # group g's first column is prod_i (I +- Z_i) e_0, the sign of
-        # generator i taken from bit i of g, with Z_i = (G_i - 2I) / 2
-        zs = []
-        for j in decoder._generators(k):
-            h = np.zeros(k, dtype=complex)
-            h[0], h[j % k] = 1.0, (1j if j >= k else 1.0)
-            z = (channel_gram(h, k) - 2 * np.eye(2 * k)) / 2
-            assert np.array_equal(np.abs(z).sum(axis=0), np.ones(2 * k))  # signed permutation
-            zs.append(z)
-        for a in zs:
-            for b in zs:
-                assert np.array_equal(a @ b, b @ a)
-        signs = fixed_basis(k).signs
-        for g in range(k // 2):
-            col = np.eye(2 * k)[0]
-            for i, z in enumerate(zs):
-                col = col + (-1) ** (g >> i & 1) * (z @ col)
-            assert np.array_equal(signs[:, 4 * g], col), g
+    @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_eigenvalues_in_walsh_order(self, k):
+        # lambda_e = sum_r |(W D h_a)_e|^2 + |(W D h_b)_e|^2, with the
+        # Sylvester-Hadamard W[i, j] = (-1)^popcount(i & j), D =
+        # diag(i^popcount(j)), and h_a, h_b the two halves of the gains
+        # zero-padded to K
+        half = k // 2
+        popcount = [bin(j).count("1") for j in range(half)]
+        w = np.array([[(-1) ** popcount[i & j] for j in range(half)] for i in range(half)])
+        wd = w * np.array([(1, 1j, -1, -1j)[p % 4] for p in popcount])
+        rng = np.random.default_rng(4200 + k)
+        for n_t in sorted({1, min(3, k), k - 1, k}):
+            gains = crandn(rng, 4, n_t)
+            padded = np.zeros((4, k), dtype=complex)
+            padded[:, :n_t] = gains
+            per_antenna = np.abs(padded[:, :half] @ wd.T) ** 2 + np.abs(padded[:, half:] @ wd.T) ** 2
+            for n_r in (1, 2, 4):
+                want = per_antenna[:n_r].sum(axis=0)
+                got = decode(np.zeros((k, n_r)), gains[:n_r], k).eigenvalues
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256, 512])
     def test_eigenvalues_match_gram_diagonal(self, k):
@@ -520,12 +503,17 @@ class TestFixedBasis:
         rng = np.random.default_rng(int(6000 + k + 10 * n_r - np.log10(ratio)))
         signs = fixed_basis(k).signs
         s0 = signs[:, :4]
-        gains = np.empty((n_r, k), dtype=complex)
+        x = np.empty((n_r, 2 * k))
+        z = np.empty((n_r, 4))
         for r in range(n_r):
-            x = rng.standard_normal(2 * k)
-            x -= s0 @ (s0.T @ x) / (k / 2)
-            x += np.sqrt(ratio) * s0 @ rng.standard_normal(4)
-            gains[r] = x[:k] - 1j * x[k:]
+            x[r] = rng.standard_normal(2 * k)
+            x[r] -= s0 @ (s0.T @ x[r]) / (k / 2)
+            z[r] = rng.standard_normal(4)
+        # inject a group-0 component with lambda_0 = ratio * |x|^2: the other
+        # K/2 - 1 eigenvalues sum to (K/2) |x|^2, so lambda_max >= |x|^2 and
+        # lambda_0 / lambda_max <= ratio by construction
+        x += np.sqrt(ratio * np.sum(x**2)) / ((k / 2) * np.linalg.norm(z)) * (z @ s0.T)
+        gains = x[:, :k] - 1j * x[:, k:]
         _, a = lstsq_oracle(np.zeros((k, n_r), dtype=complex), gains, k)
         fa = [[Fraction(v) for v in row] for row in a]
         gram = [[sum(fa[i][r] * fa[i][c] for i in range(len(fa))) for c in range(2 * k)]
@@ -544,18 +532,10 @@ class TestFixedBasis:
         err = max(abs(Fraction(float(v)) - e) / e for v, e in zip(got, exact))
         assert err <= 1e-9, float(err)
 
-    def test_built_once_under_concurrent_first_use(self, monkeypatch):
+    def test_concurrent_first_use_decodes(self):
+        # two threads decoding at a K whose basis is not built yet
         k = 32
-        calls = []
-        build = decoder._build_basis
-
-        def counting(kk):
-            calls.append(kk)
-            time.sleep(0.05)  # widen the window in which a second build could start
-            return build(kk)
-
-        monkeypatch.setattr(decoder, "_BASES", {})
-        monkeypatch.setattr(decoder, "_build_basis", counting)
+        fixed_basis.cache_clear()
         rng = np.random.default_rng(23)
         s, h = crandn(rng, k), crandn(rng, k)
         r = encode(build_mother(k), s) @ h
@@ -566,18 +546,12 @@ class TestFixedBasis:
             barrier.wait(timeout=10)
             results.append(decode(r, h, k).estimates)
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(old)
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
-        assert calls == [k]
         assert len(results) == 2
         for est in results:
             np.testing.assert_allclose(est, s, rtol=1e-12)

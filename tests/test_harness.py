@@ -253,6 +253,15 @@ class TestVerify:
         assert [c.k for c in reduction] == [2**i for i in range(2, 9)]
         assert all(c.value == 0 and c.tol == 0 for c in reduction)
 
+    def test_fixed_basis_check_is_exact(self):
+        # Gaussian-integer gains below 2^8 keep every sum of the check an
+        # integer below K^3 * 2^15, exact in float64 up to RESIDUE_K_MAX
+        assert harness.RESIDUE_K_MAX**3 * 2**15 <= 2**53
+        for seed in (0, 7):
+            basis = [c for c in verify(64, seed=seed).checks if c.name == "fixed-basis-diagonal"]
+            assert [c.k for c in basis] == [2**i for i in range(1, 7)]
+            assert all(c.value == 0 and c.tol == 0 and c.passed for c in basis)
+
     def test_rejects_k_beyond_residue_bound(self):
         with pytest.raises(ConfigError, match="4096"):
             verify(2 * harness.RESIDUE_K_MAX)
