@@ -17,15 +17,13 @@ from .codes import (
 from .channels import encoded_channel_minors
 from .decoder import (
     PermutationPair,
-    FixedBasis,
     DecodeResult,
     ChainResult,
     DecompositionError,
     DegenerateChannelError,
     permutation_indexes,
     symbol_order,
-    channel_gram,
-    fixed_basis,
+    walsh_basis,
     decode,
     decode_batch,
     chain_decode,

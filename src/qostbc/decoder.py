@@ -1,40 +1,36 @@
-"""Symbol-by-symbol decoding through one fixed orthogonal basis per block size.
+"""Symbol-by-symbol decoding through one fixed basis per block size.
 
-With real and imaginary parts stacked, one block obeys the real model
-``[Re r; Im r] = A [Re s; Im s]``, where ``A`` (``2 K n_r`` by ``2K``)
-depends on the channel only.  The decoder returns the least-squares
-(zero-forcing) estimate ``G^-1 A^T y`` with the real Gram matrix
-``G = A^T A``.
+One block on one receive antenna reads ``r = [H1 s; H2 conj(s)]`` with the
+``K/2 x K`` channel minors of :mod:`qostbc.channels`.  Its matched filter
+``c = H1^H r_top + H2^T conj(r_bot)`` is complex-linear in the symbols:
+summed over the receive antennas, a noiseless block gives ``c = P s`` with
+``P = H1^H H1 + H2^T conj(H2)``.  The decoder returns the least-squares
+(zero-forcing) estimate ``P^-1 c`` without inverting a matrix, because one
+fixed matrix diagonalises ``P`` for every channel:
 
-The Gram matrices of all channels lie in one commutative algebra fixed by
-``K``.  Its ``K/2`` eigenprojectors ``P_g`` have rank 4 and every entry
-equal to 0 or ``+-2/K``, so one orthogonal basis ``Q`` diagonalises every
-channel's ``G = Q diag(lambda) Q^T``, each of the ``K/2`` eigenvalues
-repeated four times.  This is the decoupling of symbol groups that
+    P = blockdiag(V diag(lambda) V^H, V diag(lambda) V^H) / (K/2)
+
+Here ``V = D W`` (:func:`walsh_basis`), with the Sylvester-Hadamard matrix
+``W[i, j] = (-1)^popcount(i & j)`` of order ``K/2`` and ``D =
+diag(i^popcount(j))``.  The off-diagonal halves of ``P`` vanish, so each
+half of ``c`` sees one half of the symbols, and both halves see the same
+``K/2``-square matrix.  Every ABBA manifold is diagonalised by tensor powers
+of the eigenvectors ``(1, +-i)`` of ``J = [[0, 1], [-1, 0]]``, and the
+columns of ``D W`` are those tensor powers, so they are eigenvectors of
+that matrix for any channel.  This is the decoupling of symbol groups that
 quasi-orthogonal codes are built on (Jafarkhani, IEEE Trans. Commun.
-2001).  Decoding needs no matrix inversion.  ``S = sqrt(K/2) Q`` has
-entries in ``{0, +-1}``, and the eigenvalues are read off the channel:
-``lambda_g = (K/2) |P_g h|^2`` summed over receive antennas, with ``h`` the
-stacked ``Re h`` and ``-Im h``, is two real products of the channel with
-rows of ``S``, a square and a sum over each group's four columns.  The
-``+-1`` products are exact, so nearly singular channels keep their
-relative precision.  The estimate is ``S diag(2 / (K lambda)) S^T c =
-Q diag(1/lambda) Q^T c``, with ``c = A^T y`` from the encoded channel minors.
+2001); at ``K=2``, ``V = [[1]]`` and the decoder is Alamouti's combiner.
 
-:func:`fixed_basis` builds ``S`` in closed form.  Every ABBA manifold is
-diagonalised by tensor powers of the eigenvectors ``(1, +-i)`` of ``J =
-[[0, 1], [-1, 0]]``: with the Sylvester-Hadamard matrix ``W[i, j] =
-(-1)^popcount(i & j)`` of order ``K/2`` and ``D = diag(i^popcount(j))``,
-the columns of ``D W`` are eigenvectors of both ``K/2``-square halves of
-every channel's complex Gram matrix ``H1^H H1 + H2^T conj(H2)``.  ``S`` is
-the real form of ``blockdiag(D W, D W)``: group ``e`` holds the four real
-columns from column ``e``, one per symbol half, each as is and rotated by
-``i``.  Every entry of ``D W`` is ``+-1`` or ``+-i``, so ``S`` is exact,
-with no rounding and no dependence on any channel;
-:func:`qostbc.harness.verify` checks it exactly.  The eigenvalues come
-in Walsh order, ``lambda_e = sum_r |(W D h_a)_e|^2 + |(W D h_b)_e|^2`` with
-``h_a`` the first ``K/2`` gains of antenna ``r`` and ``h_b`` the rest,
-zero-padded: the per-index gains of an Alamouti combiner.
+The decomposition is exact.  Every entry of ``V`` is ``+-1`` or ``+-i`` and
+``V^H V = (K/2) I``, so ``V`` carries no rounding and depends on no
+channel; :func:`qostbc.harness.verify` checks both identities on integers.
+The eigenvalues are read off the channel in Walsh order, ``lambda_e =
+sum_r |(V^T h_a)_e|^2 + |(V^T h_b)_e|^2`` with ``h_a`` the first ``K/2``
+gains of antenna ``r`` and ``h_b`` the rest, zero-padded: the per-index
+gains of an Alamouti combiner.  Products with ``+-1`` and ``+-i`` are
+exact, so nearly singular channels keep their relative precision.  Each
+half of the estimate is ``V diag(1 / ((K/2) lambda)) V^H`` times that half
+of ``c``, with ``c`` from the encoded channel minors.
 
 The paper's nested combining chain exists once in floating point, as the
 reference :func:`chain_decode`.  Per receive antenna it combines the
@@ -64,15 +60,13 @@ from .codes import _is_power_of_two
 
 __all__ = [
     "PermutationPair",
-    "FixedBasis",
     "DecodeResult",
     "ChainResult",
     "DecompositionError",
     "DegenerateChannelError",
     "permutation_indexes",
     "symbol_order",
-    "channel_gram",
-    "fixed_basis",
+    "walsh_basis",
     "decode",
     "decode_batch",
     "chain_decode",
@@ -156,110 +150,35 @@ def symbol_order(k: int) -> np.ndarray:
     return np.concatenate(cols)
 
 
-def channel_gram(channels, k: int) -> np.ndarray:
-    """Real Gram matrix ``A^T A`` of the model ``[Re r; Im r] = A [Re s; Im s]``.
-
-    Parameters
-    ----------
-    channels : array_like
-        ``(..., n_r, n_t)`` channel gains; a 1-D ``(n_t,)`` vector is one
-        receive antenna.
-    k : int
-
-    Returns
-    -------
-    np.ndarray
-        ``(..., 2K, 2K)``, summed over receive antennas.
-    """
-    channels = np.asarray(channels, dtype=complex)
-    if channels.ndim == 1:
-        channels = channels[None]
-    h1, h2 = encoded_channel_minors(channels, k)
-    # rows: the first K/2 epochs carry H1 s, the last K/2 carry H2 conj(s)
-    a = np.concatenate(
-        [
-            np.concatenate([h1.real, -h1.imag], axis=-1),
-            np.concatenate([h1.imag, h1.real], axis=-1),
-            np.concatenate([h2.real, h2.imag], axis=-1),
-            np.concatenate([h2.imag, -h2.real], axis=-1),
-        ],
-        axis=-2,
-    )
-    return (np.swapaxes(a, -1, -2) @ a).sum(axis=-3)
-
-
-@dataclass(frozen=True)
-class FixedBasis:
-    """Eigenbasis shared by the real Gram matrices of every channel at one ``K``.
-
-    ``signs`` is the read-only ``(2K, 2K)`` matrix ``S`` with entries in ``{0, +-1}``
-    and orthogonal columns of ``K/2`` nonzeros; columns ``4g .. 4g+3`` span
-    the ``g``-th eigenspace.
-    """
-
-    signs: np.ndarray
-
-    def eigenvalues(self, channels) -> np.ndarray:
-        """``(B, K/2)`` Gram eigenvalues of ``(B, n_r, n_t)`` channels; see the module."""
-        nbatch, n_r, n_t = channels.shape
-        k = len(self.signs) // 2
-        p = channels.real.reshape(-1, n_t) @ self.signs[:n_t]
-        p -= channels.imag.reshape(-1, n_t) @ self.signs[k : k + n_t]
-        return np.square(p, out=p).reshape(nbatch, n_r, k // 2, 4).sum(axis=(1, 3))
-
-    def error(self, channel) -> float:
-        """``max(|Q^T Q - I|, |Q^T G Q - diag(lambda)| / max(lambda))`` for the
-        real Gram ``G`` of the ``(n_t,)`` gains ``channel``, with ``Q = S /
-        sqrt(K/2)`` and ``lambda`` from :meth:`eigenvalues`."""
-        channel = np.asarray(channel, dtype=complex)
-        n, s = len(self.signs), self.signs
-        lam = self.eigenvalues(channel[None, None])[0] * (n / 4)
-        d = s.T @ channel_gram(channel, n // 2) @ s
-        d[np.diag_indices(n)] -= np.repeat(lam, 4)
-        o = s.T @ s
-        o[np.diag_indices(n)] -= n / 4
-        return float(max(np.abs(d, out=d).max() / lam.max(), np.abs(o, out=o).max() / (n / 4)))
-
-
 @lru_cache(maxsize=16)
-def fixed_basis(k: int) -> FixedBasis:
-    """The basis for block size ``k`` in closed form, built on first use and kept.
+def walsh_basis(half: int) -> np.ndarray:
+    """The read-only ``half x half`` matrix ``V = D W`` (see the module).
+
+    Built by doubling on first use and kept.
 
     Raises
     ------
     ValueError
-        ``k`` is not a power of two >= 2.
+        ``half = K/2`` is not a power of two.
     """
-    if not _is_power_of_two(k) or k < 2:
-        raise ValueError(f"K={k} must be a power of two >= 2")
-    half = k // 2
-    # Sylvester-Hadamard W and the phases i^popcount(j), by doubling
-    w = np.ones((1, 1))
-    phase = np.ones(1, dtype=complex)
-    while len(w) < half:
-        w = np.block([[w, w], [w, -w]])
-        phase = np.concatenate([phase, 1j * phase])
-    v = phase[:, None] * w
-    cols = np.stack([v, 1j * v], axis=-1)  # (row, group, as is / rotated)
-    # axes: Re/Im, symbol half, row; group, symbol half, as is / rotated
-    signs = np.zeros((2, 2, half, half, 2, 2))
-    for part in (0, 1):
-        signs[0, part, :, :, part] = cols.real
-        signs[1, part, :, :, part] = cols.imag
-    signs = signs.reshape(2 * k, 2 * k)
-    signs.flags.writeable = False
-    return FixedBasis(signs)
+    if not _is_power_of_two(half):
+        raise ValueError(f"K/2={half} is not a power of two")
+    v = np.ones((1, 1), dtype=complex)
+    while len(v) < half:
+        v = np.block([[v, v], [1j * v, -1j * v]])
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
 class DecodeResult:
     """Soft estimates in natural order plus the block's Gram eigenvalues.
 
-    ``eigenvalues`` are the ``K/2`` distinct eigenvalues of the real Gram
-    matrix, in the Walsh order of the column groups of
-    :attr:`FixedBasis.signs`: ``lambda_e`` belongs to column ``e`` of ``D W``
-    (see the module).  At ``K=2`` the single eigenvalue is the channel
-    energy.
+    ``eigenvalues`` are the ``K/2`` eigenvalues of each half of the matched
+    filter's ``P`` (see the module), in the Walsh order of
+    :func:`walsh_basis`: ``lambda_e`` belongs to column ``e`` of ``D W``.
+    Each is also an eigenvalue of the real Gram matrix of the block, four
+    times over.  At ``K=2`` the single eigenvalue is the channel energy.
     """
 
     estimates: np.ndarray
@@ -302,8 +221,12 @@ def decode_batch(received, channels, k: int = None):
         raise ValueError("received/channels dimensions disagree")
     if channels.shape[2] > k:
         raise ValueError(f"n_t={channels.shape[2]} exceeds K={k}")
-    basis = fixed_basis(k)
-    lam = basis.eigenvalues(channels)
+    half = k // 2
+    v = walsh_basis(half)
+    padded = np.zeros((nbatch, n_r, k), dtype=complex)
+    padded[..., : channels.shape[2]] = channels
+    p = padded.reshape(-1, half) @ v  # rows h_a, h_b of every antenna
+    lam = (np.square(p.real) + np.square(p.imag)).reshape(nbatch, -1, half).sum(axis=1)
     singular = lam.min(axis=1) <= k * np.finfo(float).eps * lam.max(axis=1)
     if np.any(singular):
         raise DegenerateChannelError(
@@ -311,9 +234,10 @@ def decode_batch(received, channels, k: int = None):
         )
     r = np.swapaxes(received, 1, 2)[..., None, :]  # (B, nr, 1, K)
     c = _matched_filter(r, *encoded_channel_minors(channels, k)).sum(axis=1)[:, 0]
-    x = np.concatenate([c.real, c.imag], axis=-1)  # (B, 2K)
-    est = ((x @ basis.signs) / np.repeat(lam * (k / 2), 4, axis=1)) @ basis.signs.T
-    return est[:, :k] + 1j * est[:, k:], lam
+    # rows are symbol halves: each is c_half^T conj(V) diag(1 / ((K/2) lambda)) V^T
+    y = (c.reshape(-1, half) @ v.conj()).reshape(nbatch, 2, half)
+    y /= (lam * half)[:, None]
+    return (y.reshape(-1, half) @ v.T).reshape(nbatch, k), lam
 
 
 def _single_block(received, channels):

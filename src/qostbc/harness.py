@@ -18,14 +18,14 @@ import time
 from collections import deque
 from itertools import islice
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import analysis, fading
 from .codes import build_mother, puncture, encode, gram_check, _is_power_of_two
 from .channels import encoded_channel_minors
-from .decoder import decode_batch, fixed_basis, permutation_indexes
+from .decoder import decode, decode_batch, permutation_indexes, walsh_basis
 from .modem import modulation, count_bit_errors
 
 __all__ = [
@@ -366,11 +366,14 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     (check ``channel-quasi-orthogonality``), block-diagonality of the
     permuted reduced products at every order (exact, modulo a prime: see
     :func:`reduction_residuals`; its value is the count of nonzero
-    off-block entries and must be 0), the diagonalisation of a channel's
-    real Gram matrix by the decoder's fixed basis (exact: on a
-    Gaussian-integer channel every product is an integer below 2^53, so
-    :meth:`~qostbc.decoder.FixedBasis.error` must be 0), noiseless decoding
-    round trips, and the listed permutation index sets.  ``k_max`` is capped
+    off-block entries and must be 0), the decoder's fixed basis ``V = D W``
+    of :func:`~qostbc.decoder.walsh_basis` (check ``fixed-basis-diagonal``:
+    the larger of ``|V^H V - (K/2) I| / (K/2)`` and ``|B^H P B - (K/2)
+    diag(lambda, lambda)| / ((K/2) max lambda)``, with ``B = blockdiag(V,
+    V)``, ``P`` the matched filter's product and ``lambda`` the eigenvalues
+    :func:`~qostbc.decoder.decode` returns; on a Gaussian-integer channel
+    every sum is an integer below 2^53, so it must be 0), noiseless
+    decoding round trips, and the listed permutation index sets.  ``k_max`` is capped
     at ``RESIDUE_K_MAX``, beyond which the exact checks would overflow.
     """
     if not _is_power_of_two(k_max) or k_max < 2:
@@ -424,7 +427,17 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         # an integer below K^3 * 2^15, exact in float64 up to K = 4096 =
         # RESIDUE_K_MAX, so any nonzero residual is an error
         g = rng.integers(-255, 256, size=(2, k))
-        res = fixed_basis(k).error(g[0] + 1j * g[1])
+        g = g[0] + 1j * g[1]
+        g1, g2 = encoded_channel_minors(g, k)
+        p = g1.conj().T @ g1 + g2.T @ g2.conj()
+        lam = decode(np.zeros(k), g, k).eigenvalues
+        v = walsh_basis(half)
+        o = v.conj().T @ v
+        o[np.diag_indices(half)] -= half
+        b = np.kron(np.eye(2), v)
+        d = b.conj().T @ p @ b
+        d[np.diag_indices(k)] -= half * np.tile(lam, 2)
+        res = float(max(np.abs(o).max() / half, np.abs(d).max() / (half * lam.max())))
         checks.append(CheckResult("fixed-basis-diagonal", k, res, 0.0, res == 0))
 
         for n_r in (1, 2, 4):

@@ -1,6 +1,7 @@
 """Decoder tests: permutation split, stagewise combining, reduction chain,
-output ordering, round trips, the fixed basis against a least-squares
-oracle, the Alamouti combiner and noise behaviour."""
+output ordering, round trips, the fixed basis D W against a least-squares
+oracle and a popcount construction, the Alamouti combiner and noise
+behaviour."""
 
 import threading
 import time
@@ -14,28 +15,24 @@ from qostbc import (
     DegenerateChannelError,
     build_mother,
     chain_decode,
-    channel_gram,
     decode,
     decode_batch,
     encode,
     encoded_channel_minors,
-    fixed_basis,
     permutation_indexes,
     puncture,
     symbol_order,
+    verify,
+    walsh_basis,
 )
 import qostbc.decoder as decoder
+import qostbc.harness as harness
 from qostbc.harness import reduction_residuals
+from oracles import channel_gram, real_form, sylvester, walsh_dw
 
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def gaussian_int(rng, *shape):
-    """Gaussian-integer gains with |Re| and |Im| below 2^8."""
-    g = rng.integers(-255, 256, size=(2,) + shape)
-    return g[0] + 1j * g[1]
 
 
 def first_stage(r, h):
@@ -327,6 +324,13 @@ class TestDecode:
         sem = est.std(axis=0) / np.sqrt(trials)
         assert np.all(np.abs(mean - s) <= 4.0 * sem + 1e-12)
 
+    @pytest.mark.parametrize("k", [1, 6, 12])
+    def test_rejects_k_not_a_power_of_two(self, k):
+        with pytest.raises(ValueError, match="power of two"):
+            decode(np.ones(k, dtype=complex), np.ones(1, dtype=complex), k)
+        with pytest.raises(ValueError, match="power of two"):
+            decode_batch(np.ones((1, k, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex), k)
+
     def test_degenerate_channel(self):
         with pytest.raises(DegenerateChannelError):
             decode(np.ones(4, dtype=complex), np.zeros(4, dtype=complex), 4)
@@ -390,7 +394,21 @@ def lstsq_oracle(received, gains, k):
     return x[:k] + 1j * x[k:], a
 
 
+def one_flipped(half):
+    """``D W`` with its last entry negated: no longer orthogonal."""
+    v = walsh_dw(half)
+    v[-1, -1] *= -1
+    return v
+
+
+def doubled(half):
+    """``2 D W``: diagonalises every ``P``, but ``V^H V = 2K I``."""
+    return 2 * walsh_dw(half)
+
+
 class TestFixedBasis:
+    """The decoder's fixed basis ``V = D W`` of :func:`walsh_basis`."""
+
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256])
     @pytest.mark.parametrize("n_r", [1, 2])
     def test_matches_lstsq_oracle(self, k, n_r):
@@ -407,9 +425,9 @@ class TestFixedBasis:
     @pytest.mark.parametrize("k", [2, 4, 16, 64, 128])
     def test_diagonalises_every_gram(self, k):
         rng = np.random.default_rng(4000 + k)
-        basis = fixed_basis(k)
-        assert set(np.unique(basis.signs)) <= {-1.0, 0.0, 1.0}
-        q = basis.signs / np.sqrt(k / 2)
+        signs = real_form(walsh_dw(k // 2))
+        assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
+        q = signs / np.sqrt(k / 2)
         assert np.abs(q.T @ q - np.eye(2 * k)).max() <= 1e-14
         for n_r, n_t in ((1, k), (2, max(1, 3 * k // 4))):
             gains = crandn(rng, n_r, n_t)
@@ -429,31 +447,22 @@ class TestFixedBasis:
             raise AssertionError("the fixed basis must not need an eigendecomposition")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        fixed_basis.cache_clear()
-        rng = np.random.default_rng(4300)
-        for k in (2**e for e in range(1, 11)):
-            basis = fixed_basis(k)
-            assert not basis.signs.flags.writeable
-            assert set(np.unique(basis.signs)) <= {-1.0, 0.0, 1.0}
-            assert np.array_equal(basis.signs.T @ basis.signs, (k // 2) * np.eye(2 * k)), k
-            if k <= 256:
-                assert basis.error(gaussian_int(rng, k)) == 0, k
+        walsh_basis.cache_clear()
+        for half in (2**e for e in range(10)):
+            v = walsh_basis(half)
+            assert not v.flags.writeable
+            assert np.array_equal(v, walsh_dw(half)), half
+            assert np.array_equal(v.conj().T @ v, half * np.eye(half)), half
 
-    @pytest.mark.parametrize("k", [4, 16, 128])
-    def test_error_detects_a_wrong_basis(self, k):
-        rng = np.random.default_rng(5000 + k)
-        h = gaussian_int(rng, k)
-        fixed_basis.cache_clear()
-        basis = fixed_basis(k)
-        assert basis.error(h) == 0
-        flipped = basis.signs.copy()
-        row = np.flatnonzero(flipped[:, 0])[-1]
-        flipped[row, 0] *= -1  # no longer orthogonal
-        swapped = basis.signs.copy()
-        swapped[:, [0, -1]] = swapped[:, [-1, 0]]  # orthogonal, groups mixed
-        scaled = 2 * basis.signs  # diagonalises every Gram, Q not orthonormal
-        for signs in (flipped, swapped, scaled):
-            assert decoder.FixedBasis(signs).error(h) > 1e-3
+    @pytest.mark.parametrize("wrong", [sylvester, one_flipped, doubled], ids=lambda f: f.__name__)
+    def test_verify_rejects_a_wrong_basis(self, wrong, monkeypatch):
+        # W without the phases D, one flipped entry, or twice D W: the
+        # decoder and the check both use the wrong basis
+        monkeypatch.setattr(decoder, "walsh_basis", wrong)
+        monkeypatch.setattr(harness, "walsh_basis", wrong)
+        checks = [c for c in verify(128).checks if c.name == "fixed-basis-diagonal" and c.k >= 4]
+        assert [c.k for c in checks] == [2**e for e in range(2, 8)]
+        assert not any(c.passed for c in checks), [c.line() for c in checks if c.passed]
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_eigenvalues_in_walsh_order(self, k):
@@ -462,15 +471,13 @@ class TestFixedBasis:
         # diag(i^popcount(j)), and h_a, h_b the two halves of the gains
         # zero-padded to K
         half = k // 2
-        popcount = [bin(j).count("1") for j in range(half)]
-        w = np.array([[(-1) ** popcount[i & j] for j in range(half)] for i in range(half)])
-        wd = w * np.array([(1, 1j, -1, -1j)[p % 4] for p in popcount])
+        v = walsh_dw(half)
         rng = np.random.default_rng(4200 + k)
         for n_t in sorted({1, min(3, k), k - 1, k}):
             gains = crandn(rng, 4, n_t)
             padded = np.zeros((4, k), dtype=complex)
             padded[:, :n_t] = gains
-            per_antenna = np.abs(padded[:, :half] @ wd.T) ** 2 + np.abs(padded[:, half:] @ wd.T) ** 2
+            per_antenna = np.abs(padded[:, :half] @ v) ** 2 + np.abs(padded[:, half:] @ v) ** 2
             for n_r in (1, 2, 4):
                 want = per_antenna[:n_r].sum(axis=0)
                 got = decode(np.zeros((k, n_r)), gains[:n_r], k).eigenvalues
@@ -482,7 +489,7 @@ class TestFixedBasis:
         # of the Gram itself; the n_r = 1, 2, 4 Grams are prefix sums of
         # single-antenna Grams
         rng = np.random.default_rng(4100 + k)
-        q4 = fixed_basis(k).signs[:, ::4] / np.sqrt(k / 2)
+        q4 = real_form(walsh_dw(k // 2))[:, ::4] / np.sqrt(k / 2)
         for n_t in sorted({1, min(3, k), k - 1, k}):
             gains = crandn(rng, 4, n_t)
             per_antenna = [np.einsum("ij,ij->j", q4, channel_gram(h, k) @ q4) for h in gains]
@@ -501,7 +508,7 @@ class TestFixedBasis:
         # inputs in rational arithmetic: A has entries +-Re h, +-Im h and
         # 0 exactly, and every sign column is an exact eigenvector of it.
         rng = np.random.default_rng(int(6000 + k + 10 * n_r - np.log10(ratio)))
-        signs = fixed_basis(k).signs
+        signs = real_form(walsh_dw(k // 2))
         s0 = signs[:, :4]
         x = np.empty((n_r, 2 * k))
         z = np.empty((n_r, 4))
@@ -535,7 +542,7 @@ class TestFixedBasis:
     def test_concurrent_first_use_decodes(self):
         # two threads decoding at a K whose basis is not built yet
         k = 32
-        fixed_basis.cache_clear()
+        walsh_basis.cache_clear()
         rng = np.random.default_rng(23)
         s, h = crandn(rng, k), crandn(rng, k)
         r = encode(build_mother(k), s) @ h
@@ -580,8 +587,8 @@ class TestFixedBasis:
 
 def test_decode_cost_scales_subcubically():
     # wall-clock sanity: doubling K twice must stay well under the
-    # K^2 log K envelope times a generous constant (both bases are built
-    # by the warm-up, outside the timed calls)
+    # K^2 log K envelope times a generous constant (the warm-up builds the
+    # cached Walsh bases and minor tables of both K, outside the timed calls)
     rng = np.random.default_rng(22)
 
     def run(k):

@@ -13,7 +13,7 @@ import qostbc.channels as channels
 import qostbc.harness as harness
 from qostbc import build_mother, modulation, puncture
 from qostbc.cli import main
-from qostbc.decoder import channel_gram, decode_batch
+from qostbc.decoder import decode_batch
 from qostbc.harness import (
     CSV_HEADER,
     ConfigError,
@@ -23,6 +23,7 @@ from qostbc.harness import (
     run_sweep,
     verify,
 )
+from oracles import channel_gram
 
 
 def small_config(**kw):
