@@ -9,12 +9,13 @@ hard-decision capacity analysis, and a reproducible Monte Carlo harness.
 from .codes import (
     EncodingStructure,
     abba_manifold,
+    walsh_basis,
     build_mother,
     puncture,
     encode,
     gram_check,
 )
-from .channels import encoded_channel_minors
+from .channels import encoded_channel_minors, received_blocks
 from .decoder import (
     PermutationPair,
     DecodeResult,
@@ -23,7 +24,6 @@ from .decoder import (
     DegenerateChannelError,
     permutation_indexes,
     symbol_order,
-    walsh_basis,
     decode,
     decode_batch,
     chain_decode,
@@ -34,6 +34,7 @@ from .fading import (
     m_to_hoyt_q,
     m_to_rice_k,
     sample_gain,
+    sample_gains,
     linear_profile,
     severity_profile,
     add_awgn,

@@ -1,4 +1,4 @@
-"""The channel minors, read off the code's own gather table.
+"""The received block, as the channel minors and through the code's Walsh basis.
 
 For a block-fading channel the received block can be written two ways:
 
@@ -16,6 +16,12 @@ materialised.
 Every minor entry is ``+h_a``, ``-h_a`` or ``0``, in a pattern fixed by
 ``(K, n_t)``.  It is kept as two read-only index tables into ``[0, h, -h]``;
 :func:`encoded_channel_minors` is one gather per minor through them.
+
+The simulator forms ``r`` a third way, :func:`received_blocks`, with
+neither the transmit matrix nor the minors: every manifold is diagonal in
+the code's fixed basis (:func:`qostbc.codes.walsh_basis`), so the block is
+``K/2`` Alamouti products (Alamouti, IEEE JSAC 1998) between transforms of
+the symbols and of the gains.
 """
 
 from __future__ import annotations
@@ -24,9 +30,64 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import build_mother, _signed_gather
+from .codes import build_mother, walsh_basis, _signed_gather
 
-__all__ = ["encoded_channel_minors"]
+__all__ = ["encoded_channel_minors", "received_blocks"]
+
+
+def received_blocks(symbols, gains, k: int):
+    """Noiseless received blocks ``r = C(s) h`` of a batch, in the Walsh domain.
+
+    With ``V = walsh_basis(K/2)`` each manifold is ``T(v) = V diag(V^T v)
+    V^H / (K/2)``.  So with ``x = V^T s`` for each symbol half and ``g = V^H
+    h`` for each half of one receive antenna's gains, zero-padded to ``K``
+    (puncturing is zero-padding), the top and bottom halves of the block are
+
+        r_top = V (x1 g_a + x2 g_b) / (K/2)
+        r_bot = V (conj(x1) g_b - conj(x2) g_a) / (K/2).
+
+    Every product is a 2-D matmul with ``V`` over the whole batch, or
+    elementwise; neither the ``(K, n_t)`` transmit matrix nor the minors
+    are formed.
+
+    Parameters
+    ----------
+    symbols : array_like
+        ``(B, K)`` complex symbols.
+    gains : array_like
+        ``(B, n_r, n_t)`` channel gains, ``n_t <= K``.
+    k : int
+        Block size, a power of two >= 2.
+
+    Returns
+    -------
+    np.ndarray
+        ``(B, K, n_r)`` received blocks, equal to ``encode(puncture(
+        build_mother(K), n_t), s) @ gains^T`` block by block.
+    """
+    symbols = np.asarray(symbols, dtype=complex)
+    gains = np.asarray(gains, dtype=complex)
+    if symbols.ndim != 2 or gains.ndim != 3:
+        raise ValueError("symbols must be (B, K) and gains (B, n_r, n_t)")
+    nbatch, n_r, n_t = gains.shape
+    if symbols.shape != (nbatch, k):
+        raise ValueError(f"symbols of shape {symbols.shape} are not ({nbatch}, K={k})")
+    if n_t > k:
+        raise ValueError(f"n_t={n_t} exceeds K={k}")
+    half = k // 2
+    v = walsh_basis(half)
+    # the 1 / (K/2) of both halves, exact for a power of two
+    x = (symbols.reshape(-1, half) @ v).reshape(nbatch, 1, 2, half) / half
+    # g = h conj(V) = conj(conj(h) V), with no conjugated copy of V
+    padded = np.zeros((nbatch, n_r, k), dtype=complex)
+    np.conjugate(gains, out=padded[..., :n_t])
+    g = (padded.reshape(-1, half) @ v).reshape(nbatch, n_r, 2, half)
+    np.conjugate(g, out=g)
+    x1, x2 = x[..., 0, :], x[..., 1, :]
+    ga, gb = g[..., 0, :], g[..., 1, :]
+    y = np.stack([x1 * ga + x2 * gb, x1.conj() * gb - x2.conj() * ga], axis=-2)
+    r = (y.reshape(-1, half) @ v.T).reshape(nbatch, n_r, k)
+    return np.swapaxes(r, 1, 2)
 
 
 def encoded_channel_minors(h, k: int):

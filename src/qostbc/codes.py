@@ -7,6 +7,7 @@ so a code is fully described by one ``(K, n_t)`` integer table
 (:class:`EncodingStructure`) into ``[s, conj(s), -s, -conj(s)]``.  That
 table is the code's only representation: :func:`encode` is a single gather
 through it, and :mod:`qostbc.channels` reads the channel minors off it.
+Every manifold is diagonal in one fixed basis, :func:`walsh_basis`.
 
 The K-by-K *mother* matrix is obtained by wrapping two recursive block
 matrices (see :func:`abba_manifold`) built from the two halves of the symbol
@@ -18,12 +19,14 @@ leftmost columns of the mother matrix (:func:`puncture`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "EncodingStructure",
     "abba_manifold",
+    "walsh_basis",
     "build_mother",
     "puncture",
     "encode",
@@ -67,6 +70,36 @@ def abba_manifold(vec) -> np.ndarray:
         bot = np.concatenate([-b, a], axis=-1)
         blocks = np.concatenate([top, bot], axis=-2)
     return blocks[..., 0, :, :]
+
+
+@lru_cache(maxsize=16)
+def walsh_basis(half: int) -> np.ndarray:
+    """The read-only ``half x half`` matrix ``V = D W`` that diagonalises every manifold.
+
+    ``W[i, j] = (-1)^popcount(i & j)`` is the Sylvester-Hadamard matrix of
+    order ``half`` and ``D = diag(i^popcount(j))``.  For every ``v`` of
+    length ``half``,
+
+        abba_manifold(v) = V diag(V^T v) V^H / half,
+
+    because each manifold is a sum of tensor products of ``I`` and ``J =
+    [[0, 1], [-1, 0]]``, and the columns of ``V`` are the tensor powers of
+    the eigenvectors ``(1, +-i)`` of ``J``.  Every entry is ``+-1`` or
+    ``+-i`` and ``V^H V = half I``, so ``V`` carries no rounding.  Built by
+    doubling on first use and kept.
+
+    Raises
+    ------
+    ValueError
+        ``half`` is not a power of two.
+    """
+    if not _is_power_of_two(half):
+        raise ValueError(f"K/2={half} is not a power of two")
+    v = np.ones((1, 1), dtype=complex)
+    while len(v) < half:
+        v = np.block([[v, v], [1j * v, -1j * v]])
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,11 +10,11 @@ fixed matrix diagonalises ``P`` for every channel:
 
     P = blockdiag(V diag(lambda) V^H, V diag(lambda) V^H) / (K/2)
 
-Here ``V = D W`` (:func:`walsh_basis`), with the Sylvester-Hadamard matrix
-``W[i, j] = (-1)^popcount(i & j)`` of order ``K/2`` and ``D =
-diag(i^popcount(j))``.  The off-diagonal halves of ``P`` vanish, so each
-half of ``c`` sees one half of the symbols, and both halves see the same
-``K/2``-square matrix.  Every ABBA manifold is diagonalised by tensor powers
+Here ``V = D W`` (:func:`qostbc.codes.walsh_basis`), with the
+Sylvester-Hadamard matrix ``W[i, j] = (-1)^popcount(i & j)`` of order
+``K/2`` and ``D = diag(i^popcount(j))``.  The off-diagonal halves of ``P``
+vanish, so each half of ``c`` sees one half of the symbols, and both halves
+see the same ``K/2``-square matrix.  Every ABBA manifold is diagonalised by tensor powers
 of the eigenvectors ``(1, +-i)`` of ``J = [[0, 1], [-1, 0]]``, and the
 columns of ``D W`` are those tensor powers, so they are eigenvectors of
 that matrix for any channel.  This is the decoupling of symbol groups that
@@ -51,12 +51,11 @@ itself is checked exactly, at any ``K``, by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channels import encoded_channel_minors
-from .codes import _is_power_of_two
+from .codes import _is_power_of_two, walsh_basis
 
 __all__ = [
     "PermutationPair",
@@ -66,7 +65,6 @@ __all__ = [
     "DegenerateChannelError",
     "permutation_indexes",
     "symbol_order",
-    "walsh_basis",
     "decode",
     "decode_batch",
     "chain_decode",
@@ -148,26 +146,6 @@ def symbol_order(k: int) -> np.ndarray:
             q0, q1 = pair.p0[:take] - 1, pair.p1[:take] - 1
             cols = [c[q] for c in cols for q in (q0, q1)]
     return np.concatenate(cols)
-
-
-@lru_cache(maxsize=16)
-def walsh_basis(half: int) -> np.ndarray:
-    """The read-only ``half x half`` matrix ``V = D W`` (see the module).
-
-    Built by doubling on first use and kept.
-
-    Raises
-    ------
-    ValueError
-        ``half = K/2`` is not a power of two.
-    """
-    if not _is_power_of_two(half):
-        raise ValueError(f"K/2={half} is not a power of two")
-    v = np.ones((1, 1), dtype=complex)
-    while len(v) < half:
-        v = np.block([[v, v], [1j * v, -1j * v]])
-    v.flags.writeable = False
-    return v
 
 
 @dataclass(frozen=True)

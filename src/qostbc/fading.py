@@ -11,6 +11,7 @@ the whole block (memoryless block fading).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "m_to_hoyt_q",
     "m_to_rice_k",
     "sample_gain",
+    "sample_gains",
     "linear_profile",
     "severity_profile",
     "add_awgn",
@@ -77,6 +79,31 @@ def m_to_rice_k(m: float) -> float:
     return float(root / (m - root))
 
 
+def _normal_form(stat: BranchStat):
+    """``(los, scale)`` of gains ``los + scale * (x + i y)``, ``x, y`` standard normal.
+
+    Rayleigh, and Rice and Hoyt at ``m = 1``, have ``los = 0``; Rice has a
+    line-of-sight component of power ``omega*k/(1+k)``.  Other branches
+    give None.
+    """
+    omega = stat.omega
+    if stat.family == "rayleigh" or (stat.family in ("rice", "hoyt") and stat.m == 1.0):
+        return 0.0, np.sqrt(omega / 2.0)
+    if stat.family == "rice":
+        kf = m_to_rice_k(stat.m)
+        return np.sqrt(omega * kf / (1.0 + kf)), np.sqrt(omega / (2.0 * (1.0 + kf)))
+    return None
+
+
+def _phasors(rng: np.random.Generator, size):
+    """``exp(2 pi i u)`` for uniform ``u``: cos and sin written into one buffer."""
+    theta = 2.0 * np.pi * rng.random(size)
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out[()]  # a scalar when size is None
+
+
 def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None):
     """Draw complex gains with ``E[|h|^2] = omega`` for one branch.
 
@@ -87,24 +114,52 @@ def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None):
     draws the power from a Gamma distribution and a uniform phase.
     """
     omega = stat.omega
-    if stat.family == "rayleigh" or (stat.family in ("rice", "hoyt") and stat.m == 1.0):
-        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return np.sqrt(omega / 2.0) * z
-    if stat.family == "rice":
-        kf = m_to_rice_k(stat.m)
-        los = np.sqrt(omega * kf / (1.0 + kf))
-        diff = np.sqrt(omega / (2.0 * (1.0 + kf)))
-        return los + diff * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    form = _normal_form(stat)
+    if form is not None:
+        los, scale = form
+        z = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        return los + z if los else z
     if stat.family == "hoyt":
         q = m_to_hoyt_q(stat.m)
         s_i = np.sqrt(omega / (1.0 + q * q))
         s_q = q * s_i
         z = s_i * rng.standard_normal(size) + 1j * s_q * rng.standard_normal(size)
-        return z * np.exp(2j * np.pi * rng.random(size))
+        return z * _phasors(rng, size)
     # nakagami: envelope approximation, phase chosen uniform (any phase
     # convention leaves |h|^2 statistics unchanged)
     power = rng.gamma(stat.m, omega / stat.m, size)
-    return np.sqrt(power) * np.exp(2j * np.pi * rng.random(size))
+    return np.sqrt(power) * _phasors(rng, size)
+
+
+def sample_gains(stats, rng: np.random.Generator, size):
+    """Gains of every branch in ``stats``, shape ``size + (len(stats),)``.
+
+    Consumes ``rng`` exactly as :func:`sample_gain` called branch by branch
+    would, and returns the same values.  A run of neighbouring branches
+    whose gains are affine in two normal draws (Rayleigh and Rice) is drawn
+    with one call, since ``standard_normal((run, 2) + size)`` yields the
+    draws of the run's branches in that order.
+    """
+    size = (size,) if np.ndim(size) == 0 else tuple(size)
+    out = np.empty(size + (len(stats),), dtype=complex)
+    forms = [_normal_form(s) for s in stats]
+    a = 0
+    for normal, run in groupby(forms, key=lambda f: f is not None):
+        b = a + len(list(run))
+        if normal:
+            los, scale = np.array(forms[a:b]).T
+            # (run, 2) + size  ->  (2,) + size + (run,)
+            z = np.moveaxis(rng.standard_normal((b - a, 2) + size), (0, 1), (-1, 0))
+            seg = out[..., a:b]
+            seg.real, seg.imag = z
+            seg *= scale
+            if los.any():
+                seg += los
+        else:
+            for j in range(a, b):
+                out[..., j] = sample_gain(stats[j], rng, size)
+        a = b
+    return out
 
 
 def linear_profile(k: int, mean_power: float = 1.0) -> np.ndarray:
@@ -132,8 +187,12 @@ def add_awgn(signal, n0: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("noise power must be non-negative")
     if n0 == 0:
         return signal
-    noise = rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
-    return signal + np.sqrt(n0 / 2.0) * noise
+    noise = np.empty(signal.shape, dtype=complex)
+    noise.real = rng.standard_normal(signal.shape)
+    noise.imag = rng.standard_normal(signal.shape)
+    noise *= np.sqrt(n0 / 2.0)
+    noise += signal
+    return noise
 
 
 def parse_channel_spec(spec: str):

@@ -6,10 +6,13 @@ The simulator runs blocks in fixed-size batches.  Batch ``j`` of SNR point
 sweep is bit-reproducible and independent of the worker count.  Transmit
 power is shared across antennas, which makes the per-branch mean SNR seen
 by the analytic reference ``omega / (n_t * N0)`` at a given Es/N0.  The
-sharing is applied once per batch, to the drawn gains: the encoded blocks
-pass through ``gains / sqrt(n_t)``, and the receiver decodes with those
-same gains.  Each point also records the decoder's conditioning, the
-smallest ratio of smallest to largest Gram eigenvalue over its blocks.
+sharing is applied once per batch, to the drawn gains: the blocks are
+received through ``gains / sqrt(n_t)``, and the receiver decodes with those
+same gains.  The received blocks are formed in the code's Walsh domain
+(:func:`~qostbc.channels.received_blocks`), so no transmit matrix is built;
+:func:`verify` checks that model against :func:`~qostbc.codes.encode`.
+Each point also records the decoder's conditioning, the smallest ratio of
+smallest to largest Gram eigenvalue over its blocks.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import analysis, fading
-from .codes import build_mother, puncture, encode, gram_check, _is_power_of_two
-from .channels import encoded_channel_minors
-from .decoder import decode, decode_batch, permutation_indexes, walsh_basis
+from .codes import build_mother, puncture, encode, gram_check, walsh_basis, _is_power_of_two
+from .channels import encoded_channel_minors, received_blocks
+from .decoder import decode, decode_batch, permutation_indexes
 from .modem import modulation, count_bit_errors
 
 __all__ = [
@@ -155,7 +158,7 @@ class SweepResult:
         return asdict(self.config)
 
 
-def _sim_batch(config, mod, structure, stats, n0, snr_idx, batch_idx, nblocks):
+def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks):
     """Simulate one batch of blocks.
 
     Returns the bit error count and the smallest ratio of smallest to
@@ -164,14 +167,12 @@ def _sim_batch(config, mod, structure, stats, n0, snr_idx, batch_idx, nblocks):
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(snr_idx, batch_idx))
     )
-    k, n_t, n_r = config.k, config.n_t, config.n_r
+    k, n_r = config.k, config.n_r
     bits = rng.integers(0, 2, size=(nblocks, k, mod.bits_per_symbol), dtype=np.uint8)
-    tx = encode(structure, mod.map_bits(bits))
-    gains = np.empty((nblocks, n_r, n_t), dtype=complex)
-    for a, stat in enumerate(stats):
-        gains[:, :, a] = fading.sample_gain(stat, rng, (nblocks, n_r))
-    gains /= np.sqrt(n_t)  # shared transmit power: the channel the receiver sees
-    rx = fading.add_awgn(tx @ gains.swapaxes(1, 2), n0, rng)
+    symbols = mod.map_bits(bits)
+    gains = fading.sample_gains(stats, rng, (nblocks, n_r))
+    gains /= np.sqrt(config.n_t)  # shared transmit power: the channel the receiver sees
+    rx = fading.add_awgn(received_blocks(symbols, gains, k), n0, rng)
     estimates, lam = decode_batch(rx, gains, k)
     ratio = float((lam.min(axis=1) / lam.max(axis=1)).min())
     return count_bit_errors(bits, mod.demap(estimates)), ratio
@@ -186,7 +187,7 @@ def _batch_plan(cap, batch):
         idx += 1
 
 
-def _run_point(config, mod, structure, stats, esno_db, snr_idx):
+def _run_point(config, mod, stats, esno_db, snr_idx):
     n0 = 10.0 ** (-esno_db / 10.0)
     t0 = time.perf_counter()
     errors = 0
@@ -199,7 +200,7 @@ def _run_point(config, mod, structure, stats, esno_db, snr_idx):
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
 
         def submit(idx, n):
-            return n, pool.submit(_sim_batch, config, mod, structure, stats, n0, snr_idx, idx, n)
+            return n, pool.submit(_sim_batch, config, mod, stats, n0, snr_idx, idx, n)
 
         pending = deque(submit(idx, n) for idx, n in islice(plan, config.workers))
         while pending:
@@ -223,9 +224,10 @@ def _run_point(config, mod, structure, stats, esno_db, snr_idx):
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the Monte Carlo sweep and attach the analytic reference column.
 
-    Per block: draw bits, modulate, encode, apply one block-fading gain
-    per branch scaled by ``1/sqrt(n_t)``, add AWGN at the configured Es/N0,
-    decode, hard-demap, count bit errors.  Each SNR point stops at
+    Per block: draw bits, modulate, draw one block-fading gain per branch
+    scaled by ``1/sqrt(n_t)``, form the received block ``C(s) h`` in the
+    Walsh domain (:func:`~qostbc.channels.received_blocks`), add AWGN at
+    the configured Es/N0, decode, hard-demap, count bit errors.  Each SNR point stops at
     ``target_errors`` bit errors or at the trial cap, whichever first, and
     records the smallest Gram eigenvalue ratio of the blocks it consumed.
 
@@ -234,13 +236,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     ``K=2`` only and is not a prediction for it at ``K >= 4``.
     """
     mod = modulation(config.modulation)
-    structure = puncture(build_mother(config.k), config.n_t)
     stats = branch_stats(config.n_t, config.channel, config.profile)
     ber_analytic = analytic_ber(config, config.esno_db)
     rows = []
     for snr_idx, esno_db in enumerate(config.esno_db):
         errors, trials, nbits, seconds, ratio = _run_point(
-            config, mod, structure, stats, esno_db, snr_idx
+            config, mod, stats, esno_db, snr_idx
         )
         rows.append(
             SweepPoint(
@@ -372,9 +373,13 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     diag(lambda, lambda)| / ((K/2) max lambda)``, with ``B = blockdiag(V,
     V)``, ``P`` the matched filter's product and ``lambda`` the eigenvalues
     :func:`~qostbc.decoder.decode` returns; on a Gaussian-integer channel
-    every sum is an integer below 2^53, so it must be 0), noiseless
-    decoding round trips, and the listed permutation index sets.  ``k_max`` is capped
-    at ``RESIDUE_K_MAX``, beyond which the exact checks would overflow.
+    every sum is an integer below 2^53, so it must be 0), the simulator's
+    forward model :func:`~qostbc.channels.received_blocks` against
+    ``encode(...) @ h`` for ``n_t`` in ``{K, K-1, 3}`` (check
+    ``walsh-forward-model``: exact on Gaussian integers, so it must be 0),
+    noiseless decoding round trips, and the listed permutation index sets.
+    ``k_max`` is capped at ``RESIDUE_K_MAX``, beyond which the exact checks
+    would overflow.
     """
     if not _is_power_of_two(k_max) or k_max < 2:
         raise ConfigError(f"K={k_max} must be a power of two >= 2")
@@ -439,6 +444,23 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         d[np.diag_indices(k)] -= half * np.tile(lam, 2)
         res = float(max(np.abs(o).max() / half, np.abs(d).max() / (half * lam.max())))
         checks.append(CheckResult("fixed-basis-diagonal", k, res, 0.0, res == 0))
+
+        # the simulator's forward model against the code's own encoder, on
+        # Gaussian integers below 2^8: the transforms x = V^T s and g = V^H h
+        # have parts below (K/2) 2^8, each Alamouti pair of them parts below
+        # K^2 2^16, and the final sum of K/2 pairs parts below K^3 2^15 <=
+        # 2^51 up to K = 4096 = RESIDUE_K_MAX (the 1 / (K/2) is a power of
+        # two), so every sum is exact in float64 and any residual is an error
+        z = rng.integers(-255, 256, size=(2, 2 * k))
+        z = z[0] + 1j * z[1]
+        s, h = z[:k], z[k:]
+        code = encode(structure, s)
+        for n_t in sorted({k, k - 1, min(3, k)}):
+            # puncturing keeps the leftmost n_t antennas
+            direct = code[:, :n_t] @ h[:n_t]
+            walsh = received_blocks(s[None], h[None, None, :n_t], k)[0, :, 0]
+            res = float(np.linalg.norm(walsh - direct) / np.linalg.norm(direct))
+            checks.append(CheckResult(f"walsh-forward-model(nt={n_t})", k, res, 0.0, res == 0))
 
         for n_r in (1, 2, 4):
             for n_t in sorted({k, k - 1, min(3, k)}):

@@ -1,12 +1,13 @@
 """Encoded-channel tests: minor construction (golden sign patterns at
 K=32, the gather tables read off the code against the channel-side
 recursion), the factorisation identity and the block-diagonality of the
-matched filter's product."""
+matched filter's product, and the Walsh-domain forward model of the
+simulator against the code's own encoder."""
 
 import numpy as np
 import pytest
 
-from qostbc import build_mother, encode, encoded_channel_minors
+from qostbc import build_mother, encode, encoded_channel_minors, puncture, received_blocks
 from qostbc.channels import _minor_tables
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
@@ -241,3 +242,40 @@ def test_channel_manifold_quasi_orthogonality(k):
     h = k // 2
     off = max(np.abs(p[:h, h:]).max(), np.abs(p[h:, :h]).max())
     assert off <= 1e-10 * np.abs(p).max()
+
+
+class TestReceivedBlocks:
+    """``received_blocks`` against ``encode(...) @ gains^T`` block by block."""
+
+    @pytest.mark.parametrize("k", [2**e for e in range(1, 11)])
+    def test_matches_encode(self, k):
+        rng = np.random.default_rng(500 + k)
+        for n_t in sorted({1, min(3, k), k - 1, k}):
+            s = crandn(rng, 3, k)
+            tx = encode(puncture(build_mother(k), n_t), s)
+            for n_r in (1, 2, 4):
+                gains = crandn(rng, 3, n_r, n_t)
+                want = tx @ gains.swapaxes(1, 2)
+                got = received_blocks(s, gains, k)
+                assert got.shape == (3, k, n_r)
+                err = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert err <= 1e-13, (k, n_t, n_r, err)
+
+    @pytest.mark.parametrize("k", [2, 8, 64, 1024])
+    def test_exact_on_gaussian_integers(self, k):
+        # parts below 2^8 keep every sum an integer below K^3 2^15 < 2^53
+        rng = np.random.default_rng(k + 1)
+        for n_t in sorted({k, k - 1, min(3, k)}):
+            z = rng.integers(-255, 256, size=(2, 2, k + n_t))
+            z = z[0] + 1j * z[1]
+            s, gains = z[:, :k], z[:, None, k:]
+            want = encode(puncture(build_mother(k), n_t), s) @ gains.swapaxes(1, 2)
+            assert np.array_equal(received_blocks(s, gains, k), want), (k, n_t)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            received_blocks(np.zeros((2, 4)), np.zeros((2, 1, 5)), 4)
+        with pytest.raises(ValueError):
+            received_blocks(np.zeros((3, 4)), np.zeros((2, 1, 4)), 4)
+        with pytest.raises(ValueError):
+            received_blocks(np.zeros(4), np.zeros((1, 1, 4)), 4)

@@ -25,6 +25,7 @@ from qostbc import (
     verify,
     walsh_basis,
 )
+import qostbc.channels as channels
 import qostbc.decoder as decoder
 import qostbc.harness as harness
 from qostbc.harness import reduction_residuals
@@ -463,6 +464,17 @@ class TestFixedBasis:
         checks = [c for c in verify(128).checks if c.name == "fixed-basis-diagonal" and c.k >= 4]
         assert [c.k for c in checks] == [2**e for e in range(2, 8)]
         assert not any(c.passed for c in checks), [c.line() for c in checks if c.passed]
+
+    @pytest.mark.parametrize("wrong", [sylvester, one_flipped], ids=lambda f: f.__name__)
+    def test_verify_rejects_a_wrong_forward_basis(self, wrong, monkeypatch):
+        # the simulator's forward model with W without the phases D, or one
+        # flipped entry, no longer matches the code's own encoder
+        monkeypatch.setattr(channels, "walsh_basis", wrong)
+        report = verify(128)
+        forward = [c for c in report.checks if c.name.startswith("walsh-forward-model")]
+        assert {c.k for c in forward} == {2**e for e in range(1, 8)}
+        assert not any(c.passed for c in forward if c.k >= 4), [
+            c.line() for c in forward if c.passed and c.k >= 4]
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_eigenvalues_in_walsh_order(self, k):

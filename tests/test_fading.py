@@ -8,6 +8,7 @@ from scipy import stats
 from qostbc import (
     BranchStat,
     add_awgn,
+    sample_gains,
     linear_profile,
     m_to_hoyt_q,
     m_to_rice_k,
@@ -16,6 +17,7 @@ from qostbc import (
     severity_profile,
 )
 from qostbc.fading import parse_channel_spec, parse_profile_spec, severity_family
+from qostbc.harness import branch_stats
 
 
 class TestSeverityConversions:
@@ -167,6 +169,77 @@ class TestProfiles:
     def test_severity_needs_two(self):
         with pytest.raises(ValueError):
             severity_profile(1)
+
+
+def old_sample_gain(stat, rng, size):
+    """The gain generator as first written, kept to pin today's stream."""
+    omega = stat.omega
+    if stat.family == "rayleigh" or (stat.family in ("rice", "hoyt") and stat.m == 1.0):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return np.sqrt(omega / 2.0) * z
+    if stat.family == "rice":
+        kf = m_to_rice_k(stat.m)
+        los = np.sqrt(omega * kf / (1.0 + kf))
+        diff = np.sqrt(omega / (2.0 * (1.0 + kf)))
+        return los + diff * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    if stat.family == "hoyt":
+        q = m_to_hoyt_q(stat.m)
+        s_i = np.sqrt(omega / (1.0 + q * q))
+        s_q = q * s_i
+        z = s_i * rng.standard_normal(size) + 1j * s_q * rng.standard_normal(size)
+        return z * np.exp(2j * np.pi * rng.random(size))
+    power = rng.gamma(stat.m, omega / stat.m, size)
+    return np.sqrt(power) * np.exp(2j * np.pi * rng.random(size))
+
+
+def old_add_awgn(signal, n0, rng):
+    noise = rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape)
+    return signal + np.sqrt(n0 / 2.0) * noise
+
+
+class TestBitIdentical:
+    """The generators draw and return exactly what their first forms did."""
+
+    @pytest.mark.parametrize("stat", STATS + [BranchStat("hoyt", 0.5), BranchStat("rice", 1.0)],
+                             ids=lambda s: f"{s.family}-{s.m}")
+    @pytest.mark.parametrize("size", [(4096,), (32, 2)])
+    def test_sample_gain(self, stat, size):
+        got = sample_gain(stat, np.random.default_rng(9), size)
+        want = old_sample_gain(stat, np.random.default_rng(9), size)
+        assert np.array_equal(got, want)
+
+    def test_sample_gain_scalar(self):
+        for stat in STATS:
+            got = sample_gain(stat, np.random.default_rng(3))
+            assert np.ndim(got) == 0
+            assert got == old_sample_gain(stat, np.random.default_rng(3), None)
+
+    def test_add_awgn(self):
+        signal = np.arange(24.0).reshape(2, 3, 4) * (1 - 2j)
+        got = add_awgn(signal, 0.3, np.random.default_rng(4))
+        assert np.array_equal(got, old_add_awgn(signal, 0.3, np.random.default_rng(4)))
+        assert np.array_equal(signal, np.arange(24.0).reshape(2, 3, 4) * (1 - 2j))
+
+    @pytest.mark.parametrize("channel,profile,n_t", [
+        (channel, profile, n_t)
+        for channel, profile in [
+            ("rayleigh", "equipower"), ("rice:m=2", "equipower"), ("hoyt", "equipower"),
+            ("hoyt:m=0.7", "equipower"), ("nakagami:m=2", "equipower"), ("mixed", "equipower"),
+            ("rayleigh", "linear:pmax=2"),
+        ]
+        for n_t in (1, 3, 96)
+        if n_t > 1 or channel != "mixed"  # a severity profile needs two branches
+    ])
+    def test_sample_gains_is_the_branch_loop(self, channel, profile, n_t):
+        stats_ = branch_stats(n_t, channel, profile)
+        rng = np.random.default_rng(n_t)
+        got = sample_gains(stats_, rng, (32, 2))
+        tail = rng.random()
+        loop_rng = np.random.default_rng(n_t)
+        want = np.stack([old_sample_gain(st, loop_rng, (32, 2)) for st in stats_], axis=-1)
+        assert got.shape == (32, 2, n_t)
+        assert np.array_equal(got, want)
+        assert tail == loop_rng.random()  # the stream is left where the loop leaves it
 
 
 class TestAwgn:

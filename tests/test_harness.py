@@ -11,7 +11,7 @@ import pytest
 import qostbc
 import qostbc.channels as channels
 import qostbc.harness as harness
-from qostbc import build_mother, modulation, puncture
+from qostbc import modulation
 from qostbc.cli import main
 from qostbc.decoder import decode_batch
 from qostbc.harness import (
@@ -137,8 +137,7 @@ class TestRunSweep:
         # power-shared channel gains / sqrt(n_t) that scale the transmission
         cfg = small_config(k=k, n_t=k, modulation=mod)
         stats = branch_stats(k, cfg.channel, cfg.profile)
-        structure = puncture(build_mother(k), k)
-        errors, _ = harness._sim_batch(cfg, modulation(mod), structure, stats, 0.0, 0, 0, 512)
+        errors, _ = harness._sim_batch(cfg, modulation(mod), stats, 0.0, 0, 0, 512)
         assert errors == 0
 
     @pytest.mark.parametrize(
