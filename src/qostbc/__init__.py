@@ -13,7 +13,6 @@ from .codes import (
     build_mother,
     puncture,
     encode,
-    gram_check,
 )
 from .channels import encoded_channel_minors, received_blocks
 from .decoder import (

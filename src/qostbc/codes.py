@@ -30,7 +30,6 @@ __all__ = [
     "build_mother",
     "puncture",
     "encode",
-    "gram_check",
 ]
 
 
@@ -223,20 +222,3 @@ def encode(structure: EncodingStructure, s) -> np.ndarray:
     s = s.astype(np.result_type(s.dtype, np.int8), copy=False)
     sc = np.conj(s)
     return _signed_gather((s, sc, -s, -sc), structure.table)
-
-
-def gram_check(c: np.ndarray):
-    """Gram matrix diagnostics of an instantiated K-by-K mother matrix.
-
-    Computes ``G = C C^H`` once and returns the top-left ``K/2`` block
-    together with the largest absolute entry of the off-diagonal ``K/2``
-    block relative to the largest absolute entry of ``G``.  For a valid code
-    the off-diagonal blocks vanish and both diagonal blocks equal
-    ``A A^H + B B^H``.
-    """
-    c = np.asarray(c)
-    k = c.shape[0]
-    g = c @ c.conj().T
-    h = k // 2
-    residual = float(np.abs(g[:h, h:]).max()) / float(np.abs(g).max()) if h else 0.0
-    return g[:h, :h], residual

@@ -45,7 +45,8 @@ structure: its raw output order (:func:`symbol_order`) and one gain shared
 by every symbol.  It runs in complex128, where its precision degrades as
 ``K`` grows, so it serves tests at small ``K`` only.  The block splitting
 itself is checked exactly, at any ``K``, by
-:func:`qostbc.harness.reduction_residuals`.
+:func:`qostbc.harness.reduction_residuals`, which runs the same chain of
+products on residues; both split each product with ``_split_blocks``.
 """
 
 from __future__ import annotations
@@ -113,6 +114,23 @@ def permutation_indexes(n: int) -> PermutationPair:
     return PermutationPair(x[p == 1], x[p == 0])
 
 
+def _split_blocks(g):
+    """Split ``g`` of shape ``(..., n, n)`` along :func:`permutation_indexes` ``(n)``.
+
+    Returns ``(g00, g11), (g01, g10), (q0, q1)``: the two diagonal blocks,
+    the two off-blocks and the 0-based index sets, with ``gab`` the rows
+    ``qa`` and columns ``qb`` of ``g``.  The nested chain rests on the
+    off-blocks vanishing at every order.
+    """
+    pair = permutation_indexes(g.shape[-1])
+    q0, q1 = pair.p0 - 1, pair.p1 - 1
+    return (
+        (g[..., q0[:, None], q0], g[..., q1[:, None], q1]),
+        (g[..., q0[:, None], q1], g[..., q1[:, None], q0]),
+        (q0, q1),
+    )
+
+
 def _matched_filter(r, h1, h2):
     """Complex form ``c`` of the matched filter, ``[Re c; Im c] = A^T [Re r; Im r]``.
 
@@ -139,12 +157,9 @@ def symbol_order(k: int) -> np.ndarray:
     if not _is_power_of_two(k) or k < 2:
         raise ValueError(f"K={k} must be a power of two >= 2")
     cols = [np.arange(1, k // 2 + 1), np.arange(k // 2 + 1, k + 1)]
-    if k > 2:
-        pair = permutation_indexes(k // 2)
-        for i in range(1, int(np.log2(k))):
-            take = k // 2 ** (i + 1)
-            q0, q1 = pair.p0[:take] - 1, pair.p1[:take] - 1
-            cols = [c[q] for c in cols for q in (q0, q1)]
+    while len(cols[0]) > 1:
+        pair = permutation_indexes(len(cols[0]))
+        cols = [c[q - 1] for c in cols for q in (pair.p0, pair.p1)]
     return np.concatenate(cols)
 
 
@@ -304,42 +319,33 @@ def _combining_chain(received, h1, h2, k):
     log_scale = np.zeros(nbatch)
     m1, m2, vecs, log_scale = _normalise(m1, m2, vecs, log_scale)
 
-    if k > 2:
-        pair = permutation_indexes(k // 2)
-        for i in range(1, int(np.log2(k))):
-            take = k // 2 ** (i + 1)
-            q0, q1 = pair.p0[:take] - 1, pair.p1[:take] - 1
-            w = np.empty_like(vecs)
-            # even columns carry m1-type combinations and are advanced by
-            # m2^T, odd columns the other way round; both give the same
-            # next-order product by commutation
-            w[:, 0::2] = np.einsum("blm,bcl->bcm", m2, vecs[:, 0::2])
-            w[:, 1::2] = np.einsum("blm,bcl->bcm", m1, vecs[:, 1::2])
-            nxt = np.empty((nbatch, 2 * vecs.shape[1], take), dtype=complex)
-            nxt[:, 0::2] = w[..., q0]
-            nxt[:, 1::2] = w[..., q1]
-            vecs = nxt
-            ghat = np.einsum("blm,bln->bmn", m1, m2)
-            # the off-blocks are algebraic zeros, so any residual must be
-            # judged against the magnitude of the factors that formed the
-            # product, not against the (possibly tiny) product itself
-            off = np.maximum(
-                np.abs(ghat[:, q0[:, None], q1[None, :]]).reshape(nbatch, -1).max(axis=1),
-                np.abs(ghat[:, q1[:, None], q0[None, :]]).reshape(nbatch, -1).max(axis=1),
+    for i in range(1, int(np.log2(k))):
+        w = np.empty_like(vecs)
+        # even columns carry m1-type combinations and are advanced by
+        # m2^T, odd columns the other way round; both give the same
+        # next-order product by commutation
+        w[:, 0::2] = np.einsum("blm,bcl->bcm", m2, vecs[:, 0::2])
+        w[:, 1::2] = np.einsum("blm,bcl->bcm", m1, vecs[:, 1::2])
+        # the off-blocks are algebraic zeros, so any residual must be
+        # judged against the magnitude of the factors that formed the
+        # product, not against the (possibly tiny) product itself
+        fscale = np.linalg.norm(m1, axis=(1, 2)) * np.linalg.norm(m2, axis=(1, 2))
+        (m1, m2), offs, (q0, q1) = _split_blocks(np.einsum("blm,bln->bmn", m1, m2))
+        off = np.maximum(*(np.abs(o).reshape(nbatch, -1).max(axis=1) for o in offs))
+        if np.any(off > STRUCTURE_TOL * fscale):
+            worst = float((off / fscale).max())
+            raise DecompositionError(
+                f"permuted product not block-diagonal at order {i} (K={k}): "
+                f"relative off-block {worst:.3e}"
             )
-            fscale = np.linalg.norm(m1, axis=(1, 2)) * np.linalg.norm(m2, axis=(1, 2))
-            if np.any(off > STRUCTURE_TOL * fscale):
-                worst = float((off / fscale).max())
-                raise DecompositionError(
-                    f"permuted product not block-diagonal at order {i} (K={k}): "
-                    f"relative off-block {worst:.3e}"
-                )
-            m1 = ghat[:, q0[:, None], q0[None, :]]
-            m2 = ghat[:, q1[:, None], q1[None, :]]
-            # doubling of the accumulated scale before adding this stage's
-            # normalisation: the matrix chain squares per stage
-            log_scale = 2.0 * log_scale
-            m1, m2, vecs, log_scale = _normalise(m1, m2, vecs, log_scale)
+        nxt = np.empty((nbatch, 2 * vecs.shape[1], len(q0)), dtype=complex)
+        nxt[:, 0::2] = w[..., q0]
+        nxt[:, 1::2] = w[..., q1]
+        vecs = nxt
+        # doubling of the accumulated scale before adding this stage's
+        # normalisation: the matrix chain squares per stage
+        log_scale = 2.0 * log_scale
+        m1, m2, vecs, log_scale = _normalise(m1, m2, vecs, log_scale)
 
     raw = vecs[..., 0]  # (B, K)
     t1 = m1[:, 0, 0]

@@ -26,9 +26,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import analysis, fading
-from .codes import build_mother, puncture, encode, gram_check, walsh_basis, _is_power_of_two
+from .codes import build_mother, puncture, encode, walsh_basis, _is_power_of_two
 from .channels import encoded_channel_minors, received_blocks
-from .decoder import decode, decode_batch, permutation_indexes
+from .decoder import decode, decode_batch, permutation_indexes, _split_blocks
 from .modem import modulation, count_bit_errors
 
 __all__ = [
@@ -268,9 +268,10 @@ KNOWN_SPLITS = {
     16: ([1, 4, 6, 7, 10, 11, 13, 16], [2, 3, 5, 8, 9, 12, 14, 15]),
 }
 
-IDENTITY_TOL = 1e-12
-BLOCK_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-9
+
+# Largest |Re| and |Im| of the Gaussian-integer draws of the exact checks.
+EXACT_PART_MAX = 255
 
 # Modulus of the exact reduction check: the largest prime below 2^25.
 RESIDUE_PRIME = 33_554_393
@@ -318,7 +319,8 @@ def reduction_residuals(k: int, rng):
     ``g = B0^T B1`` from the two diagonal blocks, and so on.  It rests on
     the off-blocks of every ``g`` vanishing for every channel.  This runs
     the same chain on integers modulo ``RESIDUE_PRIME``, which checks that
-    exactly.
+    exactly; both chains split each ``g`` with the decoder's one helper,
+    ``_split_blocks``.
 
     Minor entries are ``+-h_j`` or 0 and the products use transposes only,
     so each off-block entry is an integer polynomial ``p(h, conj(h))``.  It
@@ -346,40 +348,46 @@ def reduction_residuals(k: int, rng):
     v1, v2 = encoded_channel_minors(v, k)
     a = b = (v1 @ u1.T + v2 @ u2.T) % RESIDUE_PRIME
     out = []
-    order = 1
-    while a.shape[-1] >= 2:
-        g = (a.T @ b) % RESIDUE_PRIME
-        pair = permutation_indexes(a.shape[-1])
-        q0, q1 = pair.p0 - 1, pair.p1 - 1
-        count = np.count_nonzero(g[np.ix_(q0, q1)]) + np.count_nonzero(g[np.ix_(q1, q0)])
-        out.append((order, int(count)))
-        a, b = g[np.ix_(q0, q0)], g[np.ix_(q1, q1)]
-        order += 1
+    for order in range(1, int(np.log2(k))):
+        (a, b), offs, _ = _split_blocks((a.T @ b) % RESIDUE_PRIME)
+        out.append((order, sum(int(np.count_nonzero(o)) for o in offs)))
     return out
 
 
 def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
-    """Run the structural suite for every block size up to ``k_max``.
+    """Run the structural suite for every block size ``K`` up to ``k_max``.
 
-    Covers: the encoded-channel factorisation identity, the Gram
-    block-orthogonality of the code, the block-diagonality of the matched
-    filter's product ``H1^H H1 + H2^T conj(H2)`` of the channel minors
-    (check ``channel-quasi-orthogonality``), block-diagonality of the
-    permuted reduced products at every order (exact, modulo a prime: see
-    :func:`reduction_residuals`; its value is the count of nonzero
-    off-block entries and must be 0), the decoder's fixed basis ``V = D W``
-    of :func:`~qostbc.decoder.walsh_basis` (check ``fixed-basis-diagonal``:
-    the larger of ``|V^H V - (K/2) I| / (K/2)`` and ``|B^H P B - (K/2)
-    diag(lambda, lambda)| / ((K/2) max lambda)``, with ``B = blockdiag(V,
-    V)``, ``P`` the matched filter's product and ``lambda`` the eigenvalues
-    :func:`~qostbc.decoder.decode` returns; on a Gaussian-integer channel
-    every sum is an integer below 2^53, so it must be 0), the simulator's
-    forward model :func:`~qostbc.channels.received_blocks` against
-    ``encode(...) @ h`` for ``n_t`` in ``{K, K-1, 3}`` (check
-    ``walsh-forward-model``: exact on Gaussian integers, so it must be 0),
-    noiseless decoding round trips, and the listed permutation index sets.
-    ``k_max`` is capped at ``RESIDUE_K_MAX``, beyond which the exact checks
-    would overflow.
+    Each ``K`` draws one Gaussian-integer ``s`` and ``h``, parts in
+    ``-EXACT_PART_MAX..EXACT_PART_MAX``, and forms ``C = encode(
+    build_mother(K), s)`` and the minors ``H1, H2`` of ``h`` once.  An
+    *exact* check has tolerance 0 and reports the largest absolute entry
+    of its residual:
+
+    - ``permutation-sets`` (exact): the listed splits of ``KNOWN_SPLITS``.
+    - ``received-block-identity`` (exact): ``[H1 s; H2 conj(s)] = C h``.
+    - ``code-gram-blocks`` (exact): the off-diagonal halves of ``C C^H``
+      vanish.
+    - ``reduction-block-diagonal`` (exact modulo a prime, ``K >= 4``): the
+      count of nonzero off-block entries of :func:`reduction_residuals`, on
+      residues of its own.
+    - ``fixed-basis-diagonal`` (exact): ``V = walsh_basis(K/2)`` has ``V^H V
+      = (K/2) I``, and ``B^H P B = (K/2) diag(lambda, lambda)`` with ``B =
+      blockdiag(V, V)``, the matched filter's ``P = H1^H H1 + H2^T
+      conj(H2)`` and the ``lambda`` of :func:`~qostbc.decoder.decode`.  As
+      ``B`` is invertible, the off-diagonal halves of ``P`` vanish too, so
+      each half of the filtered block sees one half of the symbols.
+    - ``walsh-forward-model(nt=...)`` (exact): the simulator's
+      :func:`~qostbc.channels.received_blocks` equals ``C h``, both cut to
+      the leftmost ``n_t`` in ``{K, K-1, 3}``.
+    - ``round-trip(nt=...,nr=...)`` (relative error at most
+      ``ROUNDTRIP_TOL``): noiseless decoding, on complex Gaussian draws of
+      its own.
+
+    Each exact check on ``s`` and ``h`` tests a polynomial identity of
+    degree 2 in their parts at one random point, so a broken identity
+    passes with probability at most ``2 / (2 EXACT_PART_MAX + 1)`` = 2 / 511
+    (Schwartz, J. ACM 1980).  ``k_max`` is capped at ``RESIDUE_K_MAX``,
+    beyond which the exact checks would overflow.
     """
     if not _is_power_of_two(k_max) or k_max < 2:
         raise ConfigError(f"K={k_max} must be a power of two >= 2")
@@ -391,76 +399,55 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     rng = np.random.default_rng(seed)
     checks = []
 
+    def exact(name, k, *residuals):
+        value = max(float(np.abs(r).max()) for r in residuals)
+        checks.append(CheckResult(name, k, value, 0.0, value == 0))
+
     def crandn(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     for n, (p0, p1) in sorted(KNOWN_SPLITS.items()):
         pair = permutation_indexes(n)
-        good = list(pair.p0) == p0 and list(pair.p1) == p1
-        checks.append(CheckResult("permutation-sets", n, 0.0 if good else 1.0, 0.0, good))
+        exact("permutation-sets", n, float(list(pair.p0) != p0 or list(pair.p1) != p1))
 
     k = 2
     while k <= k_max:
-        s = crandn(k)
-        h = crandn(k)
-        structure = build_mother(k)
-        c = encode(structure, s)
-
-        top_h1, top_h2 = encoded_channel_minors(h, k)
-        model = np.concatenate([top_h1 @ s, top_h2 @ np.conj(s)])
-        direct = c @ h
-        res = np.linalg.norm(direct - model) / np.linalg.norm(direct)
-        checks.append(CheckResult("received-block-identity", k, res, IDENTITY_TOL, res <= IDENTITY_TOL))
-
-        _, res = gram_check(c)
-        checks.append(CheckResult("code-gram-blocks", k, res, BLOCK_TOL, res <= BLOCK_TOL))
-
-        # the matched filter's product: its off-diagonal half-blocks vanish,
-        # so each half of the filtered block sees one half of the symbols
-        p = top_h1.conj().T @ top_h1 + top_h2.T @ np.conj(top_h2)
         half = k // 2
-        res = max(
-            float(np.abs(p[:half, half:]).max()), float(np.abs(p[half:, :half]).max())
-        ) / float(np.abs(p).max())
-        checks.append(CheckResult("channel-quasi-orthogonality", k, res, BLOCK_TOL, res <= BLOCK_TOL))
-
-        if k >= 4:
-            count = sum(c for _, c in reduction_residuals(k, rng))
-            checks.append(CheckResult("reduction-block-diagonal", k, count, 0.0, count == 0))
-
-        # Gaussian-integer gains below 2^8 keep every sum in the basis check
-        # an integer below K^3 * 2^15, exact in float64 up to K = 4096 =
-        # RESIDUE_K_MAX, so any nonzero residual is an error
-        g = rng.integers(-255, 256, size=(2, k))
-        g = g[0] + 1j * g[1]
-        g1, g2 = encoded_channel_minors(g, k)
-        p = g1.conj().T @ g1 + g2.T @ g2.conj()
-        lam = decode(np.zeros(k), g, k).eigenvalues
-        v = walsh_basis(half)
-        o = v.conj().T @ v
-        o[np.diag_indices(half)] -= half
-        b = np.kron(np.eye(2), v)
-        d = b.conj().T @ p @ b
-        d[np.diag_indices(k)] -= half * np.tile(lam, 2)
-        res = float(max(np.abs(o).max() / half, np.abs(d).max() / (half * lam.max())))
-        checks.append(CheckResult("fixed-basis-diagonal", k, res, 0.0, res == 0))
-
-        # the simulator's forward model against the code's own encoder, on
-        # Gaussian integers below 2^8: the transforms x = V^T s and g = V^H h
-        # have parts below (K/2) 2^8, each Alamouti pair of them parts below
-        # K^2 2^16, and the final sum of K/2 pairs parts below K^3 2^15 <=
-        # 2^51 up to K = 4096 = RESIDUE_K_MAX (the 1 / (K/2) is a power of
-        # two), so every sum is exact in float64 and any residual is an error
-        z = rng.integers(-255, 256, size=(2, 2 * k))
+        # The exact checks below are exact in float64.  Written out, each of
+        # their sums adds products of two entries of s or h, each with |Re|,
+        # |Im| at most 2 EXACT_PART_MAX^2 = 130050 < 2^17 (V, 1 / (K/2) and the
+        # residues modulo RESIDUE_PRIME add no rounding).  The longest, an
+        # entry of B^H P B, has fewer than K^3 terms, so every partial sum
+        # stays below 4096^3 * 2^17 = 2^53 up to K = RESIDUE_K_MAX.
+        z = rng.integers(-EXACT_PART_MAX, EXACT_PART_MAX + 1, size=(2, 2 * k))
         z = z[0] + 1j * z[1]
         s, h = z[:k], z[k:]
+        structure = build_mother(k)
         code = encode(structure, s)
+        h1, h2 = encoded_channel_minors(h, k)
+
+        exact("received-block-identity", k, np.concatenate([h1 @ s, h2 @ s.conj()]) - code @ h)
+
+        # the off-diagonal half of C C^H; the other is its conjugate transpose
+        exact("code-gram-blocks", k, code[:half] @ code[half:].conj().T)
+
+        if k >= 4:
+            exact("reduction-block-diagonal", k, sum(c for _, c in reduction_residuals(k, rng)))
+
+        p = h1.conj().T @ h1 + h2.T @ h2.conj()
+        lam = decode(np.zeros(k), h, k).eigenvalues
+        v = walsh_basis(half)
+        b = np.kron(np.eye(2), v)
+        exact(
+            "fixed-basis-diagonal", k,
+            v.conj().T @ v - half * np.eye(half),
+            b.conj().T @ p @ b - np.diag(half * np.tile(lam, 2)),
+        )
+
         for n_t in sorted({k, k - 1, min(3, k)}):
             # puncturing keeps the leftmost n_t antennas
-            direct = code[:, :n_t] @ h[:n_t]
             walsh = received_blocks(s[None], h[None, None, :n_t], k)[0, :, 0]
-            res = float(np.linalg.norm(walsh - direct) / np.linalg.norm(direct))
-            checks.append(CheckResult(f"walsh-forward-model(nt={n_t})", k, res, 0.0, res == 0))
+            exact(f"walsh-forward-model(nt={n_t})", k, walsh - code[:, :n_t] @ h[:n_t])
 
         for n_r in (1, 2, 4):
             for n_t in sorted({k, k - 1, min(3, k)}):

@@ -193,6 +193,17 @@ class TestHigherOrderReduce:
         for order, count in res:
             assert count == 0, (k, order, count)
 
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_split_blocks_against_ix(self, n):
+        # the one split of the chain and its exact check, on a batch of
+        # matrices: four blocks along the permutation sets
+        g = np.arange(3 * n * n).reshape(3, n, n)
+        (g00, g11), (g01, g10), (q0, q1) = decoder._split_blocks(g)
+        pair = permutation_indexes(n)
+        assert np.array_equal(q0, pair.p0 - 1) and np.array_equal(q1, pair.p1 - 1)
+        for got, (a, b) in zip((g00, g11, g01, g10), ((q0, q0), (q1, q1), (q0, q1), (q1, q0))):
+            assert np.array_equal(got, np.stack([m[np.ix_(a, b)] for m in g]))
+
     def test_cross_product_commutes(self):
         rng = np.random.default_rng(10)
         red = reduced_matrix(crandn(rng, 16), 16)

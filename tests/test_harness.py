@@ -206,7 +206,6 @@ class TestVerify:
             "permutation-sets",
             "received-block-identity",
             "code-gram-blocks",
-            "channel-quasi-orthogonality",
             "reduction-block-diagonal",
             "round-trip",
         } <= names
@@ -253,14 +252,41 @@ class TestVerify:
         assert [c.k for c in reduction] == [2**i for i in range(2, 9)]
         assert all(c.value == 0 and c.tol == 0 for c in reduction)
 
-    def test_fixed_basis_check_is_exact(self):
-        # Gaussian-integer gains below 2^8 keep every sum of the check an
-        # integer below K^3 * 2^15, exact in float64 up to RESIDUE_K_MAX
-        assert harness.RESIDUE_K_MAX**3 * 2**15 <= 2**53
-        for seed in (0, 7):
-            basis = [c for c in verify(64, seed=seed).checks if c.name == "fixed-basis-diagonal"]
-            assert [c.k for c in basis] == [2**i for i in range(1, 7)]
-            assert all(c.value == 0 and c.tol == 0 and c.passed for c in basis)
+    def test_structural_checks_are_exact(self):
+        # each product of two Gaussian-integer draws has |Re|, |Im| at most
+        # 2 * EXACT_PART_MAX^2, and no sum has K^3 of them: exact in float64
+        # up to RESIDUE_K_MAX
+        assert harness.RESIDUE_K_MAX**3 * 2 * harness.EXACT_PART_MAX**2 < 2**53
+        for seed in range(5):
+            checks = verify(64, seed=seed).checks
+            exact = [c for c in checks if not c.name.startswith("round-trip")]
+            assert {c.name.split("(")[0] for c in exact} == {
+                "permutation-sets", "received-block-identity", "code-gram-blocks",
+                "reduction-block-diagonal", "fixed-basis-diagonal", "walsh-forward-model"}
+            assert all(c.value == 0 and c.tol == 0 and c.passed for c in exact), [
+                c.line() for c in exact if c.value or c.tol]
+
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    def test_minor_sign_flip_detected(self, k, monkeypatch):
+        # flipping the sign of one minor entry at one K breaks the received
+        # block and the matched filter's product there, and nowhere else
+        real_tables = channels._minor_tables
+        real = real_tables(k, k)
+        rng = np.random.default_rng(100 + k)
+        for _ in range(3):
+            which = int(rng.integers(2))
+            idx = tuple(rng.choice(np.argwhere(real[which] != 0)))
+            bad = [t.copy() for t in real]
+            v = bad[which][idx]
+            bad[which][idx] = v + k if v <= k else v - k  # +h_j <-> -h_j
+            monkeypatch.setattr(
+                channels, "_minor_tables",
+                lambda kk, n_t, bad=tuple(bad): bad if (kk, n_t) == (k, k) else real_tables(kk, n_t),
+            )
+            report = verify(32, seed=k)
+            failed = {c.name for c in report.checks if not c.passed and c.k == k}
+            assert {"received-block-identity", "fixed-basis-diagonal"} <= failed, (which, idx)
+            assert all(c.passed for c in report.checks if c.k != k)
 
     def test_rejects_k_beyond_residue_bound(self):
         with pytest.raises(ConfigError, match="4096"):
