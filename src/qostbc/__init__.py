@@ -18,14 +18,10 @@ from .channels import encoded_channel_minors, received_blocks
 from .decoder import (
     PermutationPair,
     DecodeResult,
-    ChainResult,
-    DecompositionError,
     DegenerateChannelError,
     permutation_indexes,
-    symbol_order,
     decode,
     decode_batch,
-    chain_decode,
 )
 from .modem import Modulation, modulation, psk_distance_spectrum, count_bit_errors
 from .fading import (

@@ -31,22 +31,6 @@ gains of an Alamouti combiner.  Products with ``+-1`` and ``+-i`` are
 exact, so nearly singular channels keep their relative precision.  Each
 half of the estimate is ``V diag(1 / ((K/2) lambda)) V^H`` times that half
 of ``c``, with ``c`` from the encoded channel minors.
-
-The paper's nested combining chain exists once in floating point, as the
-reference :func:`chain_decode`.  Per receive antenna it combines the
-received block with the encoded channel minors into two half-length
-vectors that depend on disjoint symbol halves: the first-order reduced
-matrix ``M = conj(H1 H1^H + H2 H2^H) / 2`` maps each half to its vector.
-At every order the real product of the two current matrices splits into
-blocks along :func:`permutation_indexes`; the chain advances the vectors,
-splits them the same way and carries the two diagonal blocks on, until
-every symbol is decoupled.  It computes the same estimate and shows the paper's
-structure: its raw output order (:func:`symbol_order`) and one gain shared
-by every symbol.  It runs in complex128, where its precision degrades as
-``K`` grows, so it serves tests at small ``K`` only.  The block splitting
-itself is checked exactly, at any ``K``, by
-:func:`qostbc.harness.reduction_residuals`, which runs the same chain of
-products on residues; both split each product with ``_split_blocks``.
 """
 
 from __future__ import annotations
@@ -61,24 +45,11 @@ from .codes import _is_power_of_two, walsh_basis
 __all__ = [
     "PermutationPair",
     "DecodeResult",
-    "ChainResult",
-    "DecompositionError",
     "DegenerateChannelError",
     "permutation_indexes",
-    "symbol_order",
     "decode",
     "decode_batch",
-    "chain_decode",
 ]
-
-# Relative tolerance of the reference chain (chain_decode) for the
-# block-diagonality of its permuted products, met in complex128 at the small
-# K the chain serves; harness.reduction_residuals checks the same property
-# exactly.
-STRUCTURE_TOL = 1e-8
-
-class DecompositionError(RuntimeError):
-    """A structural property of the code failed to hold."""
 
 
 class DegenerateChannelError(ValueError):
@@ -119,8 +90,9 @@ def _split_blocks(g):
 
     Returns ``(g00, g11), (g01, g10), (q0, q1)``: the two diagonal blocks,
     the two off-blocks and the 0-based index sets, with ``gab`` the rows
-    ``qa`` and columns ``qb`` of ``g``.  The nested chain rests on the
-    off-blocks vanishing at every order.
+    ``qa`` and columns ``qb`` of ``g``.  The paper's nested chain rests on
+    the off-blocks vanishing at every order, which
+    :func:`qostbc.harness.reduction_residuals` checks with this split.
     """
     pair = permutation_indexes(g.shape[-1])
     q0, q1 = pair.p0 - 1, pair.p1 - 1
@@ -145,22 +117,6 @@ def _matched_filter(r, h1, h2):
     np.conjugate(c, out=c)
     c += r[..., half:].conj() @ h2
     return c
-
-
-def symbol_order(k: int) -> np.ndarray:
-    """Symbol index (1-based) carried by each raw decoder output position.
-
-    Starts from the two columns ``[1..K/2]`` and ``[K/2+1..K]`` and splits
-    every column into its p0-prefix and p1-prefix rows at each stage, the
-    same schedule the decoder applies to the combined vectors.
-    """
-    if not _is_power_of_two(k) or k < 2:
-        raise ValueError(f"K={k} must be a power of two >= 2")
-    cols = [np.arange(1, k // 2 + 1), np.arange(k // 2 + 1, k + 1)]
-    while len(cols[0]) > 1:
-        pair = permutation_indexes(len(cols[0]))
-        cols = [c[q - 1] for c in cols for q in (pair.p0, pair.p1)]
-    return np.concatenate(cols)
 
 
 @dataclass(frozen=True)
@@ -233,14 +189,6 @@ def decode_batch(received, channels, k: int = None):
     return (y.reshape(-1, half) @ v.T).reshape(nbatch, k), lam
 
 
-def _single_block(received, channels):
-    received = np.asarray(received, dtype=complex)
-    if received.ndim == 1:
-        received = received[:, None]
-    channels = np.atleast_2d(np.asarray(channels, dtype=complex))
-    return received[None], channels[None]
-
-
 def decode(received, channels, k: int = None) -> DecodeResult:
     """Decode one received block (possibly from several receive antennas).
 
@@ -259,99 +207,8 @@ def decode(received, channels, k: int = None) -> DecodeResult:
         In the noiseless case ``estimates`` equals the transmitted symbol
         vector to numerical precision.
     """
-    est, lam = decode_batch(*_single_block(received, channels), k)
+    received = np.asarray(received)
+    if received.ndim == 1:
+        received = received[:, None]
+    est, lam = decode_batch(received[None], np.atleast_2d(channels)[None], k)
     return DecodeResult(est[0], lam[0])
-
-
-@dataclass(frozen=True)
-class ChainResult:
-    """Output of the reference nested chain for one block.
-
-    ``gain`` is the terminal normalisation scalar within the rescaled
-    chain; the absolute combining gain is ``gain * exp(log_scale)`` (kept
-    in log form because it overflows a double for large blocks).
-    ``raw_estimates`` are the decoupled outputs before reordering and
-    before the terminal division.
-    """
-
-    estimates: np.ndarray
-    gain: float
-    log_scale: float
-    raw_estimates: np.ndarray
-
-
-def chain_decode(received, channels, k: int = None) -> ChainResult:
-    """Decode one block with the paper's nested combining chain.
-
-    Takes the same inputs as :func:`decode` and computes the same estimate
-    at small ``K``; see the module docstring for its role.
-    """
-    received, channels = _single_block(received, channels)
-    if k is None:
-        k = received.shape[1]
-    h1, h2 = encoded_channel_minors(channels, k)
-    est, gain, log_scale, raw = _combining_chain(received, h1, h2, k)
-    return ChainResult(est[0], float(gain[0]), float(log_scale[0]), raw[0])
-
-
-def _combining_chain(received, h1, h2, k):
-    """The nested combining chain given precomputed minors."""
-    nbatch = received.shape[0]
-    r = np.transpose(received, (0, 2, 1))[..., None, :]  # (B, nr, 1, K)
-    # antenna summation in fixed index order (reproducible reduction)
-    c = _matched_filter(r, h1, h2)[:, :, 0].sum(axis=1)
-    vecs = c.reshape(nbatch, 2, k // 2)
-    # first-order reduced matrix conj(H1 H1^H + H2 H2^H) / 2, (B, K/2, K/2)
-    g = h1 @ np.swapaxes(h1, -1, -2).conj() + h2 @ np.swapaxes(h2, -1, -2).conj()
-    m1 = np.conj(g).sum(axis=1) / 2.0
-    m2 = m1.copy()
-
-    def _normalise(m1, m2, vecs, log_scale):
-        nrm = np.linalg.norm(m1, axis=(1, 2))
-        inv = 1.0 / nrm
-        return (
-            m1 * inv[:, None, None],
-            m2 * inv[:, None, None],
-            vecs * inv[:, None, None],
-            log_scale + np.log(nrm),
-        )
-
-    log_scale = np.zeros(nbatch)
-    m1, m2, vecs, log_scale = _normalise(m1, m2, vecs, log_scale)
-
-    for i in range(1, int(np.log2(k))):
-        w = np.empty_like(vecs)
-        # even columns carry m1-type combinations and are advanced by
-        # m2^T, odd columns the other way round; both give the same
-        # next-order product by commutation
-        w[:, 0::2] = np.einsum("blm,bcl->bcm", m2, vecs[:, 0::2])
-        w[:, 1::2] = np.einsum("blm,bcl->bcm", m1, vecs[:, 1::2])
-        # the off-blocks are algebraic zeros, so any residual must be
-        # judged against the magnitude of the factors that formed the
-        # product, not against the (possibly tiny) product itself
-        fscale = np.linalg.norm(m1, axis=(1, 2)) * np.linalg.norm(m2, axis=(1, 2))
-        (m1, m2), offs, (q0, q1) = _split_blocks(np.einsum("blm,bln->bmn", m1, m2))
-        off = np.maximum(*(np.abs(o).reshape(nbatch, -1).max(axis=1) for o in offs))
-        if np.any(off > STRUCTURE_TOL * fscale):
-            worst = float((off / fscale).max())
-            raise DecompositionError(
-                f"permuted product not block-diagonal at order {i} (K={k}): "
-                f"relative off-block {worst:.3e}"
-            )
-        nxt = np.empty((nbatch, 2 * vecs.shape[1], len(q0)), dtype=complex)
-        nxt[:, 0::2] = w[..., q0]
-        nxt[:, 1::2] = w[..., q1]
-        vecs = nxt
-        # doubling of the accumulated scale before adding this stage's
-        # normalisation: the matrix chain squares per stage
-        log_scale = 2.0 * log_scale
-        m1, m2, vecs, log_scale = _normalise(m1, m2, vecs, log_scale)
-
-    raw = vecs[..., 0]  # (B, K)
-    t1 = m1[:, 0, 0]
-    t2 = m2[:, 0, 0]
-    scal = np.where(np.arange(k) % 2 == 0, t1[:, None], t2[:, None])
-    order = symbol_order(k)
-    estimates = np.empty((nbatch, k), dtype=complex)
-    estimates[:, order - 1] = raw / scal
-    return estimates, t1.real, log_scale, raw

@@ -48,9 +48,20 @@ __all__ = [
 
 CSV_HEADER = "esno_db,ber_sim,ber_analytic,trials,bit_errors,seconds"
 
+# Most worker threads a sweep may start: each runs one batch at a time.
+MAX_WORKERS = 64
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _check_block_size(k):
+    """Accept the block sizes that ``verify`` certifies: 2, 4, .., ``RESIDUE_K_MAX``."""
+    if not _is_power_of_two(k) or k < 2:
+        raise ConfigError(f"K={k} must be a power of two >= 2")
+    if k > RESIDUE_K_MAX:
+        raise ConfigError(f"K={k} exceeds {RESIDUE_K_MAX}, the largest block size verify supports")
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "esno_db", tuple(float(e) for e in self.esno_db))
-        if not _is_power_of_two(self.k):
-            raise ConfigError(f"K={self.k} must be a power of two")
+        _check_block_size(self.k)
         if not 1 <= self.n_t <= self.k:
             raise ConfigError(f"n_t={self.n_t} must lie in 1..K={self.k}")
         if self.n_r < 1:
@@ -80,8 +90,8 @@ class ExperimentConfig:
             raise ConfigError("empty Es/N0 sweep")
         if self.trials < 1 or self.target_errors < 1 or self.batch < 1:
             raise ConfigError("trials, target_errors and batch must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers={self.workers} must lie in 1..{MAX_WORKERS}")
         try:
             modulation(self.modulation)
             branch_stats(self.n_t, self.channel, self.profile)
@@ -313,14 +323,16 @@ class VerifyReport:
 def reduction_residuals(k: int, rng):
     """Nonzero off-block entries of the permuted products at every reduction order.
 
-    The chain of :func:`qostbc.decoder.chain_decode` starts from the
-    first-order reduced matrix ``M = conj(H1 H1^H + H2 H2^H) / 2``, forms
-    ``g = M^T M``, splits it along ``permutation_indexes``, forms
-    ``g = B0^T B1`` from the two diagonal blocks, and so on.  It rests on
-    the off-blocks of every ``g`` vanishing for every channel.  This runs
-    the same chain on integers modulo ``RESIDUE_PRIME``, which checks that
-    exactly; both chains split each ``g`` with the decoder's one helper,
-    ``_split_blocks``.
+    The paper decodes with a chain of reductions.  The matched filter of a
+    block gives two half-length vectors, each the first-order reduced
+    matrix ``M = conj(H1 H1^H + H2 H2^H) / 2`` times one symbol half.  The
+    chain forms ``g = M^T M``, splits it along ``permutation_indexes`` into
+    diagonal blocks ``B0, B1``, forms ``g = B0^T B1``, and so on, splitting
+    the vectors alongside until every symbol stands alone; the tests run
+    it in floating point (``tests/oracles.py``).  It rests on the
+    off-blocks of every ``g`` vanishing for every channel.  This runs the
+    same chain of products on integers modulo ``RESIDUE_PRIME``, which
+    checks that exactly, splitting each ``g`` with ``_split_blocks``.
 
     Minor entries are ``+-h_j`` or 0 and the products use transposes only,
     so each off-block entry is an integer polynomial ``p(h, conj(h))``.  It
@@ -330,11 +342,11 @@ def reduction_residuals(k: int, rng):
     coefficients are zero and it vanishes modulo any prime.  So ``u`` and
     ``v`` are drawn from ``rng`` as independent residues; the minors of
     ``v`` stand for the conjugates of those of ``u``, which gives ``2M``.
-    The factor 2, and the normalisations the float chain applies, scale
-    each product by a nonzero constant and leave its zeros in place.  A
-    correct code thus counts 0 on every draw, while a sign error leaves a
-    nonzero polynomial of degree at most ``K``, zero at a random point with
-    probability at most ``K / RESIDUE_PRIME`` (Schwartz, J. ACM 1980).
+    The factor 2 scales each product by a nonzero constant and leaves its
+    zeros in place.  A correct code thus counts 0 on every draw, while a
+    sign error leaves a nonzero polynomial of degree at most ``K``, zero at
+    a random point with probability at most ``K / RESIDUE_PRIME``
+    (Schwartz, J. ACM 1980).
 
     Returns
     -------
@@ -389,13 +401,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     (Schwartz, J. ACM 1980).  ``k_max`` is capped at ``RESIDUE_K_MAX``,
     beyond which the exact checks would overflow.
     """
-    if not _is_power_of_two(k_max) or k_max < 2:
-        raise ConfigError(f"K={k_max} must be a power of two >= 2")
-    if k_max > RESIDUE_K_MAX:
-        raise ConfigError(
-            f"K={k_max} exceeds {RESIDUE_K_MAX}, the largest block size the exact "
-            "reduction check supports"
-        )
+    _check_block_size(k_max)
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -11,17 +11,14 @@ import numpy as np
 import pytest
 
 from qostbc import (
-    DecompositionError,
     DegenerateChannelError,
     build_mother,
-    chain_decode,
     decode,
     decode_batch,
     encode,
     encoded_channel_minors,
     permutation_indexes,
     puncture,
-    symbol_order,
     verify,
     walsh_basis,
 )
@@ -29,7 +26,7 @@ import qostbc.channels as channels
 import qostbc.decoder as decoder
 import qostbc.harness as harness
 from qostbc.harness import reduction_residuals
-from oracles import channel_gram, real_form, sylvester, walsh_dw
+from oracles import chain_decode, channel_gram, real_form, symbol_order, sylvester, walsh_dw
 
 
 def crandn(rng, *shape):
@@ -174,7 +171,7 @@ class TestHigherOrderReduce:
         assert reduction_residuals(4, rng) == [(1, 0)]
 
     def test_k8_chain_block_diagonal(self):
-        # the float products the reference chain forms split at both orders
+        # the float products the oracle chain forms split at both orders
         rng = np.random.default_rng(9)
         a = b = reduced_matrix(crandn(rng, 8), 8)
         sizes = []
@@ -195,7 +192,7 @@ class TestHigherOrderReduce:
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_split_blocks_against_ix(self, n):
-        # the one split of the chain and its exact check, on a batch of
+        # the one split of the exact reduction check, on a batch of
         # matrices: four blocks along the permutation sets
         g = np.arange(3 * n * n).reshape(3, n, n)
         (g00, g11), (g01, g10), (q0, q1) = decoder._split_blocks(g)
@@ -211,24 +208,6 @@ class TestHigherOrderReduce:
         lhs = b0.T @ b1
         rhs = b1.T @ b0
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
-
-    def test_corrupted_matrix_raises(self, monkeypatch):
-        # one flipped sign in a minor breaks the manifold structure, and the
-        # reference chain refuses to split its products
-        real = decoder.encoded_channel_minors
-
-        def corrupted(h, k):
-            h1, h2 = real(h, k)
-            h1 = h1.copy()
-            h1[..., 0, 1] *= -1
-            return h1, h2
-
-        monkeypatch.setattr(decoder, "encoded_channel_minors", corrupted)
-        rng = np.random.default_rng(11)
-        h = crandn(rng, 8)
-        r = encode(build_mother(8), crandn(rng, 8)) @ h
-        with pytest.raises(DecompositionError):
-            chain_decode(r, h, 8)
 
 
 class TestSymbolOrder:
@@ -259,11 +238,11 @@ class TestSymbolOrder:
             s = np.zeros(k, dtype=complex)
             s[j] = 1.0
             r = encode(st, s) @ h
-            res = chain_decode(r, h, k)
-            hot = int(np.argmax(np.abs(res.raw_estimates)))
+            raw = chain_decode(r, h, k)[2]
+            hot = int(np.argmax(np.abs(raw)))
             assert order[hot] == j + 1
-            others = np.delete(np.abs(res.raw_estimates), hot)
-            assert others.max() <= 1e-10 * np.abs(res.raw_estimates[hot])
+            others = np.delete(np.abs(raw), hot)
+            assert others.max() <= 1e-10 * np.abs(raw[hot])
 
 
 class TestDecode:
@@ -275,11 +254,9 @@ class TestDecode:
         res = decode(r, h, 2)
         np.testing.assert_allclose(res.estimates, s, rtol=1e-12)
         np.testing.assert_allclose(res.eigenvalues, [np.sum(np.abs(h) ** 2)], rtol=1e-12)
-        chain = chain_decode(r, h, 2)
-        np.testing.assert_allclose(chain.estimates, s, rtol=1e-12)
-        np.testing.assert_allclose(
-            chain.gain * np.exp(chain.log_scale), np.sum(np.abs(h) ** 2), rtol=1e-12
-        )
+        est, gain, _ = chain_decode(r, h, 2)
+        np.testing.assert_allclose(est, s, rtol=1e-12)
+        np.testing.assert_allclose(gain, np.sum(np.abs(h) ** 2), rtol=1e-12)
 
     def test_k64_four_antennas(self):
         rng = np.random.default_rng(14)
@@ -307,8 +284,7 @@ class TestDecode:
         s = np.zeros(8, dtype=complex)
         s[3] = 1.0  # symbol s4: raw position 2 (1-based) in [1,4,2,3,...]
         r = encode(build_mother(8), s) @ h
-        res = chain_decode(r, h, 8)
-        mags = np.abs(res.raw_estimates)
+        mags = np.abs(chain_decode(r, h, 8)[2])
         assert np.argmax(mags) == 1
         assert np.delete(mags, 1).max() <= 1e-10 * mags[1]
 
@@ -318,8 +294,7 @@ class TestDecode:
         s = crandn(rng, k)
         h = crandn(rng, 2, k)
         r = encode(build_mother(k), s) @ h.T
-        res = chain_decode(r, h, k)
-        ratios = res.raw_estimates / s[symbol_order(k) - 1]
+        ratios = chain_decode(r, h, k)[2] / s[symbol_order(k) - 1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
         assert abs(ratios[0].imag) <= 1e-10 * abs(ratios[0])
         assert ratios[0].real > 0
@@ -381,10 +356,8 @@ class TestCombinerWeights:
             h = crandn(rng, 2)
             s = crandn(rng, 2)
             r = encode(build_mother(2), s) @ h
-            res = chain_decode(r, h, 2)
-            np.testing.assert_allclose(
-                res.gain * np.exp(res.log_scale), np.sum(np.abs(h) ** 2), rtol=1e-10
-            )
+            gain = chain_decode(r, h, 2)[1]
+            np.testing.assert_allclose(gain, np.sum(np.abs(h) ** 2), rtol=1e-10)
 
 
 def lstsq_oracle(received, gains, k):
@@ -603,7 +576,7 @@ class TestFixedBasis:
         s = crandn(rng, k)
         hh = crandn(rng, 2, k)
         r = encode(build_mother(k), s) @ hh.T + 0.3 * crandn(rng, k, 2)
-        chain = chain_decode(r, hh, k).estimates
+        chain = chain_decode(r, hh, k)[0]
         fixed = decode(r, hh, k).estimates
         assert np.linalg.norm(chain - fixed) <= 1e-10 * np.linalg.norm(fixed)
 

@@ -44,8 +44,9 @@ def small_config(**kw):
 
 class TestConfig:
     def test_rejects_bad_k(self):
-        with pytest.raises(ConfigError):
-            small_config(k=6)
+        for k in (6, 1):
+            with pytest.raises(ConfigError, match="power of two"):
+                small_config(k=k, n_t=1)
 
     def test_rejects_nt_over_k(self):
         with pytest.raises(ConfigError):
@@ -433,6 +434,9 @@ class TestCli:
             ["analyze", "--mod", "qpsk", "--nt", "2", "--omega-list", "1,inf"],
             ["analyze", "--mod", "qpsk", "--nt", "2", "--profile", "linear:pmax=inf"],
             ["simulate", "--K", "4", "--channel", "nakagami:m=inf"],
+            ["simulate", "--K", "1"],
+            ["simulate", "--K", "8192"],
+            ["simulate", "--K", "2", "--workers", "65"],
         ],
         ids=" ".join,
     )
