@@ -47,14 +47,22 @@ def _add_sweep_flags(p):
     p.add_argument("--out", type=str, default=None, help="CSV output path (stdout if omitted)")
 
 
+def _open_out(path, mode="w"):
+    """Open an output file; a path that cannot be written is a configuration error."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise harness.ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_csv(text, out_path, sidecar=None):
     if out_path is None:
         sys.stdout.write(text)
         return
-    with open(out_path, "w") as fh:
+    with _open_out(out_path) as fh:
         fh.write(text)
     if sidecar is not None:
-        with open(out_path + ".json", "w") as fh:
+        with _open_out(out_path + ".json") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -91,6 +99,8 @@ def _cmd_simulate(args):
         batch=args.batch,
         workers=args.workers,
     )
+    if args.out is not None:
+        _open_out(args.out, "a").close()  # fail before the sweep, not after it
     result = harness.run_sweep(config)
     sidecar = dict(
         result.config_dict(),

@@ -101,6 +101,8 @@ class ExperimentConfig:
 
 def branch_stats(n_t: int, channel: str, profile: str):
     """Per-transmit-branch fading statistics for a channel/profile spec."""
+    if n_t < 1:
+        raise ValueError("n_t must be >= 1")
     family, m = fading.parse_channel_spec(channel)
     if family == "mixed":
         # ascending severity paired with descending power, total power one
@@ -283,10 +285,10 @@ ROUNDTRIP_TOL = 1e-9
 # Largest |Re| and |Im| of the Gaussian-integer draws of the exact checks.
 EXACT_PART_MAX = 255
 
-# Modulus of the exact reduction check: the largest prime below 2^25.
-RESIDUE_PRIME = 33_554_393
-# Largest K whose residue products stay exact in int64: the first one sums
-# 2K products of magnitude below RESIDUE_PRIME^2, and 2 * 4096 * P^2 < 2^63.
+# Modulus of the exact reduction check: the largest prime below 2^20.
+RESIDUE_PRIME = 1_048_573
+# Largest K whose residue products stay exact in float64: the first one sums
+# 2K products of magnitude below RESIDUE_PRIME^2, and 2 * 4096 * P^2 < 2^53.
 RESIDUE_K_MAX = 4096
 
 
@@ -320,6 +322,27 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+def _mod_prime(x):
+    """``x`` modulo ``RESIDUE_PRIME``, in place, for integer-valued float64 ``x``.
+
+    Exact for ``|x| <= 2^53 - 2^21``, which holds every product of
+    :func:`reduction_residuals`.  The quotient ``q = floor(x * (1 / P))`` is
+    off by at most one, since the two roundings in ``x * (1 / P)`` shift it
+    by less than ``2^-18``.  So ``|q P| < |x| + 2P <= 2^53`` and ``q P`` is
+    exact, ``x - q P`` is a small integer and exact too, and one correction
+    by ``P`` either way brings it into ``0 .. P - 1``.  ``np.fmod`` and
+    ``%`` give the same result at several times the cost of the product
+    they reduce.
+    """
+    q = x * (1.0 / RESIDUE_PRIME)
+    np.floor(q, out=q)
+    q *= RESIDUE_PRIME
+    x -= q
+    np.add(x, RESIDUE_PRIME, out=x, where=x < 0)
+    np.subtract(x, RESIDUE_PRIME, out=x, where=x >= RESIDUE_PRIME)
+    return x
+
+
 def reduction_residuals(k: int, rng):
     """Nonzero off-block entries of the permuted products at every reduction order.
 
@@ -346,24 +369,35 @@ def reduction_residuals(k: int, rng):
     zeros in place.  A correct code thus counts 0 on every draw, while a
     sign error leaves a nonzero polynomial of degree at most ``K``, zero at
     a random point with probability at most ``K / RESIDUE_PRIME``
-    (Schwartz, J. ACM 1980).
+    (Schwartz, J. ACM 1980).  The chain runs on two independent draws and
+    the counts are summed, so a broken identity passes with probability at
+    most ``(K / RESIDUE_PRIME)^2``, 6.0e-8 at ``K=256``.
+
+    The products are float64 matrix products, reduced by
+    :func:`_mod_prime`.  They are exact: the residues lie in ``-P+1 ..
+    P-1`` and no product sums more than ``2K`` terms, so every partial sum
+    is an integer below ``2 K (P-1)^2 < 2^53`` up to ``RESIDUE_K_MAX``.
 
     Returns
     -------
     list of (order, count)
-        One pair per order ``1 .. log2(K) - 1``; empty at ``K=2``.
+        One pair per order ``1 .. log2(K) - 1``, counted over both draws;
+        empty at ``K=2``.
     """
     if k > RESIDUE_K_MAX:
-        raise ValueError(f"K={k} exceeds {RESIDUE_K_MAX}: the residue products would overflow int64")
-    u, v = rng.integers(0, RESIDUE_PRIME, size=(2, k))
-    u1, u2 = encoded_channel_minors(u, k)
-    v1, v2 = encoded_channel_minors(v, k)
-    a = b = (v1 @ u1.T + v2 @ u2.T) % RESIDUE_PRIME
-    out = []
-    for order in range(1, int(np.log2(k))):
-        (a, b), offs, _ = _split_blocks((a.T @ b) % RESIDUE_PRIME)
-        out.append((order, sum(int(np.count_nonzero(o)) for o in offs)))
-    return out
+        raise ValueError(f"K={k} exceeds {RESIDUE_K_MAX}: the residue products would lose float64 exactness")
+    counts = [0] * (int(np.log2(k)) - 1)
+    for _ in range(2):
+        u, v = rng.integers(0, RESIDUE_PRIME, size=(2, k)).astype(float)
+        u1, u2 = encoded_channel_minors(u, k)
+        v1, v2 = encoded_channel_minors(v, k)
+        g = v1 @ u1.T
+        g += v2 @ u2.T
+        a = b = _mod_prime(g)
+        for i in range(len(counts)):
+            (a, b), offs, _ = _split_blocks(_mod_prime(a.T @ b))
+            counts[i] += sum(int(np.count_nonzero(o)) for o in offs)
+    return list(enumerate(counts, 1))
 
 
 def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
@@ -381,13 +415,15 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
       vanish.
     - ``reduction-block-diagonal`` (exact modulo a prime, ``K >= 4``): the
       count of nonzero off-block entries of :func:`reduction_residuals`, on
-      residues of its own.
+      two residue draws of its own.
     - ``fixed-basis-diagonal`` (exact): ``V = walsh_basis(K/2)`` has ``V^H V
-      = (K/2) I``, and ``B^H P B = (K/2) diag(lambda, lambda)`` with ``B =
-      blockdiag(V, V)``, the matched filter's ``P = H1^H H1 + H2^T
-      conj(H2)`` and the ``lambda`` of :func:`~qostbc.decoder.decode`.  As
-      ``B`` is invertible, the off-diagonal halves of ``P`` vanish too, so
-      each half of the filtered block sees one half of the symbols.
+      = (K/2) I``, and the matched filter's ``P = H1^H H1 + H2^T conj(H2)``
+      is ``blockdiag(P00, P11)`` with ``V^H P00 V = V^H P11 V = (K/2)
+      diag(lambda)`` for the ``lambda`` of :func:`~qostbc.decoder.decode`.
+      Only the blocks of ``P`` are formed, ``Pxy = H1x^H H1y + H2x^T
+      conj(H2y)`` with ``H1x`` the column half ``x`` of ``H1``.  ``P01 = 0``
+      is checked directly (``P10`` is its conjugate transpose), so each
+      half of the filtered block sees one half of the symbols.
     - ``walsh-forward-model(nt=...)`` (exact): the simulator's
       :func:`~qostbc.channels.received_blocks` equals ``C h``, both cut to
       the leftmost ``n_t`` in ``{K, K-1, 3}``.
@@ -399,7 +435,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     degree 2 in their parts at one random point, so a broken identity
     passes with probability at most ``2 / (2 EXACT_PART_MAX + 1)`` = 2 / 511
     (Schwartz, J. ACM 1980).  ``k_max`` is capped at ``RESIDUE_K_MAX``,
-    beyond which the exact checks would overflow.
+    beyond which the exact checks would lose their float64 exactness.
     """
     _check_block_size(k_max)
     rng = np.random.default_rng(seed)
@@ -421,10 +457,10 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         half = k // 2
         # The exact checks below are exact in float64.  Written out, each of
         # their sums adds products of two entries of s or h, each with |Re|,
-        # |Im| at most 2 EXACT_PART_MAX^2 = 130050 < 2^17 (V, 1 / (K/2) and the
-        # residues modulo RESIDUE_PRIME add no rounding).  The longest, an
-        # entry of B^H P B, has fewer than K^3 terms, so every partial sum
-        # stays below 4096^3 * 2^17 = 2^53 up to K = RESIDUE_K_MAX.
+        # |Im| at most 2 EXACT_PART_MAX^2 = 130050 < 2^17 (V and 1 / (K/2)
+        # add no rounding).  The longest, an entry of V^H P00 V, has K^3 / 4
+        # terms (K per entry of P00, times (K/2)^2), so every partial sum
+        # stays below 4096^3 / 4 * 2^17 = 2^51 up to K = RESIDUE_K_MAX.
         z = rng.integers(-EXACT_PART_MAX, EXACT_PART_MAX + 1, size=(2, 2 * k))
         z = z[0] + 1j * z[1]
         s, h = z[:k], z[k:]
@@ -440,27 +476,36 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         if k >= 4:
             exact("reduction-block-diagonal", k, sum(c for _, c in reduction_residuals(k, rng)))
 
-        p = h1.conj().T @ h1 + h2.T @ h2.conj()
+        lo, hi = slice(None, half), slice(half, None)
+        p00, p01, p11 = (
+            h1[:, x].conj().T @ h1[:, y] + h2[:, x].T @ h2[:, y].conj()
+            for x, y in ((lo, lo), (lo, hi), (hi, hi))
+        )
         lam = decode(np.zeros(k), h, k).eigenvalues
         v = walsh_basis(half)
-        b = np.kron(np.eye(2), v)
+        target = np.diag(half * lam)
         exact(
             "fixed-basis-diagonal", k,
             v.conj().T @ v - half * np.eye(half),
-            b.conj().T @ p @ b - np.diag(half * np.tile(lam, 2)),
+            p01,
+            v.conj().T @ p00 @ v - target,
+            v.conj().T @ p11 @ v - target,
         )
 
-        for n_t in sorted({k, k - 1, min(3, k)}):
-            # puncturing keeps the leftmost n_t antennas
+        # puncturing keeps the leftmost n_t antennas
+        n_ts = sorted({k, k - 1, min(3, k)})
+        for n_t in n_ts:
             walsh = received_blocks(s[None], h[None, None, :n_t], k)[0, :, 0]
             exact(f"walsh-forward-model(nt={n_t})", k, walsh - code[:, :n_t] @ h[:n_t])
 
+        # the round trips draw their own s and gains: free the K x K arrays first
+        del code, h1, h2, p00, p01, p11
+        punctured = [puncture(structure, n_t) for n_t in n_ts]
         for n_r in (1, 2, 4):
-            for n_t in sorted({k, k - 1, min(3, k)}):
+            for n_t, st in zip(n_ts, punctured):
                 s = crandn(k)
                 gains = crandn(n_r, n_t)
-                tx = encode(puncture(structure, n_t), s)
-                rx = tx @ gains.T
+                rx = encode(st, s) @ gains.T
                 est = decode_batch(rx[None], gains[None], k)[0]
                 res = np.linalg.norm(est[0] - s) / np.linalg.norm(s)
                 checks.append(

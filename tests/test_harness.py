@@ -319,11 +319,50 @@ class TestReductionResiduals:
 
     def test_residue_bounds(self):
         p = harness.RESIDUE_PRIME
-        assert p < 2**25 and all(p % d for d in range(2, int(p**0.5) + 1))
-        # the first product sums 2K terms of magnitude below p^2 in int64
-        assert 2 * harness.RESIDUE_K_MAX * (p - 1) ** 2 < 2**63
+
+        def is_prime(n):
+            return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        # the largest prime below 2^20
+        assert is_prime(p) and p < 2**20
+        assert not any(is_prime(n) for n in range(p + 1, 2**20))
+        # the first product sums 2K terms of magnitude below p^2 in float64
+        assert 2 * harness.RESIDUE_K_MAX * (p - 1) ** 2 < 2**53
         with pytest.raises(ValueError):
             harness.reduction_residuals(2 * harness.RESIDUE_K_MAX, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [2, 64, 512])
+    def test_float_products_match_int64(self, n):
+        # float64 products of residues, reduced, equal int64 products then %
+        p = harness.RESIDUE_PRIME
+        rng = np.random.default_rng(n)
+        for low in (0, -p + 1):  # reduced residues, and the signed first product
+            a, b = rng.integers(low, p, size=(2, n, n))
+            got = harness._mod_prime(a.astype(float) @ b.astype(float))
+            np.testing.assert_array_equal(got, (a @ b) % p)
+
+    def test_float_products_exact_at_the_bound(self):
+        # every entry +-(p - 1), summed over 2 * RESIDUE_K_MAX terms
+        p = harness.RESIDUE_PRIME
+        n = 2 * harness.RESIDUE_K_MAX
+        a = np.full((1, n), p - 1.0)
+        for sign in (1, -1):
+            b = np.full((n, 1), sign * (p - 1.0))
+            assert (a @ b)[0, 0] == sign * n * (p - 1) ** 2
+            assert harness._mod_prime(a @ b)[0, 0] == sign * n * (p - 1) ** 2 % p
+
+    def test_mod_prime_exact(self):
+        # up to the helper's stated domain, 2^53 - 2^21, and at the largest
+        # sum the residue products can reach
+        p = harness.RESIDUE_PRIME
+        top = 2**53 - 2**21
+        big = 2 * harness.RESIDUE_K_MAX * (p - 1) ** 2
+        values = [0, 1, p - 1, p, p + 1, 2 * p, 7 * p, 7 * p - 1, big, big - 1,
+                  top, top - 1, top - p, (top // p) * p, (top // p) * p - 1]
+        # -(n p + 1) near the top is one whose quotient rounds up
+        values += [-v for v in values] + [-((top // p) * p + 1)]
+        got = harness._mod_prime(np.array(values, dtype=float))
+        assert [int(g) for g in got] == [v % p for v in values]
 
 
 class TestCapacitySweep:
@@ -437,6 +476,9 @@ class TestCli:
             ["simulate", "--K", "1"],
             ["simulate", "--K", "8192"],
             ["simulate", "--K", "2", "--workers", "65"],
+            ["simulate", "--K", "2", "--out", "/nonexistent/x.csv"],
+            ["analyze", "--mod", "qpsk", "--nt", "2", "--out", "/nonexistent/x.csv"],
+            ["capacity", "--nt", "2", "--out", "/nonexistent/x.csv"],
         ],
         ids=" ".join,
     )
@@ -453,6 +495,24 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert all(flag in captured.err for flag in argv if flag.startswith("--esno"))
+        if "--out" in argv:
+            assert argv[argv.index("--out") + 1] in captured.err
+
+    @pytest.mark.parametrize("command", [["analyze", "--mod", "qpsk"], ["capacity"]])
+    @pytest.mark.parametrize("nt", ["0", "-1"])
+    def test_nonpositive_nt_message(self, command, nt, capsys):
+        assert main(command + ["--nt", nt]) == 2
+        assert capsys.readouterr().err == "error: n_t must be >= 1\n"
+
+    def test_simulate_checks_out_path_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(harness, "run_sweep", no_sweep)
+        missing = tmp_path / "missing" / "x.csv"
+        assert main(["simulate", "--K", "2", "--out", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.parent.exists()
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         import qostbc.harness as hmod
