@@ -9,9 +9,9 @@ alone.  They are the code matrix read one more way: row ``t`` of the top
 half of the code (:func:`qostbc.codes.build_mother`) carries ``+-s_r`` on
 antenna ``a``, so row ``t`` of ``H1`` carries ``+-h_a`` in column ``r``;
 the bottom half carries ``+-conj(s_r)`` and gives ``H2`` the same way.
-Antennas beyond ``n_t`` are punctured and leave a zero.  The decoder
-consumes only these minors, so the sparse ``K x 2K`` block matrix is never
-materialised.
+Antennas beyond ``n_t`` are punctured and leave a zero.  The structural
+checks of :func:`qostbc.harness.verify` read the code through these minors;
+neither the simulator nor the decoder forms them.
 
 Every minor entry is ``+h_a``, ``-h_a`` or ``0``, in a pattern fixed by
 ``(K, n_t)``.  It is kept as two read-only index tables into ``[0, h, -h]``;
@@ -21,7 +21,7 @@ The simulator forms ``r`` a third way, :func:`received_blocks`, with
 neither the transmit matrix nor the minors: every manifold is diagonal in
 the code's fixed basis (:func:`qostbc.codes.walsh_basis`), so the block is
 ``K/2`` Alamouti products (Alamouti, IEEE JSAC 1998) between transforms of
-the symbols and of the gains.
+the symbols and of the gains, the transforms the decoder inverts it with.
 """
 
 from __future__ import annotations
@@ -78,16 +78,24 @@ def received_blocks(symbols, gains, k: int):
     v = walsh_basis(half)
     # the 1 / (K/2) of both halves, exact for a power of two
     x = (symbols.reshape(-1, half) @ v).reshape(nbatch, 1, 2, half) / half
-    # g = h conj(V) = conj(conj(h) V), with no conjugated copy of V
-    padded = np.zeros((nbatch, n_r, k), dtype=complex)
-    np.conjugate(gains, out=padded[..., :n_t])
-    g = (padded.reshape(-1, half) @ v).reshape(nbatch, n_r, 2, half)
-    np.conjugate(g, out=g)
+    g = _gain_transforms(gains, k)
     x1, x2 = x[..., 0, :], x[..., 1, :]
     ga, gb = g[..., 0, :], g[..., 1, :]
     y = np.stack([x1 * ga + x2 * gb, x1.conj() * gb - x2.conj() * ga], axis=-2)
     r = (y.reshape(-1, half) @ v.T).reshape(nbatch, n_r, k)
     return np.swapaxes(r, 1, 2)
+
+
+def _gain_transforms(gains, k: int):
+    """``(B, n_r, 2, K/2)`` transforms ``g = V^H h`` of the halves ``h_a, h_b``
+    of ``(B, n_r, n_t)`` gains, zero-padded to ``K``."""
+    nbatch, n_r, n_t = gains.shape
+    half = k // 2
+    # g = h conj(V) = conj(conj(h) V), with no conjugated copy of V
+    padded = np.zeros((nbatch, n_r, k), dtype=complex)
+    np.conjugate(gains, out=padded[..., :n_t])
+    g = (padded.reshape(-1, half) @ walsh_basis(half)).reshape(nbatch, n_r, 2, half)
+    return np.conjugate(g, out=g)
 
 
 def encoded_channel_minors(h, k: int):

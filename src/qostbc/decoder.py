@@ -24,13 +24,14 @@ quasi-orthogonal codes are built on (Jafarkhani, IEEE Trans. Commun.
 The decomposition is exact.  Every entry of ``V`` is ``+-1`` or ``+-i`` and
 ``V^H V = (K/2) I``, so ``V`` carries no rounding and depends on no
 channel; :func:`qostbc.harness.verify` checks both identities on integers.
-The eigenvalues are read off the channel in Walsh order, ``lambda_e =
-sum_r |(V^T h_a)_e|^2 + |(V^T h_b)_e|^2`` with ``h_a`` the first ``K/2``
-gains of antenna ``r`` and ``h_b`` the rest, zero-padded: the per-index
-gains of an Alamouti combiner.  Products with ``+-1`` and ``+-i`` are
-exact, so nearly singular channels keep their relative precision.  Each
-half of the estimate is ``V diag(1 / ((K/2) lambda)) V^H`` times that half
-of ``c``, with ``c`` from the encoded channel minors.
+So the decoder forms neither the minors nor ``c``: per Walsh index the
+block is one Alamouti pair (Alamouti, IEEE JSAC 1998; see
+:func:`qostbc.channels.received_blocks`).  With ``g = V^H h`` for each
+half of one antenna's gains, ``u = V^H r_top`` and ``w = conj(V^H r_bot)``,
+the combiners ``sum_r conj(g_a) u + g_b w`` and ``sum_r conj(g_b) u - g_a
+w`` give ``x = V^T s`` of each symbol half times ``lambda' = sum_r |g_a|^2
++ |g_b|^2``, and ``s = conj(V) x / (K/2)``.  Products with ``+-1`` and
+``+-i`` are exact, so nearly singular channels keep their relative precision.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import encoded_channel_minors
+# nothing here calls encoded_channel_minors: bench/spans.py wraps it under this name
+from .channels import _gain_transforms, encoded_channel_minors
 from .codes import _is_power_of_two, walsh_basis
 
 __all__ = [
@@ -103,29 +105,17 @@ def _split_blocks(g):
     )
 
 
-def _matched_filter(r, h1, h2):
-    """Complex form ``c`` of the matched filter, ``[Re c; Im c] = A^T [Re r; Im r]``.
-
-    ``r`` is ``(..., m, K)``: ``m`` received blocks of one antenna as rows.
-    With the minors ``h1, h2`` of shape ``(..., K/2, K)`` this is
-    ``c = H1^H r_top + H2^T conj(r_bot)``, shape ``(..., m, K)``.  For a
-    noiseless block its first and second halves depend only on the first
-    and second symbol halves.
-    """
-    half = r.shape[-1] // 2
-    c = r[..., :half].conj() @ h1
-    np.conjugate(c, out=c)
-    c += r[..., half:].conj() @ h2
-    return c
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     """Soft estimates in natural order plus the block's Gram eigenvalues.
 
     ``eigenvalues`` are the ``K/2`` eigenvalues of each half of the matched
     filter's ``P`` (see the module), in the Walsh order of
-    :func:`walsh_basis`: ``lambda_e`` belongs to column ``e`` of ``D W``.
+    :func:`walsh_basis`: ``lambda_e = sum_r |(V^T h_a)_e|^2 + |(V^T
+    h_b)_e|^2`` belongs to column ``e`` of ``V = D W``.  The decoder's
+    ``lambda'`` is this reversed: ``conj(D) = D diag((-1)^popcount(j))``
+    maps row ``e`` of ``W`` to row ``e xor (K/2 - 1)``, so ``(V^H h)_e =
+    (V^T h)_{e xor (K/2 - 1)}``.
     Each is also an eigenvalue of the real Gram matrix of the block, four
     times over.  At ``K=2`` the single eigenvalue is the channel energy.
     """
@@ -172,21 +162,22 @@ def decode_batch(received, channels, k: int = None):
         raise ValueError(f"n_t={channels.shape[2]} exceeds K={k}")
     half = k // 2
     v = walsh_basis(half)
-    padded = np.zeros((nbatch, n_r, k), dtype=complex)
-    padded[..., : channels.shape[2]] = channels
-    p = padded.reshape(-1, half) @ v  # rows h_a, h_b of every antenna
-    lam = (np.square(p.real) + np.square(p.imag)).reshape(nbatch, -1, half).sum(axis=1)
+    g = _gain_transforms(channels, k)
+    lam = (np.square(g.real) + np.square(g.imag)).sum(axis=(1, 2))  # lambda reversed
     singular = lam.min(axis=1) <= k * np.finfo(float).eps * lam.max(axis=1)
     if np.any(singular):
         raise DegenerateChannelError(
             f"singular channel Gram matrix in {int(singular.sum())} of {nbatch} blocks"
         )
-    r = np.swapaxes(received, 1, 2)[..., None, :]  # (B, nr, 1, K)
-    c = _matched_filter(r, *encoded_channel_minors(channels, k)).sum(axis=1)[:, 0]
-    # rows are symbol halves: each is c_half^T conj(V) diag(1 / ((K/2) lambda)) V^T
-    y = (c.reshape(-1, half) @ v.conj()).reshape(nbatch, 2, half)
+    # conj(r) V = conj(V^H r) per half, with no conjugated copy of V: conj(u), w
+    t = np.conjugate(np.swapaxes(received, 1, 2), order="C")
+    t = (t.reshape(-1, half) @ v).reshape(nbatch, n_r, 2, half)
+    ga, gb, t0, t1 = g[..., 0, :], g[..., 1, :], t[..., 0, :], t[..., 1, :]
+    # conj(x) lambda' of both symbol halves, then conj(V) x / (K/2) = conj(conj(x) V^T) / (K/2)
+    y = np.stack([ga * t0 + np.conj(gb * t1), gb * t0 - np.conj(ga * t1)], axis=-2).sum(axis=1)
     y /= (lam * half)[:, None]
-    return (y.reshape(-1, half) @ v.T).reshape(nbatch, k), lam
+    est = (y.reshape(-1, half) @ v.T).reshape(nbatch, k)
+    return np.conjugate(est, out=est), lam[:, ::-1]
 
 
 def decode(received, channels, k: int = None) -> DecodeResult:

@@ -1,9 +1,9 @@
 """Constructions the tests check the decoder against, built apart from it.
 
 The Walsh matrices come from popcounts, entry by entry, rather than by the
-doubling :func:`qostbc.walsh_basis` uses, and the real Gram matrix comes from
-the channel minors, not from any basis.  The paper's nested combining chain
-decodes without any basis, in floating point.
+doubling :func:`qostbc.walsh_basis` uses, and the matched filter and the real
+Gram matrix come from the channel minors, not from any basis.  The paper's
+nested combining chain decodes without any basis, in floating point.
 """
 
 import numpy as np
@@ -38,6 +38,19 @@ def real_form(v):
         signs[0, part, :, :, part] = cols.real
         signs[1, part, :, :, part] = cols.imag
     return signs.reshape(4 * half, 4 * half)
+
+
+def matched_filter(r, h1, h2):
+    """Complex form ``c`` of the matched filter, ``[Re c; Im c] = A^T [Re r; Im r]``.
+
+    ``r`` is ``(..., m, K)``: ``m`` received blocks of one antenna as rows.
+    With the minors ``h1, h2`` of shape ``(..., K/2, K)`` this is
+    ``c = H1^H r_top + H2^T conj(r_bot)``, shape ``(..., m, K)``.  For a
+    noiseless block its first and second halves depend only on the first
+    and second symbol halves.
+    """
+    half = r.shape[-1] // 2
+    return (r[..., :half].conj() @ h1).conj() + r[..., half:].conj() @ h2
 
 
 def channel_gram(channels, k):

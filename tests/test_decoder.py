@@ -5,6 +5,7 @@ behaviour."""
 
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,9 @@ import qostbc.channels as channels
 import qostbc.decoder as decoder
 import qostbc.harness as harness
 from qostbc.harness import reduction_residuals
-from oracles import chain_decode, channel_gram, real_form, symbol_order, sylvester, walsh_dw
+from oracles import (
+    chain_decode, channel_gram, matched_filter, real_form, symbol_order, sylvester, walsh_dw,
+)
 
 
 def crandn(rng, *shape):
@@ -36,7 +39,7 @@ def crandn(rng, *shape):
 def first_stage(r, h):
     """The two half-length combinations of one block on one antenna."""
     k = len(r)
-    c = decoder._matched_filter(np.asarray(r)[None], *encoded_channel_minors(h, k))[0]
+    c = matched_filter(np.asarray(r)[None], *encoded_channel_minors(h, k))[0]
     return c[: k // 2], c[k // 2 :]
 
 
@@ -395,10 +398,10 @@ class TestFixedBasis:
     """The decoder's fixed basis ``V = D W`` of :func:`walsh_basis`."""
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256])
-    @pytest.mark.parametrize("n_r", [1, 2])
+    @pytest.mark.parametrize("n_r", [1, 2, 4])
     def test_matches_lstsq_oracle(self, k, n_r):
         rng = np.random.default_rng(3000 + k + n_r)
-        for n_t in sorted({k, max(1, 3 * k // 4), min(3, k)}):
+        for n_t in sorted({1, min(3, k), max(1, 3 * k // 4), k - 1, k}):
             s = crandn(rng, k)
             gains = crandn(rng, n_r, n_t)
             r = encode(puncture(build_mother(k), n_t), s) @ gains.T + 0.3 * crandn(rng, k, n_r)
@@ -581,10 +584,79 @@ class TestFixedBasis:
         assert np.linalg.norm(chain - fixed) <= 1e-10 * np.linalg.norm(fixed)
 
 
+class TestWalshDomain:
+    """``decode_batch`` combines per Walsh index, on transforms of ``r`` and the gains."""
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256, 1024])
+    def test_gain_transform_is_reversed_walsh_order(self, k):
+        # g = V^H h per half, and (V^H h)_e = (V^T h)_{e xor (K/2 - 1)}:
+        # conj(D) = D diag((-1)^popcount(j)) turns row e of W into row
+        # e xor (K/2 - 1); on Gaussian integers every product is exact
+        half = k // 2
+        v = walsh_dw(half)
+        rng = np.random.default_rng(4300 + k)
+
+        def energy(t):
+            return (np.square(t.real) + np.square(t.imag)).sum(axis=(1, 2))
+
+        for n_t in sorted({1, min(3, k), k - 1, k}):
+            gains = rng.integers(-9, 10, (2, 3, n_t)) + 1j * rng.integers(-9, 10, (2, 3, n_t))
+            padded = np.zeros((2, 3, 2, half), dtype=complex)
+            padded.reshape(2, 3, k)[..., :n_t] = gains
+            g = channels._gain_transforms(gains, k)
+            assert np.array_equal(g, padded @ v.conj())
+            flip = np.arange(half) ^ (half - 1)
+            assert np.array_equal(flip, np.arange(half)[::-1])
+            assert np.array_equal(g, (padded @ v)[..., flip])
+            # so the eigenvalues in Walsh order, sum |V^T h|^2, are sum |g|^2 reversed
+            lam = decode_batch(np.zeros((2, k, 3)), gains, k)[1]
+            assert np.array_equal(lam, energy(padded @ v))
+            assert np.array_equal(lam, energy(g)[:, ::-1])
+
+    @pytest.mark.parametrize("k", [2, 4, 128])
+    def test_gathers_no_minors(self, k, monkeypatch):
+        def no_minors(*args):
+            raise AssertionError("the decoder must not gather the channel minors")
+
+        monkeypatch.setattr(channels, "_minor_tables", no_minors)
+        rng = np.random.default_rng(4400 + k)
+        n_t = max(1, 3 * k // 4)
+        s = crandn(rng, 4, k)
+        gains = crandn(rng, 4, 2, n_t)
+        est = decode_batch(channels.received_blocks(s, gains, k), gains, k)[0]
+        assert np.linalg.norm(est - s) <= 1e-12 * np.linalg.norm(s)
+        cfg = harness.ExperimentConfig(k=k, n_t=n_t, n_r=2, esno_db=(10.0,), trials=64,
+                                       batch=32, target_errors=10**9, seed=5)
+        assert [row.trials for row in harness.run_sweep(cfg).rows] == [64]
+
+    def test_round_trip_k4096_in_linear_memory(self):
+        # n_t = K, n_r = 2, B = 2: a noiseless round trip through the
+        # simulator's forward model, and a tracemalloc peak, once the basis
+        # is cached, of at most eight complex arrays the size of the
+        # (B, K, n_r) input: the decoder holds the gain transforms, the
+        # transforms of r, the combiner terms and their stack at once, and
+        # nothing of size K^2 but the cached V
+        k, n_r, nbatch = 4096, 2, 2
+        rng = np.random.default_rng(4500)
+        s = crandn(rng, nbatch, k)
+        gains = crandn(rng, nbatch, n_r, k)
+        rx = channels.received_blocks(s, gains, k)
+        decode_batch(rx, gains, k)  # caches V
+        tracemalloc.start()
+        try:
+            est = decode_batch(rx, gains, k)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = np.linalg.norm(est - s, axis=1) / np.linalg.norm(s, axis=1)
+        assert err.max() <= harness.ROUNDTRIP_TOL, err
+        assert peak <= 8 * rx.nbytes, (peak, rx.nbytes)
+
+
 def test_decode_cost_scales_subcubically():
     # wall-clock sanity: doubling K twice must stay well under the
     # K^2 log K envelope times a generous constant (the warm-up builds the
-    # cached Walsh bases and minor tables of both K, outside the timed calls)
+    # cached Walsh bases of both K, outside the timed calls)
     rng = np.random.default_rng(22)
 
     def run(k):
