@@ -17,10 +17,8 @@ from .codes import (
 from .channels import encoded_channel_minors, received_blocks
 from .decoder import (
     PermutationPair,
-    DecodeResult,
     DegenerateChannelError,
     permutation_indexes,
-    decode,
     decode_batch,
 )
 from .modem import Modulation, modulation, psk_distance_spectrum, count_bit_errors

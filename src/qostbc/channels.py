@@ -9,9 +9,11 @@ alone.  They are the code matrix read one more way: row ``t`` of the top
 half of the code (:func:`qostbc.codes.build_mother`) carries ``+-s_r`` on
 antenna ``a``, so row ``t`` of ``H1`` carries ``+-h_a`` in column ``r``;
 the bottom half carries ``+-conj(s_r)`` and gives ``H2`` the same way.
-Antennas beyond ``n_t`` are punctured and leave a zero.  The structural
-checks of :func:`qostbc.harness.verify` read the code through these minors;
-neither the simulator nor the decoder forms them.
+Antennas beyond ``n_t`` are punctured and leave a zero.  Only the exact
+checks of :func:`qostbc.harness.verify` form them: it checks them against
+the code, forms the matched filter ``c = H1^H r_top + H2^T conj(r_bot)``
+with them, and runs the paper's reduction chain on them modulo a prime.
+Neither the simulator nor the decoder forms them.
 
 Every minor entry is ``+h_a``, ``-h_a`` or ``0``, in a pattern fixed by
 ``(K, n_t)``.  It is kept as two read-only index tables into ``[0, h, -h]``;

@@ -105,9 +105,6 @@ def walsh_basis(half: int) -> np.ndarray:
 class EncodingStructure:
     """The transmit matrix of a code as one signed-gather table.
 
-    Two structures are equal when their tables are; the hash is over the
-    table's shape and bytes.
-
     Attributes
     ----------
     table : np.ndarray
@@ -130,14 +127,6 @@ class EncodingStructure:
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
-    def __eq__(self, other):
-        if not isinstance(other, EncodingStructure):
-            return NotImplemented
-        return np.array_equal(self.table, other.table)
-
-    def __hash__(self):
-        return hash((self.table.shape, self.table.tobytes()))
-
     @property
     def k(self) -> int:
         return self.table.shape[0]
@@ -147,13 +136,17 @@ class EncodingStructure:
         return self.table.shape[1]
 
 
+@lru_cache(maxsize=1)
 def build_mother(k: int) -> EncodingStructure:
     """Build the K-by-K mother encoding matrix.
 
     The top half is ``[A, B]`` with ``A``/``B`` the manifolds of the
     first/second halves of the symbol vector; the bottom half is
     ``[-B^H, A^H]``.  The result is dense (no zero entries) and complete
-    (each row and each column uses every raw symbol exactly once).
+    (each row and each column uses every raw symbol exactly once).  The
+    last structure built is kept and shared, which is safe because its
+    table is read-only: ``verify`` and the channel minors' tables of one
+    ``K`` build it once.
 
     Parameters
     ----------
@@ -188,13 +181,18 @@ def puncture(structure: EncodingStructure, n_t: int) -> EncodingStructure:
 
 
 def _signed_gather(parts, table) -> np.ndarray:
-    """``np.take`` of ``table`` from ``parts`` joined along the last axis.
+    """``table`` gathered from ``parts`` joined along the last axis.
 
     ``np.take`` along the last axis returns a C-contiguous ``(..., *table.shape)``
     array; fancy indexing ``joined[..., table]`` would put the leading axes
-    innermost, which slows every matmul on the result.
+    innermost, which slows every matmul on the result.  But ``np.take``
+    copies a read-only index array first, as large as a ``K x K`` code's
+    table, so a single vector is gathered by fancy indexing.
     """
-    return np.take(np.concatenate(parts, axis=-1), table, axis=-1)
+    joined = np.concatenate(parts, axis=-1)
+    if joined.ndim == 1:
+        return joined[table]
+    return np.take(joined, table, axis=-1)
 
 
 def encode(structure: EncodingStructure, s) -> np.ndarray:

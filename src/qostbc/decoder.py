@@ -23,9 +23,12 @@ quasi-orthogonal codes are built on (Jafarkhani, IEEE Trans. Commun.
 
 The decomposition is exact.  Every entry of ``V`` is ``+-1`` or ``+-i`` and
 ``V^H V = (K/2) I``, so ``V`` carries no rounding and depends on no
-channel; :func:`qostbc.harness.verify` checks both identities on integers.
-So the decoder forms neither the minors nor ``c``: per Walsh index the
-block is one Alamouti pair (Alamouti, IEEE JSAC 1998; see
+channel.  :func:`qostbc.harness.verify` checks both on Gaussian integers,
+the decomposition as the matched filter of one block, ``(K/2) c = V
+(lambda * V^H s)`` for each symbol half with the ``lambda`` that
+:func:`decode_batch` returns, in O(K^2) per block size.  So the decoder
+forms neither the minors nor ``c``: per Walsh index the block is one
+Alamouti pair (Alamouti, IEEE JSAC 1998; see
 :func:`qostbc.channels.received_blocks`).  With ``g = V^H h`` for each
 half of one antenna's gains, ``u = V^H r_top`` and ``w = conj(V^H r_bot)``,
 the combiners ``sum_r conj(g_a) u + g_b w`` and ``sum_r conj(g_b) u - g_a
@@ -46,10 +49,8 @@ from .codes import _is_power_of_two, walsh_basis
 
 __all__ = [
     "PermutationPair",
-    "DecodeResult",
     "DegenerateChannelError",
     "permutation_indexes",
-    "decode",
     "decode_batch",
 ]
 
@@ -105,25 +106,6 @@ def _split_blocks(g):
     )
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Soft estimates in natural order plus the block's Gram eigenvalues.
-
-    ``eigenvalues`` are the ``K/2`` eigenvalues of each half of the matched
-    filter's ``P`` (see the module), in the Walsh order of
-    :func:`walsh_basis`: ``lambda_e = sum_r |(V^T h_a)_e|^2 + |(V^T
-    h_b)_e|^2`` belongs to column ``e`` of ``V = D W``.  The decoder's
-    ``lambda'`` is this reversed: ``conj(D) = D diag((-1)^popcount(j))``
-    maps row ``e`` of ``W`` to row ``e xor (K/2 - 1)``, so ``(V^H h)_e =
-    (V^T h)_{e xor (K/2 - 1)}``.
-    Each is also an eigenvalue of the real Gram matrix of the block, four
-    times over.  At ``K=2`` the single eigenvalue is the channel energy.
-    """
-
-    estimates: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def decode_batch(received, channels, k: int = None):
     """Least-squares decoder over a leading batch of independent blocks.
 
@@ -141,7 +123,15 @@ def decode_batch(received, channels, k: int = None):
     -------
     (estimates, eigenvalues) : tuple of np.ndarray
         ``(B, K)`` estimates in natural order and ``(B, K/2)`` Gram
-        eigenvalues.
+        eigenvalues.  The eigenvalues are those of each half of the matched
+        filter's ``P`` (see the module), in the Walsh order of
+        :func:`walsh_basis`: ``lambda_e = sum_r |(V^T h_a)_e|^2 + |(V^T
+        h_b)_e|^2`` belongs to column ``e`` of ``V = D W``.  The combiners'
+        ``lambda'`` is this reversed: ``conj(D) = D diag((-1)^popcount(j))``
+        maps row ``e`` of ``W`` to row ``e xor (K/2 - 1)``, so ``(V^H h)_e =
+        (V^T h)_{e xor (K/2 - 1)}``.  Each is also an eigenvalue of the real
+        Gram matrix of the block, four times over.  At ``K=2`` the single
+        eigenvalue is the channel energy.
 
     Raises
     ------
@@ -178,28 +168,3 @@ def decode_batch(received, channels, k: int = None):
     y /= (lam * half)[:, None]
     est = (y.reshape(-1, half) @ v.T).reshape(nbatch, k)
     return np.conjugate(est, out=est), lam[:, ::-1]
-
-
-def decode(received, channels, k: int = None) -> DecodeResult:
-    """Decode one received block (possibly from several receive antennas).
-
-    Parameters
-    ----------
-    received : array_like
-        ``(K,)`` or ``(K, n_r)`` received samples.
-    channels : array_like
-        ``(n_t,)`` or ``(n_r, n_t)`` channel gains (length ``n_t <= K``).
-    k : int, optional
-        Block size; inferred from ``received`` when omitted.
-
-    Returns
-    -------
-    DecodeResult
-        In the noiseless case ``estimates`` equals the transmitted symbol
-        vector to numerical precision.
-    """
-    received = np.asarray(received)
-    if received.ndim == 1:
-        received = received[:, None]
-    est, lam = decode_batch(received[None], np.atleast_2d(channels)[None], k)
-    return DecodeResult(est[0], lam[0])

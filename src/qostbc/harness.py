@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, fading
 from .codes import build_mother, puncture, encode, walsh_basis, _is_power_of_two
 from .channels import encoded_channel_minors, received_blocks
-from .decoder import decode, decode_batch, permutation_indexes, _split_blocks
+from .decoder import decode_batch, permutation_indexes, _split_blocks
 from .modem import modulation, count_bit_errors
 
 __all__ = [
@@ -325,15 +325,19 @@ class VerifyReport:
 def _mod_prime(x):
     """``x`` modulo ``RESIDUE_PRIME``, in place, for integer-valued float64 ``x``.
 
-    Exact for ``|x| <= 2^53 - 2^21``, which holds every product of
-    :func:`reduction_residuals`.  The quotient ``q = floor(x * (1 / P))`` is
-    off by at most one, since the two roundings in ``x * (1 / P)`` shift it
-    by less than ``2^-18``.  So ``|q P| < |x| + 2P <= 2^53`` and ``q P`` is
-    exact, ``x - q P`` is a small integer and exact too, and one correction
-    by ``P`` either way brings it into ``0 .. P - 1``.  ``np.fmod`` and
-    ``%`` give the same result at several times the cost of the product
-    they reduce.
+    A complex ``x``, contiguous along its last axis, has both parts
+    reduced.  Exact for ``|x| <= 2^53 - 2^21``, which holds every product
+    of :func:`reduction_residuals` and every sum of :func:`verify`.  The
+    quotient ``q = floor(x * (1 / P))`` is off by at most one, since the
+    two roundings in ``x * (1 / P)`` shift it by less than ``2^-18``.  So
+    ``|q P| < |x| + 2P <= 2^53`` and ``q P`` is exact, ``x - q P`` is a
+    small integer and exact too, and one correction by ``P`` either way
+    brings it into ``0 .. P - 1``.  ``np.fmod`` and ``%`` give the same
+    result at several times the cost of the product they reduce.
     """
+    if np.iscomplexobj(x):
+        _mod_prime(x.view(x.real.dtype))  # both parts, as one real array
+        return x
     q = x * (1.0 / RESIDUE_PRIME)
     np.floor(q, out=q)
     q *= RESIDUE_PRIME
@@ -393,6 +397,7 @@ def reduction_residuals(k: int, rng):
         v1, v2 = encoded_channel_minors(v, k)
         g = v1 @ u1.T
         g += v2 @ u2.T
+        del u1, u2, v1, v2  # before the next draw's minors
         a = b = _mod_prime(g)
         for i in range(len(counts)):
             (a, b), offs, _ = _split_blocks(_mod_prime(a.T @ b))
@@ -403,39 +408,53 @@ def reduction_residuals(k: int, rng):
 def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     """Run the structural suite for every block size ``K`` up to ``k_max``.
 
-    Each ``K`` draws one Gaussian-integer ``s`` and ``h``, parts in
-    ``-EXACT_PART_MAX..EXACT_PART_MAX``, and forms ``C = encode(
-    build_mother(K), s)`` and the minors ``H1, H2`` of ``h`` once.  An
-    *exact* check has tolerance 0 and reports the largest absolute entry
-    of its residual:
+    Each ``K`` draws Gaussian integers ``s`` and ``h`` of length ``K`` and
+    ``y`` of length ``K/2``, parts in ``-EXACT_PART_MAX..EXACT_PART_MAX``.
+    It forms ``C = encode(build_mother(K), s)`` and ``r = C h``, and once
+    ``C`` is freed, the minors ``H1, H2`` of ``h``.  Every check but the
+    reduction chain costs O(K^2) per ``K``.  An *exact* check has tolerance
+    0 and reports the largest absolute entry of its residual:
 
     - ``permutation-sets`` (exact): the listed splits of ``KNOWN_SPLITS``.
-    - ``received-block-identity`` (exact): ``[H1 s; H2 conj(s)] = C h``.
-    - ``code-gram-blocks`` (exact): the off-diagonal halves of ``C C^H``
-      vanish.
-    - ``reduction-block-diagonal`` (exact modulo a prime, ``K >= 4``): the
-      count of nonzero off-block entries of :func:`reduction_residuals`, on
-      two residue draws of its own.
-    - ``fixed-basis-diagonal`` (exact): ``V = walsh_basis(K/2)`` has ``V^H V
-      = (K/2) I``, and the matched filter's ``P = H1^H H1 + H2^T conj(H2)``
-      is ``blockdiag(P00, P11)`` with ``V^H P00 V = V^H P11 V = (K/2)
-      diag(lambda)`` for the ``lambda`` of :func:`~qostbc.decoder.decode`.
-      Only the blocks of ``P`` are formed, ``Pxy = H1x^H H1y + H2x^T
-      conj(H2y)`` with ``H1x`` the column half ``x`` of ``H1``.  ``P01 = 0``
-      is checked directly (``P10`` is its conjugate transpose), so each
-      half of the filtered block sees one half of the symbols.
+    - ``code-gram-blocks`` (exact): the off-diagonal half ``C_top C_bot^H``
+      of ``C C^H`` vanishes, as the one product ``C_top (C_bot^H y) = 0``
+      (Freivalds, 1977); the other half is its conjugate transpose.
     - ``walsh-forward-model(nt=...)`` (exact): the simulator's
       :func:`~qostbc.channels.received_blocks` equals ``C h``, both cut to
       the leftmost ``n_t`` in ``{K, K-1, 3}``.
+    - ``received-block-identity`` (exact): ``[H1 s; H2 conj(s)] = r``.
+    - ``walsh-matched-filter`` (exact, in part modulo a prime): the matched
+      filter ``c = H1^H r_top + H2^T conj(r_bot)`` satisfies ``(K/2) c_j =
+      V (lambda * V^H s_j)`` for both symbol halves ``s_j``, with ``V =
+      walsh_basis(K/2)`` and the ``lambda`` of
+      :func:`~qostbc.decoder.decode_batch` in its Walsh order; and ``V^H (V
+      y) = (K/2) y``.
+    - ``reduction-block-diagonal`` (exact modulo a prime, ``K >= 4``): the
+      count of nonzero off-block entries of :func:`reduction_residuals`, on
+      two residue draws of its own.
     - ``round-trip(nt=...,nr=...)`` (relative error at most
       ``ROUNDTRIP_TOL``): noiseless decoding, on complex Gaussian draws of
       its own.
 
-    Each exact check on ``s`` and ``h`` tests a polynomial identity of
-    degree 2 in their parts at one random point, so a broken identity
-    passes with probability at most ``2 / (2 EXACT_PART_MAX + 1)`` = 2 / 511
-    (Schwartz, J. ACM 1980).  ``k_max`` is capped at ``RESIDUE_K_MAX``,
-    beyond which the exact checks would lose their float64 exactness.
+    ``walsh-matched-filter`` implies the decomposition the decoder rests
+    on.  By ``received-block-identity``, ``c = P s`` with ``P = H1^H H1 +
+    H2^T conj(H2)``, so ``c_0 = P00 s_0 + P01 s_1`` and ``c_1 = P10 s_0 +
+    P11 s_1``.  As an identity in ``s`` it says ``P01 = P10 = 0`` and ``P00
+    = P11 = V diag(lambda) V^H / (K/2)``, and with ``V^H V = (K/2) I``,
+    ``V^H P00 V = V^H P11 V = (K/2) diag(lambda)``.
+
+    Each exact check on the draws tests a polynomial identity of degree at
+    most 3 in their parts at one random point: ``c`` and ``lambda V^H s``
+    are cubic, and so is ``C_top C_bot^H y``.  A broken identity therefore
+    passes with probability at most ``3 / (2 EXACT_PART_MAX + 1)`` = 3 / 511
+    (Schwartz, J. ACM 1980).  The two sides of the matched-filter identity
+    are compared modulo ``RESIDUE_PRIME``, because in float64 they would
+    not stay exact.  That keeps the bound.  Every coefficient of either
+    side is an integer of magnitude at most ``2K``, so a nonzero difference
+    has a coefficient below ``4K < RESIDUE_PRIME`` and stays nonzero modulo
+    the prime, and the 511 draw values are distinct modulo the prime.
+    ``k_max`` is capped at ``RESIDUE_K_MAX``, beyond which the exact checks
+    would lose their float64 exactness.
     """
     _check_block_size(k_max)
     rng = np.random.default_rng(seed)
@@ -455,54 +474,58 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     k = 2
     while k <= k_max:
         half = k // 2
-        # The exact checks below are exact in float64.  Written out, each of
-        # their sums adds products of two entries of s or h, each with |Re|,
-        # |Im| at most 2 EXACT_PART_MAX^2 = 130050 < 2^17 (V and 1 / (K/2)
-        # add no rounding).  The longest, an entry of V^H P00 V, has K^3 / 4
-        # terms (K per entry of P00, times (K/2)^2), so every partial sum
-        # stays below 4096^3 / 4 * 2^17 = 2^51 up to K = RESIDUE_K_MAX.
-        z = rng.integers(-EXACT_PART_MAX, EXACT_PART_MAX + 1, size=(2, 2 * k))
+        # The checks below are exact in float64.  Each product of two entries
+        # of s, h or y has |Re|, |Im| at most 2 EXACT_PART_MAX^2 = 130050 <
+        # 2^17, and V and 1 / (K/2) add no rounding.  So an entry of r = C h
+        # lies below K 2^17 = 2^29, and the longest sum, an entry of the
+        # matched filter c, has K terms below 2^38 and stays under 2^50 up to
+        # K = RESIDUE_K_MAX.  The right side of the matched-filter identity
+        # would not (lambda * V^H s alone reaches about 2^58), so it takes
+        # lambda modulo RESIDUE_PRIME: its K/2 terms lie below 2^20 2^19, and
+        # it stays under 2^50 too.  The sides are compared modulo the prime.
+        z = rng.integers(-EXACT_PART_MAX, EXACT_PART_MAX + 1, size=(2, 2 * k + half))
         z = z[0] + 1j * z[1]
-        s, h = z[:k], z[k:]
+        s, h, y = z[:k], z[k : 2 * k], z[2 * k :]
         structure = build_mother(k)
         code = encode(structure, s)
-        h1, h2 = encoded_channel_minors(h, k)
+        r = code @ h
 
-        exact("received-block-identity", k, np.concatenate([h1 @ s, h2 @ s.conj()]) - code @ h)
-
-        # the off-diagonal half of C C^H; the other is its conjugate transpose
-        exact("code-gram-blocks", k, code[:half] @ code[half:].conj().T)
-
-        if k >= 4:
-            exact("reduction-block-diagonal", k, sum(c for _, c in reduction_residuals(k, rng)))
-
-        lo, hi = slice(None, half), slice(half, None)
-        p00, p01, p11 = (
-            h1[:, x].conj().T @ h1[:, y] + h2[:, x].T @ h2[:, y].conj()
-            for x, y in ((lo, lo), (lo, hi), (hi, hi))
-        )
-        lam = decode(np.zeros(k), h, k).eigenvalues
-        v = walsh_basis(half)
-        target = np.diag(half * lam)
-        exact(
-            "fixed-basis-diagonal", k,
-            v.conj().T @ v - half * np.eye(half),
-            p01,
-            v.conj().T @ p00 @ v - target,
-            v.conj().T @ p11 @ v - target,
-        )
+        # C_bot^H y = conj(C_bot^T conj(y)), with no conjugated copy of C
+        exact("code-gram-blocks", k, code[:half] @ np.conj(code[half:].T @ y.conj()))
 
         # puncturing keeps the leftmost n_t antennas
         n_ts = sorted({k, k - 1, min(3, k)})
         for n_t in n_ts:
             walsh = received_blocks(s[None], h[None, None, :n_t], k)[0, :, 0]
             exact(f"walsh-forward-model(nt={n_t})", k, walsh - code[:, :n_t] @ h[:n_t])
+        del code
 
-        # the round trips draw their own s and gains: free the K x K arrays first
-        del code, h1, h2, p00, p01, p11
-        punctured = [puncture(structure, n_t) for n_t in n_ts]
-        for n_r in (1, 2, 4):
-            for n_t, st in zip(n_ts, punctured):
+        h1, h2 = encoded_channel_minors(h, k)
+        exact("received-block-identity", k, np.concatenate([h1 @ s, h2 @ s.conj()]) - r)
+        # c = conj(conj(r_top) H1) + conj(r_bot) H2, by vector-matrix products
+        c = np.conj(r[:half].conj() @ h1)
+        c += r[half:].conj() @ h2
+        del h1, h2
+
+        v = walsh_basis(half)
+        lam = decode_batch(np.zeros((1, k, 1)), h[None, None], k)[1][0]
+        # V^H x = conj(conj(x) V), with no conjugated copy of V
+        rhs = np.conj(s.reshape(2, half).conj() @ v)
+        rhs *= _mod_prime(lam)
+        lhs = _mod_prime(c.reshape(2, half)) * half
+        exact(
+            "walsh-matched-filter", k,
+            _mod_prime(lhs - rhs @ v.T),
+            np.conj(np.conj(v @ y) @ v) - half * y,
+        )
+
+        if k >= 4:
+            exact("reduction-block-diagonal", k, sum(n for _, n in reduction_residuals(k, rng)))
+
+        # the round trips draw their own s and gains, one punctured code at a time
+        for n_t in n_ts:
+            st = puncture(structure, n_t)
+            for n_r in (1, 2, 4):
                 s = crandn(k)
                 gains = crandn(n_r, n_t)
                 rx = encode(st, s) @ gains.T
@@ -511,6 +534,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
                 checks.append(
                     CheckResult(f"round-trip(nt={n_t},nr={n_r})", k, res, ROUNDTRIP_TOL, res <= ROUNDTRIP_TOL)
                 )
+            del st
         k *= 2
     return VerifyReport(tuple(checks))
 

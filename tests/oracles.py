@@ -92,7 +92,8 @@ def symbol_order(k):
 def chain_decode(received, channels, k):
     """Decode one block with the paper's nested combining chain.
 
-    Takes the inputs of :func:`qostbc.decode`.  The matched filter gives two
+    Takes one block: ``(K,)`` or ``(K, n_r)`` received samples and ``(n_t,)``
+    or ``(n_r, n_t)`` gains.  The matched filter gives two
     half-length vectors, each the reduced matrix ``M = conj(H1 H1^H + H2
     H2^H) / 2``, summed over antennas, times one symbol half.  Each stage
     advances the vectors by the two current matrices ``m1, m2``, splits

@@ -2,6 +2,7 @@
 instantiation (the gather table against the numeric recursion) and Gram
 block-orthogonality."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -252,12 +253,25 @@ class TestEncodeTable:
         with pytest.raises(ValueError):
             EncodingStructure(table)
 
-    def test_value_equality_and_hash(self):
-        a, b = build_mother(8), build_mother(8)
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert puncture(a, 3) == puncture(b, 3)
-        assert a != puncture(a, 7) and a != build_mother(4) and a != object()
-        assert a != replace(a, table=(a.table + 16) % 32)
+    def test_last_mother_is_shared(self):
+        # verify and the channel minors' tables build each K once; sharing
+        # is safe because the table is read-only
+        assert build_mother(16) is build_mother(16)
+        assert build_mother(8) is not build_mother(16)
+
+    def test_vector_gather_copies_no_table(self):
+        # np.take copies a read-only index array before it gathers; one
+        # symbol vector is gathered without that copy of the table
+        st = build_mother(512)
+        s = np.arange(512) * 1j
+        encode(st, s)
+        tracemalloc.start()
+        try:
+            c = encode(st, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < c.nbytes + st.table.nbytes // 2, (peak, c.nbytes, st.table.nbytes)
 
     def test_puncture_keeps_within_the_structure(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ import pytest
 from qostbc import (
     DegenerateChannelError,
     build_mother,
-    decode,
     decode_batch,
     encode,
     encoded_channel_minors,
@@ -34,6 +33,13 @@ from oracles import (
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def decode_block(received, gains, k):
+    """:func:`decode_batch` on one block: ``(K,)`` or ``(K, n_r)`` samples and
+    ``(n_t,)`` or ``(n_r, n_t)`` gains; returns the estimates and eigenvalues."""
+    est, lam = decode_batch(np.reshape(received, (k, -1))[None], np.atleast_2d(gains)[None], k)
+    return est[0], lam[0]
 
 
 def first_stage(r, h):
@@ -254,9 +260,9 @@ class TestDecode:
         s = crandn(rng, 2)
         h = crandn(rng, 2)
         r = encode(build_mother(2), s) @ h
-        res = decode(r, h, 2)
-        np.testing.assert_allclose(res.estimates, s, rtol=1e-12)
-        np.testing.assert_allclose(res.eigenvalues, [np.sum(np.abs(h) ** 2)], rtol=1e-12)
+        est, lam = decode_block(r, h, 2)
+        np.testing.assert_allclose(est, s, rtol=1e-12)
+        np.testing.assert_allclose(lam, [np.sum(np.abs(h) ** 2)], rtol=1e-12)
         est, gain, _ = chain_decode(r, h, 2)
         np.testing.assert_allclose(est, s, rtol=1e-12)
         np.testing.assert_allclose(gain, np.sum(np.abs(h) ** 2), rtol=1e-12)
@@ -266,8 +272,8 @@ class TestDecode:
         s = crandn(rng, 64)
         hh = crandn(rng, 4, 64)
         r = encode(build_mother(64), s) @ hh.T
-        res = decode(r, hh, 64)
-        assert np.linalg.norm(res.estimates - s) <= 1e-9 * np.linalg.norm(s)
+        est = decode_block(r, hh, 64)[0]
+        assert np.linalg.norm(est - s) <= 1e-9 * np.linalg.norm(s)
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256])
     @pytest.mark.parametrize("n_r", [1, 2, 4])
@@ -277,8 +283,8 @@ class TestDecode:
             s = crandn(rng, k)
             hh = crandn(rng, n_r, n_t)
             r = encode(puncture(build_mother(k), n_t), s) @ hh.T
-            res = decode(r, hh, k)
-            err = np.linalg.norm(res.estimates - s) / np.linalg.norm(s)
+            est = decode_block(r, hh, k)[0]
+            err = np.linalg.norm(est - s) / np.linalg.norm(s)
             assert err <= 1e-9, (k, n_t, n_r, err)
 
     def test_unit_vector_raw_position_k8(self):
@@ -317,13 +323,11 @@ class TestDecode:
     @pytest.mark.parametrize("k", [1, 6, 12])
     def test_rejects_k_not_a_power_of_two(self, k):
         with pytest.raises(ValueError, match="power of two"):
-            decode(np.ones(k, dtype=complex), np.ones(1, dtype=complex), k)
-        with pytest.raises(ValueError, match="power of two"):
             decode_batch(np.ones((1, k, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex), k)
 
     def test_degenerate_channel(self):
         with pytest.raises(DegenerateChannelError):
-            decode(np.ones(4, dtype=complex), np.zeros(4, dtype=complex), 4)
+            decode_block(np.ones(4, dtype=complex), np.zeros(4, dtype=complex), 4)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(18)
@@ -333,8 +337,8 @@ class TestDecode:
         rx = np.einsum("bka,bia->bki", encode(build_mother(k), s), hh)
         est = decode_batch(rx, hh, k)[0]
         for b in range(nb):
-            single = decode(rx[b], hh[b], k)
-            np.testing.assert_allclose(est[b], single.estimates, rtol=1e-10)
+            single = decode_block(rx[b], hh[b], k)[0]
+            np.testing.assert_allclose(est[b], single, rtol=1e-10)
 
 
 class TestCombinerWeights:
@@ -349,7 +353,7 @@ class TestCombinerWeights:
             (np.conj(h[0]) * r[0] + h[1] * np.conj(r[1])) / energy,
             (np.conj(h[1]) * r[0] - h[0] * np.conj(r[1])) / energy,
         ]
-        np.testing.assert_allclose(decode(r, h, 2).estimates, want, rtol=1e-12)
+        np.testing.assert_allclose(decode_block(r, h, 2)[0], want, rtol=1e-12)
 
     def test_alamouti_gain_tracks_channel_energy(self):
         # the absolute combining gain equals the channel energy for the
@@ -406,7 +410,7 @@ class TestFixedBasis:
             gains = crandn(rng, n_r, n_t)
             r = encode(puncture(build_mother(k), n_t), s) @ gains.T + 0.3 * crandn(rng, k, n_r)
             want, _ = lstsq_oracle(r, gains, k)
-            got = decode(r, gains, k).estimates
+            got = decode_block(r, gains, k)[0]
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err <= 1e-12, (k, n_t, n_r, err)
 
@@ -426,7 +430,7 @@ class TestFixedBasis:
             assert np.abs(d - np.diag(lam)).max() <= 1e-12 * lam.max()
             # the decoder's eigenvalues, one per group of four columns
             np.testing.assert_allclose(
-                decode(np.zeros((k, n_r)), gains, k).eigenvalues, lam[::4],
+                decode_block(np.zeros((k, n_r)), gains, k)[1], lam[::4],
                 rtol=0, atol=1e-12 * lam.max()
             )
 
@@ -448,7 +452,7 @@ class TestFixedBasis:
         # decoder and the check both use the wrong basis
         monkeypatch.setattr(decoder, "walsh_basis", wrong)
         monkeypatch.setattr(harness, "walsh_basis", wrong)
-        checks = [c for c in verify(128).checks if c.name == "fixed-basis-diagonal" and c.k >= 4]
+        checks = [c for c in verify(128).checks if c.name == "walsh-matched-filter" and c.k >= 4]
         assert [c.k for c in checks] == [2**e for e in range(2, 8)]
         assert not any(c.passed for c in checks), [c.line() for c in checks if c.passed]
 
@@ -479,12 +483,12 @@ class TestFixedBasis:
             per_antenna = np.abs(padded[:, :half] @ v) ** 2 + np.abs(padded[:, half:] @ v) ** 2
             for n_r in (1, 2, 4):
                 want = per_antenna[:n_r].sum(axis=0)
-                got = decode(np.zeros((k, n_r)), gains[:n_r], k).eigenvalues
+                got = decode_block(np.zeros((k, n_r)), gains[:n_r], k)[1]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256, 512])
     def test_eigenvalues_match_gram_diagonal(self, k):
-        # decode's eigenvalues, read off the channel, against diag(Q^T G Q)
+        # the decoder's eigenvalues, read off the channel, against diag(Q^T G Q)
         # of the Gram itself; the n_r = 1, 2, 4 Grams are prefix sums of
         # single-antenna Grams
         rng = np.random.default_rng(4100 + k)
@@ -494,7 +498,7 @@ class TestFixedBasis:
             per_antenna = [np.einsum("ij,ij->j", q4, channel_gram(h, k) @ q4) for h in gains]
             for n_r in (1, 2, 4):
                 want = np.sum(per_antenna[:n_r], axis=0)
-                got = decode(np.zeros((k, n_r)), gains[:n_r], k).eigenvalues
+                got = decode_block(np.zeros((k, n_r)), gains[:n_r], k)[1]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("k", [4, 8])
@@ -534,7 +538,7 @@ class TestFixedBasis:
                     lam * v for v in col]
             exact.append(lam)
         assert min(exact) / max(exact) < 10 * ratio  # the case is as ill-conditioned as meant
-        got = decode(np.zeros((k, n_r)), gains, k).eigenvalues
+        got = decode_block(np.zeros((k, n_r)), gains, k)[1]
         err = max(abs(Fraction(float(v)) - e) / e for v, e in zip(got, exact))
         assert err <= 1e-9, float(err)
 
@@ -550,7 +554,7 @@ class TestFixedBasis:
 
         def worker():
             barrier.wait(timeout=10)
-            results.append(decode(r, h, k).estimates)
+            results.append(decode_block(r, h, k)[0])
 
         threads = [threading.Thread(target=worker) for _ in range(2)]
         for t in threads:
@@ -567,7 +571,7 @@ class TestFixedBasis:
         h = np.array([1.0, 1.0j, 0.0, 0.0])
         r = encode(build_mother(4), np.ones(4, dtype=complex)) @ h
         with pytest.raises(DegenerateChannelError):
-            decode(r, h, 4)
+            decode_block(r, h, 4)
         rng = np.random.default_rng(24)
         gains = np.stack([crandn(rng, 1, 4), h[None]])
         with pytest.raises(DegenerateChannelError):
@@ -580,7 +584,7 @@ class TestFixedBasis:
         hh = crandn(rng, 2, k)
         r = encode(build_mother(k), s) @ hh.T + 0.3 * crandn(rng, k, 2)
         chain = chain_decode(r, hh, k)[0]
-        fixed = decode(r, hh, k).estimates
+        fixed = decode_block(r, hh, k)[0]
         assert np.linalg.norm(chain - fixed) <= 1e-10 * np.linalg.norm(fixed)
 
 
@@ -666,7 +670,7 @@ def test_decode_cost_scales_subcubically():
         best = np.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            decode(r, h, k)
+            decode_block(r, h, k)
             best = min(best, time.perf_counter() - t0)
         return best
 

@@ -212,11 +212,11 @@ class TestVerify:
         } <= names
 
     def test_every_k_certified(self):
-        # round trips and the fixed-basis check run at every K, K=512 too
+        # round trips and the matched-filter check run at every K, K=512 too
         report = verify(512)
         assert report.ok
         ks = [2**i for i in range(1, 10)]
-        for name in ("fixed-basis-diagonal", "round-trip"):
+        for name in ("walsh-matched-filter", "round-trip"):
             assert sorted({c.k for c in report.checks if c.name.startswith(name)}) == ks
 
     def test_report_text(self):
@@ -254,16 +254,21 @@ class TestVerify:
         assert all(c.value == 0 and c.tol == 0 for c in reduction)
 
     def test_structural_checks_are_exact(self):
-        # each product of two Gaussian-integer draws has |Re|, |Im| at most
-        # 2 * EXACT_PART_MAX^2, and no sum has K^3 of them: exact in float64
-        # up to RESIDUE_K_MAX
-        assert harness.RESIDUE_K_MAX**3 * 2 * harness.EXACT_PART_MAX**2 < 2**53
+        # the longest float64 sum, an entry of the matched filter c, has K
+        # terms h r, each with |Re|, |Im| at most 2 EXACT_PART_MAX times an
+        # entry of r = C h, itself K products below 2 EXACT_PART_MAX^2: under
+        # 2^50 up to RESIDUE_K_MAX, so exact in float64
+        k, e = harness.RESIDUE_K_MAX, harness.EXACT_PART_MAX
+        assert k * (2 * e) * k * (2 * e**2) < 2**50
+        # the right side of the matched-filter identity: K/2 terms of lambda
+        # modulo the prime times an entry of V^H s, K/2 terms below e
+        assert (k // 2) * harness.RESIDUE_PRIME * (k // 2) * e < 2**50
         for seed in range(5):
             checks = verify(64, seed=seed).checks
             exact = [c for c in checks if not c.name.startswith("round-trip")]
             assert {c.name.split("(")[0] for c in exact} == {
                 "permutation-sets", "received-block-identity", "code-gram-blocks",
-                "reduction-block-diagonal", "fixed-basis-diagonal", "walsh-forward-model"}
+                "reduction-block-diagonal", "walsh-matched-filter", "walsh-forward-model"}
             assert all(c.value == 0 and c.tol == 0 and c.passed for c in exact), [
                 c.line() for c in exact if c.value or c.tol]
 
@@ -286,8 +291,27 @@ class TestVerify:
             )
             report = verify(32, seed=k)
             failed = {c.name for c in report.checks if not c.passed and c.k == k}
-            assert {"received-block-identity", "fixed-basis-diagonal"} <= failed, (which, idx)
+            assert {"received-block-identity", "walsh-matched-filter"} <= failed, (which, idx)
             assert all(c.passed for c in report.checks if c.k != k)
+
+    @pytest.mark.parametrize("k", [2, 16, 256])
+    def test_wrong_eigenvalue_detected(self, k, monkeypatch):
+        # one eigenvalue the decoder returns, raised by 1 at one K, breaks
+        # the matched-filter identity there and nowhere else; the round
+        # trips do not read the eigenvalues
+        real = harness.decode_batch
+
+        def raised(received, gains, kk):
+            est, lam = real(received, gains, kk)
+            if kk == k:
+                lam = lam.copy()
+                lam[:, -1] += 1
+            return est, lam
+
+        monkeypatch.setattr(harness, "decode_batch", raised)
+        report = verify(256)
+        failed = {(c.name, c.k) for c in report.checks if not c.passed}
+        assert failed == {("walsh-matched-filter", k)}, failed
 
     def test_rejects_k_beyond_residue_bound(self):
         with pytest.raises(ConfigError, match="4096"):
@@ -363,6 +387,12 @@ class TestReductionResiduals:
         values += [-v for v in values] + [-((top // p) * p + 1)]
         got = harness._mod_prime(np.array(values, dtype=float))
         assert [int(g) for g in got] == [v % p for v in values]
+        # both parts of a complex array, in place
+        z = np.array(values, dtype=float) + 1j * np.array(values[::-1], dtype=float)
+        got = harness._mod_prime(z)
+        assert got is z
+        assert [int(g) for g in got.real] == [v % p for v in values]
+        assert [int(g) for g in got.imag] == [v % p for v in values[::-1]]
 
 
 class TestCapacitySweep:
