@@ -24,6 +24,8 @@ neither the transmit matrix nor the minors: every manifold is diagonal in
 the code's fixed basis (:func:`qostbc.codes.walsh_basis`), so the block is
 ``K/2`` Alamouti products (Alamouti, IEEE JSAC 1998) between transforms of
 the symbols and of the gains, the transforms the decoder inverts it with.
+Every transform is :func:`qostbc.codes._walsh_product`, one Kronecker
+factor of the basis at a time.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import build_mother, walsh_basis, _signed_gather
+from .codes import build_mother, _signed_gather, _walsh_product
 
 __all__ = ["encoded_channel_minors", "received_blocks"]
 
 
-def received_blocks(symbols, gains, k: int):
+def received_blocks(symbols, gains, k: int, *, transforms=None):
     """Noiseless received blocks ``r = C(s) h`` of a batch, in the Walsh domain.
 
     With ``V = walsh_basis(K/2)`` each manifold is ``T(v) = V diag(V^T v)
@@ -48,9 +50,11 @@ def received_blocks(symbols, gains, k: int):
         r_top = V (x1 g_a + x2 g_b) / (K/2)
         r_bot = V (conj(x1) g_b - conj(x2) g_a) / (K/2).
 
-    Every product is a 2-D matmul with ``V`` over the whole batch, or
-    elementwise; neither the ``(K, n_t)`` transmit matrix nor the minors
-    are formed.
+    Every product with ``V`` is one :func:`~qostbc.codes._walsh_product`
+    over the whole batch, and at ``K=2`` there is none; the rest is
+    elementwise on arrays whose slices per receive antenna and half are
+    contiguous.  Neither the ``(K, n_t)`` transmit matrix nor the minors are
+    formed.
 
     Parameters
     ----------
@@ -60,6 +64,9 @@ def received_blocks(symbols, gains, k: int):
         ``(B, n_r, n_t)`` channel gains, ``n_t <= K``.
     k : int
         Block size, a power of two >= 2.
+    transforms : np.ndarray, optional
+        ``_gain_transforms(gains, k)``, when the caller has formed them
+        already; the simulator shares them with the decoder.
 
     Returns
     -------
@@ -77,27 +84,52 @@ def received_blocks(symbols, gains, k: int):
     if n_t > k:
         raise ValueError(f"n_t={n_t} exceeds K={k}")
     half = k // 2
-    v = walsh_basis(half)
-    # the 1 / (K/2) of both halves, exact for a power of two
-    x = (symbols.reshape(-1, half) @ v).reshape(nbatch, 1, 2, half) / half
-    g = _gain_transforms(gains, k)
-    x1, x2 = x[..., 0, :], x[..., 1, :]
-    ga, gb = g[..., 0, :], g[..., 1, :]
-    y = np.stack([x1 * ga + x2 * gb, x1.conj() * gb - x2.conj() * ga], axis=-2)
-    r = (y.reshape(-1, half) @ v.T).reshape(nbatch, n_r, k)
-    return np.swapaxes(r, 1, 2)
+    g = _transforms(gains, k, transforms)
+    # x = V^T s of both halves; at K=2, V = [[1]] and x is a view of s
+    x = _walsh_product(symbols.reshape(nbatch, 2, half).transpose(1, 0, 2))
+    if half > 1:  # a new array: the 1 / (K/2) of r, exact for a power of two
+        x /= half
+    x1, x2 = x
+    ga, gb = g[:, 0], g[:, 1]
+    # (n_r, B, 2, K/2), so that r = y V^T reads as (B, K, n_r) without a copy
+    y = np.empty((n_r, nbatch, 2, half), dtype=complex)
+    top, bot = y[:, :, 0], y[:, :, 1]
+    np.multiply(x1, ga, out=top)
+    top += x2 * gb
+    np.multiply(x1.conj(), gb, out=bot)
+    bot -= x2.conj() * ga
+    r = _walsh_product(y, transpose=True)
+    return r.reshape(n_r, nbatch, k).transpose(1, 2, 0)
 
 
 def _gain_transforms(gains, k: int):
-    """``(B, n_r, 2, K/2)`` transforms ``g = V^H h`` of the halves ``h_a, h_b``
-    of ``(B, n_r, n_t)`` gains, zero-padded to ``K``."""
+    """Transforms ``g = V^H h`` of the halves ``h_a, h_b`` of ``(B, n_r, n_t)``
+    gains, zero-padded to ``K``, laid out ``(n_r, 2, B, K/2)``.
+
+    The layout puts the receive antenna and the half first, so every ``g[r,
+    j]`` is one contiguous ``(B, K/2)`` array: the decoder's sums over
+    antennas and halves add whole arrays, with no reduction over a short
+    axis.
+    """
     nbatch, n_r, n_t = gains.shape
     half = k // 2
     # g = h conj(V) = conj(conj(h) V), with no conjugated copy of V
-    padded = np.zeros((nbatch, n_r, k), dtype=complex)
-    np.conjugate(gains, out=padded[..., :n_t])
-    g = (padded.reshape(-1, half) @ walsh_basis(half)).reshape(nbatch, n_r, 2, half)
+    padded = np.zeros((n_r, 2, nbatch, half), dtype=complex)
+    h = gains.transpose(1, 0, 2)
+    np.conjugate(h[..., :half], out=padded[:, 0, :, : min(n_t, half)])
+    np.conjugate(h[..., half:], out=padded[:, 1, :, : max(n_t - half, 0)])
+    g = _walsh_product(padded)
     return np.conjugate(g, out=g)
+
+
+def _transforms(gains, k: int, given=None):
+    """``given`` after a shape check, or else ``_gain_transforms(gains, k)``."""
+    if given is None:
+        return _gain_transforms(gains, k)
+    nbatch, n_r, _ = gains.shape
+    if given.shape != (n_r, 2, nbatch, k // 2):
+        raise ValueError(f"gain transforms of shape {given.shape} are not ({n_r}, 2, {nbatch}, {k // 2})")
+    return given
 
 
 def encoded_channel_minors(h, k: int):
@@ -118,7 +150,7 @@ def encoded_channel_minors(h, k: int):
     return _signed_gather(parts, t1), _signed_gather(parts, t2)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _minor_tables(k: int, n_t: int):
     """Read-only index tables of both minors into ``[0, h_1..h_n_t, -h_1..-h_n_t]``.
 
@@ -126,7 +158,10 @@ def _minor_tables(k: int, n_t: int):
     ``h_a`` (slot ``a + 1``) or ``-h_a`` (slot ``n_t + a + 1``) at ``(t, r)``
     of the stacked minors ``[H1; H2]``, or the zero slot ``0`` when antenna
     ``a`` is punctured.  Each code row uses every raw symbol once, so every
-    minor entry is written exactly once.
+    minor entry is written exactly once.  Only the last ``(K, n_t)`` is
+    kept, as :func:`~qostbc.codes.build_mother` keeps its last code: the
+    callers, :func:`qostbc.harness.verify` and its reduction check, use one
+    ``K`` at a time, and a table pair is ``K^2`` indices.
     """
     if n_t > k:
         raise ValueError(f"n_t={n_t} exceeds K={k}")

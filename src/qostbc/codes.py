@@ -7,7 +7,8 @@ so a code is fully described by one ``(K, n_t)`` integer table
 (:class:`EncodingStructure`) into ``[s, conj(s), -s, -conj(s)]``.  That
 table is the code's only representation: :func:`encode` is a single gather
 through it, and :mod:`qostbc.channels` reads the channel minors off it.
-Every manifold is diagonal in one fixed basis, :func:`walsh_basis`.
+Every manifold is diagonal in one fixed basis, :func:`walsh_basis`, a
+Kronecker power that :func:`_walsh_product` applies one factor at a time.
 
 The K-by-K *mother* matrix is obtained by wrapping two recursive block
 matrices (see :func:`abba_manifold`) built from the two halves of the symbol
@@ -101,6 +102,47 @@ def walsh_basis(half: int) -> np.ndarray:
     return v
 
 
+# Largest K/2 whose Walsh products are one dense GEMM with walsh_basis(K/2).
+# Beyond it two Kronecker factors were faster than the dense GEMM at every
+# K/2 from 128 to 2048 and every row count from 2 to 16384 measured.
+_DENSE_HALF_MAX = 64
+
+
+def _walsh_product(x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``x @ V``, or ``x @ V^T`` with ``transpose``, along the last axis of an array.
+
+    ``V = walsh_basis(half)`` for the last axis's length ``half``.  ``V`` is
+    the Kronecker power of ``[[1, 1], [i, -i]]``, so ``V = V_a (x) V_b`` for
+    any split ``half = a b`` into powers of two (Fino & Algazi, IEEE Trans.
+    Comput. 1976).  With each row of ``x`` read as an ``a x b`` matrix
+    ``X``, ``x @ V`` is ``V_a^T X V_b`` and ``x @ V^T`` is ``V_a X V_b^T``:
+    one GEMM with ``V_b`` over all rows, then one ``a x a`` product per
+    row, ``half (a + b)`` multiplications per row in place of ``half^2``.
+    The split is fixed: up to ``half = 64`` one dense GEMM, beyond it ``a =
+    2^floor(log2(half) / 2)`` and ``b = half / a``, so no basis larger than
+    64 is built up to ``half = 2048``.  At ``half = 1``, ``V = [[1]]`` and
+    ``x`` itself is returned.  Every entry of ``V_a`` and ``V_b`` is ``+-1``
+    or ``+-i``, so on Gaussian integers each partial sum is a sub-sum of the
+    dense product's and the result is exact whenever that one is.
+    """
+    half = x.shape[-1]
+    if not _is_power_of_two(half):
+        raise ValueError(f"K/2={half} is not a power of two")
+    if half == 1:
+        return x
+    rows = x.reshape(-1, half)
+    if half <= _DENSE_HALF_MAX:
+        v = walsh_basis(half)
+        return (rows @ (v.T if transpose else v)).reshape(x.shape)
+    a = 1 << ((half.bit_length() - 1) // 2)
+    b = half // a
+    va, vb = walsh_basis(a), walsh_basis(b)
+    if transpose:
+        va, vb = va.T, vb.T
+    z = (rows.reshape(-1, b) @ vb).reshape(-1, a, b)
+    return (va.T @ z).reshape(x.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class EncodingStructure:
     """The transmit matrix of a code as one signed-gather table.
@@ -111,20 +153,25 @@ class EncodingStructure:
         ``(K, n_t)`` integer index of each transmitted entry into
         ``[s, conj(s), -s, -conj(s)]``: entry ``sign * s_r``, conjugated or
         not, is ``r - 1 + K*conjugated + 2K*(sign < 0)`` with ``r`` 1-based.
-        Rows are epochs, columns antennas.  Kept as a read-only copy.
+        Rows are epochs, columns antennas.  Read-only: an ``intp`` array
+        that no array can write to (it and every array it views are
+        read-only, and the last owns its data) is kept as it is, so a
+        punctured code shares its mother's table; anything else is copied.
     """
 
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=np.intp)
+        table = self.table
+        if not (isinstance(table, np.ndarray) and table.dtype == np.intp and _frozen(table)):
+            table = np.array(table, dtype=np.intp)
+            table.flags.writeable = False
         if table.ndim != 2 or not _is_power_of_two(table.shape[0]):
             raise ValueError(f"table of shape {table.shape} is not (K, n_t) with K a power of two")
         if not 1 <= table.shape[1] <= table.shape[0]:
             raise ValueError(f"n_t={table.shape[1]} out of range 1..{table.shape[0]}")
-        if np.any((table < 0) | (table >= 4 * table.shape[0])):
+        if table.min() < 0 or table.max() >= 4 * table.shape[0]:
             raise ValueError("table entries must lie in 0..4K-1")
-        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -134,6 +181,18 @@ class EncodingStructure:
     @property
     def n_t(self) -> int:
         return self.table.shape[1]
+
+
+def _frozen(a) -> bool:
+    """No array can write to ``a``: it and every array it views are read-only,
+    down to one that owns its data."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        if a.base is None:
+            return True
+        a = a.base
+    return False
 
 
 @lru_cache(maxsize=1)
@@ -166,7 +225,9 @@ def build_mother(k: int) -> EncodingStructure:
     b = abba_manifold(half + k // 2)
     signed = np.block([[a, b], [-b.T, a.T]])
     conj = np.repeat([0, k], k // 2)[:, None]
-    return EncodingStructure(np.abs(signed) - 1 + conj + 2 * k * (signed < 0))
+    table = np.abs(signed) - 1 + conj + 2 * k * (signed < 0)
+    table.flags.writeable = False  # so the structure keeps it and copies nothing
+    return EncodingStructure(table)
 
 
 def puncture(structure: EncodingStructure, n_t: int) -> EncodingStructure:

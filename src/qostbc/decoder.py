@@ -35,6 +35,13 @@ the combiners ``sum_r conj(g_a) u + g_b w`` and ``sum_r conj(g_b) u - g_a
 w`` give ``x = V^T s`` of each symbol half times ``lambda' = sum_r |g_a|^2
 + |g_b|^2``, and ``s = conj(V) x / (K/2)``.  Products with ``+-1`` and
 ``+-i`` are exact, so nearly singular channels keep their relative precision.
+
+``V`` is the Kronecker power of ``[[1, 1], [i, -i]]``, and every product
+with it is :func:`qostbc.codes._walsh_product`: one dense GEMM up to ``K/2
+= 64``, two Kronecker factors beyond, none at ``K=2``.  The transforms are
+laid out receive antenna and half first, ``(n_r, 2, B, K/2)``, so the sums
+over antennas and halves add whole contiguous ``(B, K/2)`` arrays, and the
+combiners are scaled by the real reciprocal of ``lambda'``.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # nothing here calls encoded_channel_minors: bench/spans.py wraps it under this name
-from .channels import _gain_transforms, encoded_channel_minors
-from .codes import _is_power_of_two, walsh_basis
+from .channels import _transforms, encoded_channel_minors
+from .codes import _is_power_of_two, _walsh_product
 
 __all__ = [
     "PermutationPair",
@@ -106,7 +113,7 @@ def _split_blocks(g):
     )
 
 
-def decode_batch(received, channels, k: int = None):
+def decode_batch(received, channels, k: int = None, *, transforms=None):
     """Least-squares decoder over a leading batch of independent blocks.
 
     Parameters
@@ -118,6 +125,10 @@ def decode_batch(received, channels, k: int = None):
         vector per antenna and block.
     k : int, optional
         Block size; defaults to ``received.shape[1]``.
+    transforms : np.ndarray, optional
+        ``qostbc.channels._gain_transforms(channels, k)``, when the caller
+        has formed them already; the simulator shares them with
+        :func:`~qostbc.channels.received_blocks`.
 
     Returns
     -------
@@ -151,20 +162,26 @@ def decode_batch(received, channels, k: int = None):
     if channels.shape[2] > k:
         raise ValueError(f"n_t={channels.shape[2]} exceeds K={k}")
     half = k // 2
-    v = walsh_basis(half)
-    g = _gain_transforms(channels, k)
-    lam = (np.square(g.real) + np.square(g.imag)).sum(axis=(1, 2))  # lambda reversed
+    g = _transforms(channels, k, transforms)
+    # lambda reversed: the (antenna, half) slices are added in that order
+    lam = (np.square(g.real) + np.square(g.imag)).reshape(2 * n_r, nbatch, half).sum(axis=0)
     singular = lam.min(axis=1) <= k * np.finfo(float).eps * lam.max(axis=1)
     if np.any(singular):
         raise DegenerateChannelError(
             f"singular channel Gram matrix in {int(singular.sum())} of {nbatch} blocks"
         )
     # conj(r) V = conj(V^H r) per half, with no conjugated copy of V: conj(u), w
-    t = np.conjugate(np.swapaxes(received, 1, 2), order="C")
-    t = (t.reshape(-1, half) @ v).reshape(nbatch, n_r, 2, half)
-    ga, gb, t0, t1 = g[..., 0, :], g[..., 1, :], t[..., 0, :], t[..., 1, :]
-    # conj(x) lambda' of both symbol halves, then conj(V) x / (K/2) = conj(conj(x) V^T) / (K/2)
-    y = np.stack([ga * t0 + np.conj(gb * t1), gb * t0 - np.conj(ga * t1)], axis=-2).sum(axis=1)
-    y /= (lam * half)[:, None]
-    est = (y.reshape(-1, half) @ v.T).reshape(nbatch, k)
-    return np.conjugate(est, out=est), lam[:, ::-1]
+    t = np.conjugate(received.reshape(nbatch, 2, half, n_r).transpose(3, 1, 0, 2), order="C")
+    t = _walsh_product(t)
+    ga, gb, t0, t1 = g[:, 0], g[:, 1], t[:, 0], t[:, 1]
+    # conj(x) lambda' of both symbol halves, summed over the antennas
+    y = np.empty((2, nbatch, half), dtype=complex)
+    np.add.reduce(ga * t0 + np.conj(gb * t1), axis=0, out=y[0])
+    np.add.reduce(gb * t0 - np.conj(ga * t1), axis=0, out=y[1])
+    # lambda' stays real: numpy divides by a complex c + 0i as a product with
+    # 1 / c, so this product gives the same bits at a fraction of the cost
+    y *= 1 / (lam * half)
+    # conj(V) x / (K/2) = conj(conj(x) V^T) / (K/2), back in natural order
+    est = _walsh_product(y, transpose=True)
+    est = np.conjugate(est.transpose(1, 0, 2), order="C").reshape(nbatch, k)
+    return est, lam[:, ::-1]

@@ -26,8 +26,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import analysis, fading
-from .codes import build_mother, puncture, encode, walsh_basis, _is_power_of_two
-from .channels import encoded_channel_minors, received_blocks
+from .codes import build_mother, puncture, encode, _is_power_of_two, _walsh_product
+from .channels import encoded_channel_minors, received_blocks, _gain_transforms
 from .decoder import decode_batch, permutation_indexes, _split_blocks
 from .modem import modulation, count_bit_errors
 
@@ -184,8 +184,10 @@ def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks):
     symbols = mod.map_bits(bits)
     gains = fading.sample_gains(stats, rng, (nblocks, n_r))
     gains /= np.sqrt(config.n_t)  # shared transmit power: the channel the receiver sees
-    rx = fading.add_awgn(received_blocks(symbols, gains, k), n0, rng)
-    estimates, lam = decode_batch(rx, gains, k)
+    # the forward model and the decoder share one transform of the gains
+    g = _gain_transforms(gains, k)
+    rx = fading.add_awgn(received_blocks(symbols, gains, k, transforms=g), n0, rng)
+    estimates, lam = decode_batch(rx, gains, k, transforms=g)
     ratio = float((lam.min(axis=1) / lam.max(axis=1)).min())
     return count_bit_errors(bits, mod.demap(estimates)), ratio
 
@@ -428,7 +430,10 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
       V (lambda * V^H s_j)`` for both symbol halves ``s_j``, with ``V =
       walsh_basis(K/2)`` and the ``lambda`` of
       :func:`~qostbc.decoder.decode_batch` in its Walsh order; and ``V^H (V
-      y) = (K/2) y``.
+      y) = (K/2) y``.  Every product with ``V`` runs through
+      :func:`~qostbc.codes._walsh_product`, the decoder's own, so the
+      second identity (Freivalds, 1977) certifies the factored product that
+      the decoder and the simulator apply.
     - ``reduction-block-diagonal`` (exact modulo a prime, ``K >= 4``): the
       count of nonzero off-block entries of :func:`reduction_residuals`, on
       two residue draws of its own.
@@ -483,6 +488,9 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         # would not (lambda * V^H s alone reaches about 2^58), so it takes
         # lambda modulo RESIDUE_PRIME: its K/2 terms lie below 2^20 2^19, and
         # it stays under 2^50 too.  The sides are compared modulo the prime.
+        # The products with V run one Kronecker factor at a time, and every
+        # partial sum of the factored product is a sub-sum of the same
+        # integer sum, with the same +-1, +-i signs: it stays below 2^50.
         z = rng.integers(-EXACT_PART_MAX, EXACT_PART_MAX + 1, size=(2, 2 * k + half))
         z = z[0] + 1j * z[1]
         s, h, y = z[:k], z[k : 2 * k], z[2 * k :]
@@ -507,16 +515,16 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         c += r[half:].conj() @ h2
         del h1, h2
 
-        v = walsh_basis(half)
         lam = decode_batch(np.zeros((1, k, 1)), h[None, None], k)[1][0]
         # V^H x = conj(conj(x) V), with no conjugated copy of V
-        rhs = np.conj(s.reshape(2, half).conj() @ v)
+        rhs = np.conj(_walsh_product(s.reshape(2, half).conj()))
         rhs *= _mod_prime(lam)
         lhs = _mod_prime(c.reshape(2, half)) * half
+        vy = _walsh_product(y, transpose=True)
         exact(
             "walsh-matched-filter", k,
-            _mod_prime(lhs - rhs @ v.T),
-            np.conj(np.conj(v @ y) @ v) - half * y,
+            _mod_prime(lhs - _walsh_product(rhs, transpose=True)),
+            np.conj(_walsh_product(np.conj(vy))) - half * y,
         )
 
         if k >= 4:

@@ -7,7 +7,7 @@ simulator against the code's own encoder."""
 import numpy as np
 import pytest
 
-from qostbc import build_mother, encode, encoded_channel_minors, puncture, received_blocks
+from qostbc import build_mother, encode, encoded_channel_minors, puncture, received_blocks, verify
 from qostbc.channels import _minor_tables
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
@@ -196,6 +196,11 @@ class TestMinorTables:
         encoded_channel_minors(crandn(rng, 6), 8)
         info = _minor_tables.cache_info()
         assert (info.misses, info.hits) == (2, 1)
+
+    def test_only_the_last_tables_are_kept(self):
+        # verify and its reduction check use one K at a time
+        verify(512)
+        assert _minor_tables.cache_info().currsize == 1
 
     def test_tables_are_read_only(self):
         for table in _minor_tables(8, 5):

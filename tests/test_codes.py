@@ -1,6 +1,6 @@
 """Construction-side tests: manifold recursion, mother matrix, puncturing,
-instantiation (the gather table against the numeric recursion) and Gram
-block-orthogonality."""
+instantiation (the gather table against the numeric recursion), Gram
+block-orthogonality and the factored Walsh product."""
 
 import tracemalloc
 from dataclasses import replace
@@ -15,6 +15,8 @@ from qostbc import (
     encode,
     puncture,
 )
+from qostbc.codes import _walsh_product
+from oracles import walsh_dw
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
 TABLE_CASES = [(k, n_t) for k in ALL_K for n_t in sorted({1, 3, k - 1, k}) if n_t <= k]
@@ -240,10 +242,23 @@ class TestEncodeTable:
     def test_table_ignores_later_caller_writes(self):
         st = build_mother(4)
         table = np.array(st.table)
-        own = EncodingStructure(table)
-        table[:] = 0
-        np.testing.assert_array_equal(own.table, st.table)
-        np.testing.assert_array_equal(encode(own, np.arange(4.0)), encode(st, np.arange(4.0)))
+        # a read-only view of a writeable array is copied as well
+        view = table[:]
+        view.flags.writeable = False
+        for given in (table, view):
+            own = EncodingStructure(given)
+            table[:] = 0
+            np.testing.assert_array_equal(own.table, st.table)
+            np.testing.assert_array_equal(encode(own, np.arange(4.0)), encode(st, np.arange(4.0)))
+            table[:] = st.table
+
+    def test_punctured_table_shares_the_mothers(self):
+        mother = build_mother(16)
+        for n_t in (1, 5, 16):
+            st = puncture(mother, n_t)
+            assert np.shares_memory(st.table, mother.table)
+            with pytest.raises(ValueError):
+                st.table[0, 0] = 1
 
     @pytest.mark.parametrize(
         "table",
@@ -302,3 +317,25 @@ class TestGram:
         h = k // 2
         a, b = c[:h, :h], c[:h, h:]
         np.testing.assert_allclose(gram(c)[:h, :h], a @ a.conj().T + b @ b.conj().T, atol=1e-10)
+
+
+class TestWalshProduct:
+    """``_walsh_product``, one Kronecker factor at a time, against the dense ``D W``."""
+
+    @pytest.mark.parametrize("half", [2**e for e in range(12)])
+    def test_equals_dense_basis_exactly(self, half):
+        # Gaussian integers: every product and partial sum is exact, so the
+        # factored and the dense products agree to the bit
+        v = walsh_dw(half)
+        rng = np.random.default_rng(7000 + half)
+        for lead in ((), (3,), (2, 3)):
+            shape = lead + (half,)
+            x = rng.integers(-9, 10, shape) + 1j * rng.integers(-9, 10, shape)
+            for transpose, want in ((False, x @ v), (True, x @ v.T)):
+                got = _walsh_product(x, transpose)
+                assert got.shape == shape
+                assert np.array_equal(got, want), (half, lead, transpose)
+
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError):
+            _walsh_product(np.ones((2, 96)))

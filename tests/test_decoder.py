@@ -23,6 +23,7 @@ from qostbc import (
     walsh_basis,
 )
 import qostbc.channels as channels
+import qostbc.codes as codes
 import qostbc.decoder as decoder
 import qostbc.harness as harness
 from qostbc.harness import reduction_residuals
@@ -448,22 +449,23 @@ class TestFixedBasis:
 
     @pytest.mark.parametrize("wrong", [sylvester, one_flipped, doubled], ids=lambda f: f.__name__)
     def test_verify_rejects_a_wrong_basis(self, wrong, monkeypatch):
-        # W without the phases D, one flipped entry, or twice D W: the
-        # decoder and the check both use the wrong basis
-        monkeypatch.setattr(decoder, "walsh_basis", wrong)
-        monkeypatch.setattr(harness, "walsh_basis", wrong)
-        checks = [c for c in verify(128).checks if c.name == "walsh-matched-filter" and c.k >= 4]
-        assert [c.k for c in checks] == [2**e for e in range(2, 8)]
+        # W without the phases D, one flipped entry, or twice D W as the
+        # factor of every Walsh product: the decoder and the check both use
+        # the wrong basis, dense up to K = 128 and factored at K = 256
+        monkeypatch.setattr(codes, "walsh_basis", wrong)
+        checks = [c for c in verify(256).checks if c.name == "walsh-matched-filter" and c.k >= 4]
+        assert [c.k for c in checks] == [2**e for e in range(2, 9)]
         assert not any(c.passed for c in checks), [c.line() for c in checks if c.passed]
 
     @pytest.mark.parametrize("wrong", [sylvester, one_flipped], ids=lambda f: f.__name__)
     def test_verify_rejects_a_wrong_forward_basis(self, wrong, monkeypatch):
         # the simulator's forward model with W without the phases D, or one
-        # flipped entry, no longer matches the code's own encoder
-        monkeypatch.setattr(channels, "walsh_basis", wrong)
-        report = verify(128)
+        # flipped entry, as the factor of its Walsh products no longer
+        # matches the code's own encoder
+        monkeypatch.setattr(codes, "walsh_basis", wrong)
+        report = verify(256)
         forward = [c for c in report.checks if c.name.startswith("walsh-forward-model")]
-        assert {c.k for c in forward} == {2**e for e in range(1, 8)}
+        assert {c.k for c in forward} == {2**e for e in range(1, 9)}
         assert not any(c.passed for c in forward if c.k >= 4), [
             c.line() for c in forward if c.passed and c.k >= 4]
 
@@ -607,7 +609,8 @@ class TestWalshDomain:
             gains = rng.integers(-9, 10, (2, 3, n_t)) + 1j * rng.integers(-9, 10, (2, 3, n_t))
             padded = np.zeros((2, 3, 2, half), dtype=complex)
             padded.reshape(2, 3, k)[..., :n_t] = gains
-            g = channels._gain_transforms(gains, k)
+            # laid out (n_r, 2, B, K/2): receive antenna and half first
+            g = channels._gain_transforms(gains, k).transpose(2, 0, 1, 3)
             assert np.array_equal(g, padded @ v.conj())
             flip = np.arange(half) ^ (half - 1)
             assert np.array_equal(flip, np.arange(half)[::-1])

@@ -141,6 +141,33 @@ class TestRunSweep:
         errors, _ = harness._sim_batch(cfg, modulation(mod), stats, 0.0, 0, 0, 512)
         assert errors == 0
 
+    def test_gain_transforms_formed_once_per_batch(self, monkeypatch):
+        # the forward model and the decoder share one transform of the gains
+        calls = []
+
+        def counted(gains, k):
+            calls.append(len(gains))
+            return real(gains, k)
+
+        real = channels._gain_transforms
+        for module in (channels, harness):
+            monkeypatch.setattr(module, "_gain_transforms", counted)
+        cfg = small_config(k=8, n_t=6, n_r=2, modulation="qpsk")
+        stats = branch_stats(cfg.n_t, cfg.channel, cfg.profile)
+        errors, _ = harness._sim_batch(cfg, modulation("qpsk"), stats, 0.0, 0, 0, 64)
+        assert errors == 0
+        assert calls == [64]
+
+    def test_gain_transforms_of_the_wrong_shape_rejected(self):
+        rng = np.random.default_rng(31)
+        gains = rng.standard_normal((4, 2, 3)) + 0j
+        g = channels._gain_transforms(gains, 8)
+        for bad in (g[:1], g[:, :, :3], g[..., :2]):
+            with pytest.raises(ValueError):
+                channels.received_blocks(np.ones((4, 8)), gains, 8, transforms=bad)
+            with pytest.raises(ValueError):
+                decode_batch(np.ones((4, 8, 2)), gains, 8, transforms=bad)
+
     @pytest.mark.parametrize(
         "params,counts",
         [
@@ -175,9 +202,9 @@ class TestRunSweep:
         # lambda_max of each block's Gram with a dense eigensolver
         seen = []
 
-        def recording(received, gains, k):
+        def recording(received, gains, k, **kwargs):
             seen.append(gains.copy())
-            return decode_batch(received, gains, k)
+            return decode_batch(received, gains, k, **kwargs)
 
         monkeypatch.setattr(harness, "decode_batch", recording)
         cfg = small_config(k=8, n_t=6, n_r=2, modulation="qpsk", esno_db=(5.0,), trials=300,
