@@ -161,15 +161,20 @@ def _minor_tables(k: int, n_t: int):
     minor entry is written exactly once.  Only the last ``(K, n_t)`` is
     kept, as :func:`~qostbc.codes.build_mother` keeps its last code: the
     callers, :func:`qostbc.harness.verify` and its reduction check, use one
-    ``K`` at a time, and a table pair is ``K^2`` indices.
+    ``K`` at a time, and a table pair is ``K^2`` indices.  So each ``K`` of
+    a ``verify`` call builds its tables anew, with one flat scatter and
+    no integer division or broadcast ``where``, which cost several times
+    more at ``K = 256``.
     """
     if n_t > k:
         raise ValueError(f"n_t={n_t} exceeds K={k}")
     table = build_mother(k).table
-    raw, neg = table % k, table >= 2 * k
-    a = np.arange(k)
-    slot = np.where(a < n_t, a + 1 + n_t * neg, 0)
+    flat = table & (k - 1)  # raw symbol r, as the flat index of (t, r)
+    flat += np.arange(0, k * k, k)[:, None]
+    slot = (table >= 2 * k) * n_t
+    slot += np.arange(1, k + 1)
+    slot[:, n_t:] = 0
     out = np.empty((k, k), dtype=np.intp)
-    np.put_along_axis(out, raw, slot, axis=1)
+    out.reshape(-1)[flat] = slot
     out.flags.writeable = False
     return out[: k // 2], out[k // 2 :]

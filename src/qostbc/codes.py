@@ -153,17 +153,24 @@ class EncodingStructure:
         ``(K, n_t)`` integer index of each transmitted entry into
         ``[s, conj(s), -s, -conj(s)]``: entry ``sign * s_r``, conjugated or
         not, is ``r - 1 + K*conjugated + 2K*(sign < 0)`` with ``r`` 1-based.
-        Rows are epochs, columns antennas.  Read-only: an ``intp`` array
-        that no array can write to (it and every array it views are
-        read-only, and the last owns its data) is kept as it is, so a
-        punctured code shares its mother's table; anything else is copied.
+        Rows are epochs, columns antennas.  Read-only: a C-contiguous
+        ``intp`` array that no array can write to (it and every array it
+        views are read-only, and the last owns its data) is kept as it is,
+        so ``puncture(mother, K)`` shares its mother's table; anything else
+        is copied, a strided leftmost-columns view too, since gathers
+        through it run slower.
     """
 
     table: np.ndarray
 
     def __post_init__(self):
         table = self.table
-        if not (isinstance(table, np.ndarray) and table.dtype == np.intp and _frozen(table)):
+        if not (
+            isinstance(table, np.ndarray)
+            and table.dtype == np.intp
+            and table.flags.c_contiguous
+            and _frozen(table)
+        ):
             table = np.array(table, dtype=np.intp)
             table.flags.writeable = False
         if table.ndim != 2 or not _is_power_of_two(table.shape[0]):

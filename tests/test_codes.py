@@ -252,11 +252,14 @@ class TestEncodeTable:
             np.testing.assert_array_equal(encode(own, np.arange(4.0)), encode(st, np.arange(4.0)))
             table[:] = st.table
 
-    def test_punctured_table_shares_the_mothers(self):
+    def test_full_puncture_shares_the_mothers_table(self):
         mother = build_mother(16)
-        for n_t in (1, 5, 16):
-            st = puncture(mother, n_t)
-            assert np.shares_memory(st.table, mother.table)
+        full, part = puncture(mother, 16), puncture(mother, 5)
+        assert np.shares_memory(full.table, mother.table)
+        # a strided leftmost-columns view is copied, so gathers stay contiguous
+        assert part.table.flags.c_contiguous
+        assert not np.shares_memory(part.table, mother.table)
+        for st in (full, part):
             with pytest.raises(ValueError):
                 st.table[0, 0] = 1
 
