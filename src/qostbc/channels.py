@@ -162,9 +162,8 @@ def _minor_tables(k: int, n_t: int):
     kept, as :func:`~qostbc.codes.build_mother` keeps its last code: the
     callers, :func:`qostbc.harness.verify` and its reduction check, use one
     ``K`` at a time, and a table pair is ``K^2`` indices.  So each ``K`` of
-    a ``verify`` call builds its tables anew, with one flat scatter and
-    no integer division or broadcast ``where``, which cost several times
-    more at ``K = 256``.
+    a ``verify`` call builds its tables anew, and one flat scatter keeps
+    that cheap.
     """
     if n_t > k:
         raise ValueError(f"n_t={n_t} exceeds K={k}")
