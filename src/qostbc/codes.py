@@ -104,7 +104,7 @@ def walsh_basis(half: int) -> np.ndarray:
 
 # Largest K/2 whose Walsh products are one dense GEMM with walsh_basis(K/2).
 # Beyond it two Kronecker factors were faster than the dense GEMM at every
-# K/2 from 128 to 2048 and every row count from 2 to 16384 measured.
+# K/2 from 128 to 2048 and every row count measured, 2 to 8192.
 _DENSE_HALF_MAX = 64
 
 
