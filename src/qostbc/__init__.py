@@ -8,19 +8,13 @@ hard-decision capacity analysis, and a reproducible Monte Carlo harness.
 
 from .codes import (
     EncodingStructure,
-    abba_manifold,
     walsh_basis,
     build_mother,
     puncture,
     encode,
 )
 from .channels import encoded_channel_minors, received_blocks
-from .decoder import (
-    PermutationPair,
-    DegenerateChannelError,
-    permutation_indexes,
-    decode_batch,
-)
+from .decoder import DegenerateChannelError, decode_batch
 from .modem import Modulation, modulation, psk_distance_spectrum, count_bit_errors
 from .fading import (
     BranchStat,
@@ -45,6 +39,8 @@ from .analysis import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    PermutationPair,
+    permutation_indexes,
     SweepResult,
     run_sweep,
     verify,

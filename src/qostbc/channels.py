@@ -15,9 +15,12 @@ the code, forms the matched filter ``c = H1^H r_top + H2^T conj(r_bot)``
 with them, and runs the paper's reduction chain on them modulo a prime.
 Neither the simulator nor the decoder forms them.
 
-Every minor entry is ``+h_a``, ``-h_a`` or ``0``, in a pattern fixed by
-``(K, n_t)``.  It is kept as two read-only index tables into ``[0, h, -h]``;
-:func:`encoded_channel_minors` is one gather per minor through them.
+Every minor entry is ``+h_a``, ``-h_a`` or ``0``.  Like the code, each
+minor is a signed dyadic convolution: entry ``(t, r)`` is ``+-h~[t xor
+r]`` (or ``u = t + K/2`` in place of ``t`` for ``H2``) of the gains ``h~``
+zero-padded to ``K``, with a sign given by a popcount parity.
+:func:`encoded_channel_minors` computes those indices and signs for each
+call and gathers each minor in one pass; nothing of size ``K^2`` is kept.
 
 The simulator forms ``r`` a third way, :func:`received_blocks`, with
 neither the transmit matrix nor the minors: every manifold is diagonal in
@@ -30,11 +33,9 @@ factor of the basis at a time.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .codes import build_mother, _signed_gather, _walsh_product
+from .codes import _is_power_of_two, _walsh_product
 
 __all__ = ["encoded_channel_minors", "received_blocks"]
 
@@ -135,9 +136,9 @@ def _transforms(gains, k: int, given=None):
 def encoded_channel_minors(h, k: int):
     """Both ``K/2 x K`` minors for gains ``h`` of shape ``(..., n_t)``.
 
-    Each minor is one gather from ``[0, h, -h]`` (along the last axis)
-    through the cached tables of :func:`_minor_tables`, in the dtype of
-    ``h``.
+    Each minor is one gather from ``[h~, -h~]`` (along the last axis), with
+    ``h~`` the gains zero-padded to ``K``, through the indices of
+    :func:`_minor_indices`, in the dtype of ``h``.
 
     Returns
     -------
@@ -145,35 +146,46 @@ def encoded_channel_minors(h, k: int):
         C-contiguous arrays of shape ``(..., K/2, K)``.
     """
     h = np.asarray(h)
-    t1, t2 = _minor_tables(k, h.shape[-1])
-    parts = (np.zeros(h.shape[:-1] + (1,), h.dtype), h, -h)
-    return _signed_gather(parts, t1), _signed_gather(parts, t2)
-
-
-@lru_cache(maxsize=1)
-def _minor_tables(k: int, n_t: int):
-    """Read-only index tables of both minors into ``[0, h_1..h_n_t, -h_1..-h_n_t]``.
-
-    Code entry ``(t, a)`` holds raw symbol ``r`` with a sign; it puts
-    ``h_a`` (slot ``a + 1``) or ``-h_a`` (slot ``n_t + a + 1``) at ``(t, r)``
-    of the stacked minors ``[H1; H2]``, or the zero slot ``0`` when antenna
-    ``a`` is punctured.  Each code row uses every raw symbol once, so every
-    minor entry is written exactly once.  Only the last ``(K, n_t)`` is
-    kept, as :func:`~qostbc.codes.build_mother` keeps its last code: the
-    callers, :func:`qostbc.harness.verify` and its reduction check, use one
-    ``K`` at a time, and a table pair is ``K^2`` indices.  So each ``K`` of
-    a ``verify`` call builds its tables anew, and one flat scatter keeps
-    that cheap.
-    """
+    n_t = h.shape[-1]
+    if not _is_power_of_two(k) or k < 2:
+        raise ValueError(f"K={k} must be a power of two >= 2")
     if n_t > k:
         raise ValueError(f"n_t={n_t} exceeds K={k}")
-    table = build_mother(k).table
-    flat = table & (k - 1)  # raw symbol r, as the flat index of (t, r)
-    flat += np.arange(0, k * k, k)[:, None]
-    slot = (table >= 2 * k) * n_t
-    slot += np.arange(1, k + 1)
-    slot[:, n_t:] = 0
-    out = np.empty((k, k), dtype=np.intp)
-    out.reshape(-1)[flat] = slot
-    out.flags.writeable = False
-    return out[: k // 2], out[k // 2 :]
+    signed = np.zeros(h.shape[:-1] + (2 * k,), h.dtype)
+    signed[..., :n_t] = h
+    np.negative(h, out=signed[..., k : k + n_t])
+    # np.take keeps the result C-contiguous; fancy indexing would put the
+    # leading axes innermost
+    return tuple(np.take(signed, index, axis=-1) for index in _minor_indices(k))
+
+
+def _minor_indices(k: int):
+    """Indices of both minors into ``[h~, -h~]``, for the gains ``h~``
+    zero-padded to ``K``: ``H[t, r]`` is entry ``index[t, r]``.
+
+    With ``u = t + K/2``,
+
+        H1[t, r] = (-1)^popcount(t & r) h~[t xor r]
+        H2[t, r] = (-1)^(popcount(r & (K/2 - 1)) + popcount(u & r)) h~[u xor r],
+
+    so the index is ``t xor r`` (or ``u xor r``), plus ``K`` where the
+    popcount is odd.  This is the channel-side form of the code, worked out
+    on its own rather than read off :func:`qostbc.codes._code_indices`, so
+    that the check of ``[H1 s; H2 conj(s)]`` against ``C(s) h`` compares two
+    closed forms.  Puncturing is the zero padding: a punctured antenna
+    leaves a zero.
+    """
+    half = k // 2
+    t = np.arange(half, dtype=np.min_scalar_type(k - 1))[:, None]
+    r = np.arange(k, dtype=t.dtype)
+    u = t + half
+    flips2 = np.bitwise_count(u & r)
+    flips2 += np.bitwise_count(r & (half - 1))
+    indices = []
+    for row, flips in ((t, np.bitwise_count(t & r)), (u, flips2)):
+        flips &= 1
+        index = flips.astype(np.intp)
+        index *= k
+        index += row ^ r
+        indices.append(index)
+    return tuple(indices)

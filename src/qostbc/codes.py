@@ -3,30 +3,31 @@
 The codes built here map a block of ``K`` complex symbols (``K`` a power of
 two) onto ``K`` transmit epochs over ``n_t <= K`` antennas.  Every matrix
 entry is ``+-s_k`` or ``+-conj(s_k)`` for exactly one *raw* symbol ``s_k``,
-so a code is fully described by one ``(K, n_t)`` integer table
-(:class:`EncodingStructure`) into ``[s, conj(s), -s, -conj(s)]``.  That
-table is the code's only representation: :func:`encode` is a single gather
-through it, and :mod:`qostbc.channels` reads the channel minors off it.
-Every manifold is diagonal in one fixed basis, :func:`walsh_basis`, a
-Kronecker power that :func:`_walsh_product` applies one factor at a time.
+so a code is fully described by one ``(K, n_t)`` integer table into ``[s,
+conj(s), -s, -conj(s)]``, which :class:`EncodingStructure` derives from
+``(K, n_t)``.  :func:`encode` is a single gather through it.
 
-The K-by-K *mother* matrix is obtained by wrapping two recursive block
-matrices (see :func:`abba_manifold`) built from the two halves of the symbol
-vector; the recursion runs once, over the signed raw indices, and is folded
-straight into the table.  Transmit matrices for fewer antennas keep the
-leftmost columns of the mother matrix (:func:`puncture`).
+The paper builds the K-by-K *mother* matrix by wrapping two recursive ABBA
+block matrices of the two halves of the symbol vector.  That recursion has
+a closed form: each manifold is a Hadamard-signed dyadic convolution,
+``T(v)[i, j] = (-1)^popcount(i & ~j) v[i xor j]``, so :func:`_code_indices`
+computes every entry's raw symbol and sign directly from its row and
+column.  The same form is why every manifold is diagonal in one fixed
+basis, :func:`walsh_basis`, a Kronecker power that :func:`_walsh_product`
+applies one factor at a time (Fino & Algazi, IEEE Trans. Comput. 1976).
+Transmit matrices for fewer antennas keep the leftmost columns of the
+mother matrix (:func:`puncture`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "EncodingStructure",
-    "abba_manifold",
     "walsh_basis",
     "build_mother",
     "puncture",
@@ -38,49 +39,16 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def abba_manifold(vec) -> np.ndarray:
-    """Recursive block matrix of a length-``2**n`` vector.
-
-    The vector is folded pairwise: neighbouring entries ``a`` and ``b`` are
-    combined into ``[[a, b], [-b, a]]``, then neighbouring blocks are
-    combined again with the same template, until a single square matrix
-    remains.  This is equivalent to the top-down recursion
-    ``T(first half) , T(second half)`` wrapped once more with the template.
-
-    Parameters
-    ----------
-    vec : array_like
-        Input of shape ``(..., K)`` with ``K`` a power of two.  Any numeric
-        dtype works; signed integers give the symbolic (index, sign) form.
-
-    Returns
-    -------
-    np.ndarray
-        Array of shape ``(..., K, K)``.
-    """
-    vec = np.asarray(vec)
-    k = vec.shape[-1]
-    if not _is_power_of_two(k):
-        raise ValueError(f"vector length {k} is not a power of two")
-    blocks = vec[..., :, None, None]
-    while blocks.shape[-3] > 1:
-        a = blocks[..., 0::2, :, :]
-        b = blocks[..., 1::2, :, :]
-        top = np.concatenate([a, b], axis=-1)
-        bot = np.concatenate([-b, a], axis=-1)
-        blocks = np.concatenate([top, bot], axis=-2)
-    return blocks[..., 0, :, :]
-
-
 @lru_cache(maxsize=16)
 def walsh_basis(half: int) -> np.ndarray:
     """The read-only ``half x half`` matrix ``V = D W`` that diagonalises every manifold.
 
     ``W[i, j] = (-1)^popcount(i & j)`` is the Sylvester-Hadamard matrix of
     order ``half`` and ``D = diag(i^popcount(j))``.  For every ``v`` of
-    length ``half``,
+    length ``half``, its manifold ``T(v)[i, j] = (-1)^popcount(i & ~j)
+    v[i xor j]`` is
 
-        abba_manifold(v) = V diag(V^T v) V^H / half,
+        T(v) = V diag(V^T v) V^H / half,
 
     because each manifold is a sum of tensor products of ``I`` and ``J =
     [[0, 1], [-1, 0]]``, and the columns of ``V`` are the tensor powers of
@@ -143,76 +111,73 @@ def _walsh_product(x: np.ndarray, transpose: bool = False) -> np.ndarray:
     return (va.T @ z).reshape(x.shape)
 
 
-@dataclass(frozen=True, eq=False)
+def _code_indices(k: int, n_t: int) -> np.ndarray:
+    """The ``(K, n_t)`` index of every code entry into ``[s, conj(s), -s, -conj(s)]``.
+
+    Entry ``(t, a)`` carries the raw symbol ``t xor a`` (0-based),
+    conjugated iff ``t >= K/2``, and negated iff this count is odd:
+    ``popcount(t & ~a)`` in the top half, ``popcount(a & ~t) + [a < K/2]``
+    in the bottom half.  That is the closed form of the paper's recursion:
+    each manifold is a Hadamard-signed dyadic convolution, ``T(v)[i, j] =
+    (-1)^popcount(i & ~j) v[i xor j]``, and the bottom half ``[-B^T, A^T]``
+    swaps ``i`` and ``j`` and negates its left ``K/2`` columns.  The bit
+    arithmetic runs in the smallest unsigned dtype that holds ``K - 1``.
+    """
+    half = k // 2
+    t = np.arange(k, dtype=np.min_scalar_type(k - 1))[:, None]
+    a = np.arange(n_t, dtype=t.dtype)
+    flips = np.empty((k, n_t), dtype=np.uint8)
+    np.bitwise_count(t[:half] & ~a, out=flips[:half])
+    np.bitwise_count(a & ~t[half:], out=flips[half:])
+    flips[half:, :half] += 1
+    flips &= 1
+    table = flips.astype(np.intp)
+    table *= 2 * k
+    table += t ^ a
+    table[half:] += k
+    return table
+
+
+@dataclass(frozen=True)
 class EncodingStructure:
-    """The transmit matrix of a code as one signed-gather table.
+    """The transmit matrix of a code with ``n_t`` of its ``K`` antennas.
 
     Attributes
     ----------
+    k : int
+        Block size, a power of two >= 2.
+    n_t : int
+        Transmit antennas, ``1 <= n_t <= K``: the leftmost ``n_t`` columns
+        of the ``K x K`` mother matrix.
     table : np.ndarray
-        ``(K, n_t)`` integer index of each transmitted entry into
-        ``[s, conj(s), -s, -conj(s)]``: entry ``sign * s_r``, conjugated or
-        not, is ``r - 1 + K*conjugated + 2K*(sign < 0)`` with ``r`` 1-based.
-        Rows are epochs, columns antennas.  Read-only: a C-contiguous
-        ``intp`` array that no array can write to (it and every array it
-        views are read-only, and the last owns its data) is kept as it is,
-        so ``puncture(mother, K)`` shares its mother's table; anything else
-        is copied, a strided leftmost-columns view too, since gathers
-        through it run slower.
+        Derived once per structure by :func:`_code_indices`: the read-only
+        ``(K, n_t)`` index of each transmitted entry into ``[s, conj(s),
+        -s, -conj(s)]``.  Entry ``sign * s_r``, conjugated or not, is ``r -
+        1 + K*conjugated + 2K*(sign < 0)`` with ``r`` 1-based.  Rows are
+        epochs, columns antennas.
     """
 
-    table: np.ndarray
+    k: int
+    n_t: int
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = self.table
-        if not (
-            isinstance(table, np.ndarray)
-            and table.dtype == np.intp
-            and table.flags.c_contiguous
-            and _frozen(table)
-        ):
-            table = np.array(table, dtype=np.intp)
-            table.flags.writeable = False
-        if table.ndim != 2 or not _is_power_of_two(table.shape[0]):
-            raise ValueError(f"table of shape {table.shape} is not (K, n_t) with K a power of two")
-        if not 1 <= table.shape[1] <= table.shape[0]:
-            raise ValueError(f"n_t={table.shape[1]} out of range 1..{table.shape[0]}")
-        if table.min() < 0 or table.max() >= 4 * table.shape[0]:
-            raise ValueError("table entries must lie in 0..4K-1")
+        if not _is_power_of_two(self.k) or self.k < 2:
+            raise ValueError(f"K={self.k} must be a power of two >= 2")
+        if not 1 <= self.n_t <= self.k:
+            raise ValueError(f"n_t={self.n_t} out of range 1..{self.k}")
+        table = _code_indices(self.k, self.n_t)
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
-    @property
-    def k(self) -> int:
-        return self.table.shape[0]
 
-    @property
-    def n_t(self) -> int:
-        return self.table.shape[1]
-
-
-def _frozen(a) -> bool:
-    """No array can write to ``a``: it and every array it views are read-only,
-    down to one that owns its data."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        if a.base is None:
-            return True
-        a = a.base
-    return False
-
-
-@lru_cache(maxsize=1)
 def build_mother(k: int) -> EncodingStructure:
-    """Build the K-by-K mother encoding matrix.
+    """The K-by-K mother encoding matrix, ``EncodingStructure(k, k)``.
 
     The top half is ``[A, B]`` with ``A``/``B`` the manifolds of the
     first/second halves of the symbol vector; the bottom half is
     ``[-B^H, A^H]``.  The result is dense (no zero entries) and complete
-    (each row and each column uses every raw symbol exactly once).  The
-    last structure built is kept and shared, which is safe because its
-    table is read-only: ``verify`` and the channel minors' tables of one
-    ``K`` build it once.
+    (each row and each column uses every raw symbol exactly once).
 
     Parameters
     ----------
@@ -223,18 +188,7 @@ def build_mother(k: int) -> EncodingStructure:
     -------
     EncodingStructure
     """
-    if not _is_power_of_two(k) or k < 2:
-        raise ValueError(f"K={k} must be a power of two >= 2")
-    # the manifolds of the signed 1-based raw indices carry each entry's
-    # index and sign; the bottom half is conjugated and transposed
-    half = np.arange(1, k // 2 + 1)
-    a = abba_manifold(half)
-    b = abba_manifold(half + k // 2)
-    signed = np.block([[a, b], [-b.T, a.T]])
-    conj = np.repeat([0, k], k // 2)[:, None]
-    table = np.abs(signed) - 1 + conj + 2 * k * (signed < 0)
-    table.flags.writeable = False  # so the structure keeps it and copies nothing
-    return EncodingStructure(table)
+    return EncodingStructure(k, k)
 
 
 def puncture(structure: EncodingStructure, n_t: int) -> EncodingStructure:
@@ -245,22 +199,7 @@ def puncture(structure: EncodingStructure, n_t: int) -> EncodingStructure:
     """
     if not (1 <= n_t <= structure.n_t):
         raise ValueError(f"n_t={n_t} out of range 1..{structure.n_t}")
-    return EncodingStructure(structure.table[:, :n_t])
-
-
-def _signed_gather(parts, table) -> np.ndarray:
-    """``table`` gathered from ``parts`` joined along the last axis.
-
-    ``np.take`` along the last axis returns a C-contiguous ``(..., *table.shape)``
-    array; fancy indexing ``joined[..., table]`` would put the leading axes
-    innermost, which slows every matmul on the result.  But ``np.take``
-    copies a read-only index array first, as large as a ``K x K`` code's
-    table, so a single vector is gathered by fancy indexing.
-    """
-    joined = np.concatenate(parts, axis=-1)
-    if joined.ndim == 1:
-        return joined[table]
-    return np.take(joined, table, axis=-1)
+    return EncodingStructure(structure.k, n_t)
 
 
 def encode(structure: EncodingStructure, s) -> np.ndarray:
@@ -287,4 +226,11 @@ def encode(structure: EncodingStructure, s) -> np.ndarray:
         raise ValueError(f"symbol vector length {s.shape[-1]} != K={structure.k}")
     s = s.astype(np.result_type(s.dtype, np.int8), copy=False)
     sc = np.conj(s)
-    return _signed_gather((s, sc, -s, -sc), structure.table)
+    joined = np.concatenate((s, sc, -s, -sc), axis=-1)
+    # np.take along the last axis returns a C-contiguous (..., K, n_t) array,
+    # where fancy indexing would put the leading axes innermost and slow
+    # every matmul on the result; but np.take first copies a read-only index
+    # array, as large as the table, so one vector is gathered by indexing
+    if joined.ndim == 1:
+        return joined[structure.table]
+    return np.take(joined, structure.table, axis=-1)

@@ -46,71 +46,17 @@ combiners are scaled by the real reciprocal of ``lambda'``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # nothing here calls encoded_channel_minors: bench/spans.py wraps it under this name
 from .channels import _transforms, encoded_channel_minors
 from .codes import _is_power_of_two, _walsh_product
 
-__all__ = [
-    "PermutationPair",
-    "DegenerateChannelError",
-    "permutation_indexes",
-    "decode_batch",
-]
+__all__ = ["DegenerateChannelError", "decode_batch"]
 
 
 class DegenerateChannelError(ValueError):
     """The channel's Gram matrix is singular; the symbols cannot be separated."""
-
-
-@dataclass(frozen=True)
-class PermutationPair:
-    """Complementary 1-based index sets splitting ``1..N`` in half."""
-
-    p0: np.ndarray
-    p1: np.ndarray
-
-
-def permutation_indexes(n: int) -> PermutationPair:
-    """Index split describing the real quasi-orthogonality pattern.
-
-    With ``p(x) = (x + sum_{j>=1} floor((x-1)/2^j)) mod 2`` (the sum runs
-    up to ``log2(N)-1`` terms), ``p0`` collects the ``x`` with ``p(x)=1``
-    and ``p1`` the rest.  The ``p0`` columns (rows) of a reduced channel
-    matrix are real-orthogonal to its ``p1`` columns (rows).
-
-    The sets are prefix-consistent: the first ``N/2`` entries of each set
-    for size ``N`` are the sets for size ``N/2``.
-    """
-    if not _is_power_of_two(n) or n < 2:
-        raise ValueError(f"N={n} must be a power of two >= 2")
-    x = np.arange(1, n + 1)
-    p = x.copy()
-    for j in range(1, int(np.log2(n))):
-        p = p + (x - 1) // (2**j)
-    p = p % 2
-    return PermutationPair(x[p == 1], x[p == 0])
-
-
-def _split_blocks(g):
-    """Split ``g`` of shape ``(..., n, n)`` along :func:`permutation_indexes` ``(n)``.
-
-    Returns ``(g00, g11), (g01, g10), (q0, q1)``: the two diagonal blocks,
-    the two off-blocks and the 0-based index sets, with ``gab`` the rows
-    ``qa`` and columns ``qb`` of ``g``.  The paper's nested chain rests on
-    the off-blocks vanishing at every order, which
-    :func:`qostbc.harness.reduction_residuals` checks with this split.
-    """
-    pair = permutation_indexes(g.shape[-1])
-    q0, q1 = pair.p0 - 1, pair.p1 - 1
-    return (
-        (g[..., q0[:, None], q0], g[..., q1[:, None], q1]),
-        (g[..., q0[:, None], q1], g[..., q1[:, None], q0]),
-        (q0, q1),
-    )
 
 
 def decode_batch(received, channels, k: int = None, *, transforms=None):

@@ -26,9 +26,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import analysis, fading
-from .codes import build_mother, puncture, encode, _is_power_of_two, _walsh_product
+from .codes import EncodingStructure, build_mother, encode, _is_power_of_two, _walsh_product
 from .channels import encoded_channel_minors, received_blocks, _gain_transforms
-from .decoder import decode_batch, permutation_indexes, _split_blocks
+from .decoder import decode_batch
 from .modem import modulation, count_bit_errors
 
 __all__ = [
@@ -43,6 +43,8 @@ __all__ = [
     "capacity_sweep",
     "CAPACITY_MODULATIONS",
     "branch_stats",
+    "PermutationPair",
+    "permutation_indexes",
     "reduction_residuals",
 ]
 
@@ -324,6 +326,51 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class PermutationPair:
+    """Complementary 1-based index sets splitting ``1..N`` in half."""
+
+    p0: np.ndarray
+    p1: np.ndarray
+
+
+def permutation_indexes(n: int) -> PermutationPair:
+    """Index split describing the real quasi-orthogonality pattern.
+
+    ``p0`` collects the ``x`` in ``1..N`` with ``popcount(x - 1)`` even and
+    ``p1`` the rest: the Thue-Morse split, the closed form of the paper's
+    ``p(x) = (x + sum_{j>=1} floor((x-1)/2^j)) mod 2`` with ``p0`` where
+    ``p(x) = 1``.  The ``p0`` columns (rows) of a reduced channel matrix are
+    real-orthogonal to its ``p1`` columns (rows).
+
+    The sets are prefix-consistent: the first ``N/2`` entries of each set
+    for size ``N`` are the sets for size ``N/2``.
+    """
+    if not _is_power_of_two(n) or n < 2:
+        raise ValueError(f"N={n} must be a power of two >= 2")
+    x = np.arange(1, n + 1)
+    odd = np.bitwise_count(x - 1) & 1
+    return PermutationPair(x[odd == 0], x[odd == 1])
+
+
+def _split_blocks(g):
+    """Split ``g`` of shape ``(..., n, n)`` along :func:`permutation_indexes` ``(n)``.
+
+    Returns ``(g00, g11), (g01, g10), (q0, q1)``: the two diagonal blocks,
+    the two off-blocks and the 0-based index sets, with ``gab`` the rows
+    ``qa`` and columns ``qb`` of ``g``.  The paper's nested chain rests on
+    the off-blocks vanishing at every order, which
+    :func:`reduction_residuals` checks with this split.
+    """
+    pair = permutation_indexes(g.shape[-1])
+    q0, q1 = pair.p0 - 1, pair.p1 - 1
+    return (
+        (g[..., q0[:, None], q0], g[..., q1[:, None], q1]),
+        (g[..., q0[:, None], q1], g[..., q1[:, None], q0]),
+        (q0, q1),
+    )
+
+
 def _mod_prime(x):
     """``x`` modulo ``RESIDUE_PRIME``, in place, for integer-valued float64 ``x``.
 
@@ -394,9 +441,8 @@ def reduction_residuals(k: int, rng):
         raise ValueError(f"K={k} exceeds {RESIDUE_K_MAX}: the residue products would lose float64 exactness")
     counts = [0] * (int(np.log2(k)) - 1)
     for _ in range(2):
-        u, v = rng.integers(0, RESIDUE_PRIME, size=(2, k)).astype(float)
-        u1, u2 = encoded_channel_minors(u, k)
-        v1, v2 = encoded_channel_minors(v, k)
+        uv = rng.integers(0, RESIDUE_PRIME, size=(2, k)).astype(float)
+        (u1, v1), (u2, v2) = encoded_channel_minors(uv, k)  # both in one call
         g = v1 @ u1.T
         g += v2 @ u2.T
         del u1, u2, v1, v2  # before the next draw's minors
@@ -413,8 +459,10 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     Each ``K`` draws Gaussian integers ``s`` and ``h`` of length ``K`` and
     ``y`` of length ``K/2``, parts in ``-EXACT_PART_MAX..EXACT_PART_MAX``.
     It forms ``C = encode(build_mother(K), s)`` and ``r = C h``, and once
-    ``C`` is freed, the minors ``H1, H2`` of ``h``.  Every check but the
-    reduction chain costs O(K^2) per ``K``.  An *exact* check has tolerance
+    ``C`` and its structure are freed, the minors ``H1, H2`` of ``h``; each
+    round trip builds its own ``EncodingStructure(K, n_t)``.  No table
+    outlives its ``K``, nor the call.  Every check but the reduction chain
+    costs O(K^2) per ``K``.  An *exact* check has tolerance
     0 and reports the largest absolute entry of its residual:
 
     - ``permutation-sets`` (exact): the listed splits of ``KNOWN_SPLITS``.
@@ -424,7 +472,8 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     - ``walsh-forward-model(nt=...)`` (exact): the simulator's
       :func:`~qostbc.channels.received_blocks` equals ``C h``, both cut to
       the leftmost ``n_t`` in ``{K, K-1, 3}``.
-    - ``received-block-identity`` (exact): ``[H1 s; H2 conj(s)] = r``.
+    - ``received-block-identity`` (exact): ``[H1 s; H2 conj(s)] = r``, two
+      closed forms worked out apart: the code's and the minors'.
     - ``walsh-matched-filter`` (exact, in part modulo a prime): the matched
       filter ``c = H1^H r_top + H2^T conj(r_bot)`` satisfies ``(K/2) c_j =
       V (lambda * V^H s_j)`` for both symbol halves ``s_j``, with ``V =
@@ -494,8 +543,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         z = rng.integers(-EXACT_PART_MAX, EXACT_PART_MAX + 1, size=(2, 2 * k + half))
         z = z[0] + 1j * z[1]
         s, h, y = z[:k], z[k : 2 * k], z[2 * k :]
-        structure = build_mother(k)
-        code = encode(structure, s)
+        code = encode(build_mother(k), s)
         r = code @ h
 
         # C_bot^H y = conj(C_bot^T conj(y)), with no conjugated copy of C
@@ -532,7 +580,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
 
         # the round trips draw their own s and gains, one punctured code at a time
         for n_t in n_ts:
-            st = puncture(structure, n_t)
+            st = EncodingStructure(k, n_t)
             for n_r in (1, 2, 4):
                 s = crandn(k)
                 gains = crandn(n_r, n_t)

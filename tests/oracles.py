@@ -1,14 +1,57 @@
-"""Constructions the tests check the decoder against, built apart from it.
+"""Constructions the tests check the package against, built apart from it.
 
-The Walsh matrices come from popcounts, entry by entry, rather than by the
-doubling :func:`qostbc.walsh_basis` uses, and the matched filter and the real
-Gram matrix come from the channel minors, not from any basis.  The paper's
-nested combining chain decodes without any basis, in floating point.
+The code comes from the paper's recursive ABBA definition, which the package
+replaces by a closed form.  The Walsh matrices come from popcounts, entry by
+entry, rather than by the doubling :func:`qostbc.walsh_basis` uses, and the
+matched filter and the real Gram matrix come from the channel minors, not
+from any basis.  The paper's nested combining chain decodes without any
+basis, in floating point.
 """
 
 import numpy as np
 
 from qostbc import encoded_channel_minors, permutation_indexes
+
+
+def abba_manifold(vec) -> np.ndarray:
+    """The paper's recursive block matrix of a length-``2**n`` vector.
+
+    The vector is folded pairwise: neighbouring entries ``a`` and ``b`` are
+    combined into ``[[a, b], [-b, a]]``, then neighbouring blocks are
+    combined again with the same template, until a single square matrix
+    remains.  This is equivalent to the top-down recursion ``T(first
+    half), T(second half)`` wrapped once more with the template.  ``vec``
+    is ``(..., K)`` of any numeric dtype; signed integers give the symbolic
+    (index, sign) form.  Returns ``(..., K, K)``.
+    """
+    vec = np.asarray(vec)
+    k = vec.shape[-1]
+    if k < 1 or k & (k - 1):
+        raise ValueError(f"vector length {k} is not a power of two")
+    blocks = vec[..., :, None, None]
+    while blocks.shape[-3] > 1:
+        a = blocks[..., 0::2, :, :]
+        b = blocks[..., 1::2, :, :]
+        top = np.concatenate([a, b], axis=-1)
+        bot = np.concatenate([-b, a], axis=-1)
+        blocks = np.concatenate([top, bot], axis=-2)
+    return blocks[..., 0, :, :]
+
+
+def recursive_mother(k):
+    """The ``(K, K)`` index table of the mother code into ``[s, conj(s), -s,
+    -conj(s)]``, by the paper's recursion.
+
+    The manifolds of the signed 1-based raw indices of the two symbol halves
+    carry each entry's index and sign: ``[[A, B], [-B^T, A^T]]``, with the
+    bottom half conjugated.
+    """
+    half = np.arange(1, k // 2 + 1)
+    a = abba_manifold(half)
+    b = abba_manifold(half + k // 2)
+    signed = np.block([[a, b], [-b.T, a.T]])
+    conj = np.repeat([0, k], k // 2)[:, None]
+    return np.abs(signed) - 1 + conj + 2 * k * (signed < 0)
 
 
 def sylvester(half):

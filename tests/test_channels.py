@@ -1,14 +1,13 @@
 """Encoded-channel tests: minor construction (golden sign patterns at
-K=32, the gather tables read off the code against the channel-side
-recursion), the factorisation identity and the block-diagonality of the
+K=32, the closed-form minors against the channel-side recursion), the
+factorisation identity and the block-diagonality of the
 matched filter's product, and the Walsh-domain forward model of the
 simulator against the code's own encoder."""
 
 import numpy as np
 import pytest
 
-from qostbc import build_mother, encode, encoded_channel_minors, puncture, received_blocks, verify
-from qostbc.channels import _minor_tables
+from qostbc import build_mother, encode, encoded_channel_minors, puncture, received_blocks
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
 TABLE_CASES = [
@@ -27,7 +26,7 @@ def minors_model(h, s, k):
 
 
 # The channel-side ABBA recursion (Tirkkonen, Boariu & Hottinen, ISSSTA
-# 2000), a derivation of the minors independent of the code's table: H1 is
+# 2000), a derivation of the minors independent of their closed form: H1 is
 # the upper half of the "channel" manifold of the zero-extended gains, H2
 # that of the "combining" manifold of the half-swapped gains.  Each template
 # builds a matrix of twice the size from two equal blocks a and b.
@@ -187,25 +186,6 @@ class TestMinorTables:
                 # a fancy-indexed gather puts the batch axes innermost,
                 # which slows the decoder's matched filter several-fold
                 assert got.flags.c_contiguous
-
-    def test_tables_built_once_per_shape(self):
-        rng = np.random.default_rng(4)
-        _minor_tables.cache_clear()
-        encoded_channel_minors(crandn(rng, 5), 8)
-        encoded_channel_minors(crandn(rng, 3, 5), 8)
-        encoded_channel_minors(crandn(rng, 6), 8)
-        info = _minor_tables.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
-
-    def test_only_the_last_tables_are_kept(self):
-        # verify and its reduction check use one K at a time
-        verify(512)
-        assert _minor_tables.cache_info().currsize == 1
-
-    def test_tables_are_read_only(self):
-        for table in _minor_tables(8, 5):
-            with pytest.raises(ValueError):
-                table[0, 0] = 0
 
 
 class TestAugmentedAndApply:

@@ -1,22 +1,21 @@
-"""Construction-side tests: manifold recursion, mother matrix, puncturing,
-instantiation (the gather table against the numeric recursion), Gram
-block-orthogonality and the factored Walsh product."""
+"""Construction-side tests: the paper's manifold recursion, the closed-form
+code table against it, mother matrix, puncturing, instantiation (the gather
+table against the numeric recursion), Gram block-orthogonality and the
+factored Walsh product."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qostbc import (
     EncodingStructure,
-    abba_manifold,
     build_mother,
     encode,
     puncture,
 )
-from qostbc.codes import _walsh_product
-from oracles import walsh_dw
+from qostbc.codes import _code_indices, _walsh_product
+from oracles import abba_manifold, recursive_mother, walsh_dw
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
 TABLE_CASES = [(k, n_t) for k in ALL_K for n_t in sorted({1, 3, k - 1, k}) if n_t <= k]
@@ -232,50 +231,16 @@ class TestEncodeTable:
             with pytest.raises(ValueError):
                 st.table[0] = 1
 
-    def test_replace_rebuilds_table(self):
-        st = build_mother(8)
-        negated = replace(st, table=(st.table + 16) % 32)
-        assert not negated.table.flags.writeable
-        s = np.arange(1, 9) * 1j
-        np.testing.assert_array_equal(encode(negated, s), -encode(st, s))
+    def test_structure_is_its_sizes(self):
+        # a structure is (K, n_t); its table is derived, not given
+        assert build_mother(8) == EncodingStructure(8, 8)
+        assert puncture(build_mother(8), 3) == EncodingStructure(8, 3) != EncodingStructure(8, 5)
+        assert puncture(build_mother(8), 3).table.flags.c_contiguous
 
-    def test_table_ignores_later_caller_writes(self):
-        st = build_mother(4)
-        table = np.array(st.table)
-        # a read-only view of a writeable array is copied as well
-        view = table[:]
-        view.flags.writeable = False
-        for given in (table, view):
-            own = EncodingStructure(given)
-            table[:] = 0
-            np.testing.assert_array_equal(own.table, st.table)
-            np.testing.assert_array_equal(encode(own, np.arange(4.0)), encode(st, np.arange(4.0)))
-            table[:] = st.table
-
-    def test_full_puncture_shares_the_mothers_table(self):
-        mother = build_mother(16)
-        full, part = puncture(mother, 16), puncture(mother, 5)
-        assert np.shares_memory(full.table, mother.table)
-        # a strided leftmost-columns view is copied, so gathers stay contiguous
-        assert part.table.flags.c_contiguous
-        assert not np.shares_memory(part.table, mother.table)
-        for st in (full, part):
-            with pytest.raises(ValueError):
-                st.table[0, 0] = 1
-
-    @pytest.mark.parametrize(
-        "table",
-        [np.zeros((3, 2)), np.zeros((4, 5)), np.zeros((4, 0)), np.full((2, 2), 8), -np.ones((2, 1))],
-    )
-    def test_rejects_malformed_table(self, table):
+    @pytest.mark.parametrize("k,n_t", [(3, 2), (4, 5), (4, 0), (1, 1)])
+    def test_rejects_malformed_size(self, k, n_t):
         with pytest.raises(ValueError):
-            EncodingStructure(table)
-
-    def test_last_mother_is_shared(self):
-        # verify and the channel minors' tables build each K once; sharing
-        # is safe because the table is read-only
-        assert build_mother(16) is build_mother(16)
-        assert build_mother(8) is not build_mother(16)
+            EncodingStructure(k, n_t)
 
     def test_vector_gather_copies_no_table(self):
         # np.take copies a read-only index array before it gathers; one
@@ -294,6 +259,18 @@ class TestEncodeTable:
     def test_puncture_keeps_within_the_structure(self):
         with pytest.raises(ValueError):
             puncture(puncture(build_mother(8), 3), 5)
+
+
+class TestCodeIndices:
+    """``_code_indices``, the closed form, against the paper's recursion."""
+
+    @pytest.mark.parametrize("k", [2**e for e in range(1, 11)])
+    def test_equals_recursive_mother(self, k):
+        mother = recursive_mother(k)
+        for n_t in sorted({1, min(3, k), k - 1, k}):
+            got = _code_indices(k, n_t)
+            assert got.dtype == np.intp and got.flags.c_contiguous
+            assert np.array_equal(got, mother[:, :n_t]), (k, n_t)
 
 
 def gram(c):

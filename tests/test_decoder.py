@@ -24,7 +24,6 @@ from qostbc import (
 )
 import qostbc.channels as channels
 import qostbc.codes as codes
-import qostbc.decoder as decoder
 import qostbc.harness as harness
 from qostbc.harness import reduction_residuals
 from oracles import (
@@ -205,7 +204,7 @@ class TestHigherOrderReduce:
         # the one split of the exact reduction check, on a batch of
         # matrices: four blocks along the permutation sets
         g = np.arange(3 * n * n).reshape(3, n, n)
-        (g00, g11), (g01, g10), (q0, q1) = decoder._split_blocks(g)
+        (g00, g11), (g01, g10), (q0, q1) = harness._split_blocks(g)
         pair = permutation_indexes(n)
         assert np.array_equal(q0, pair.p0 - 1) and np.array_equal(q1, pair.p1 - 1)
         for got, (a, b) in zip((g00, g11, g01, g10), ((q0, q0), (q1, q1), (q0, q1), (q1, q0))):
@@ -625,7 +624,7 @@ class TestWalshDomain:
         def no_minors(*args):
             raise AssertionError("the decoder must not gather the channel minors")
 
-        monkeypatch.setattr(channels, "_minor_tables", no_minors)
+        monkeypatch.setattr(channels, "_minor_indices", no_minors)
         rng = np.random.default_rng(4400 + k)
         n_t = max(1, 3 * k // 4)
         s = crandn(rng, 4, k)

@@ -4,12 +4,14 @@ properties and the command-line front end."""
 
 import json
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qostbc
 import qostbc.channels as channels
+import qostbc.codes as codes
 import qostbc.harness as harness
 from qostbc import modulation
 from qostbc.cli import main
@@ -225,6 +227,16 @@ class TestRunSweep:
         assert abs(row.ber_sim - row.ber_analytic) <= 3.0 * sigma
 
 
+def flip_one_minor_sign(indices, rng, k):
+    """``channels._minor_indices(k)`` with one random entry of one minor
+    negated, ``+h_j <-> -h_j``."""
+    bad = [index.copy() for index in indices]
+    index = bad[int(rng.integers(2))]
+    idx = tuple(int(rng.integers(n)) for n in index.shape)
+    index[idx] = (index[idx] + k) % (2 * k)
+    return tuple(bad)
+
+
 class TestVerify:
     def test_small_suite_passes(self):
         report = verify(32)
@@ -254,17 +266,15 @@ class TestVerify:
     def test_fault_injection(self, monkeypatch):
         # negate one entry of the K=8 code and expect the suite to fail,
         # naming the broken checks and size
-        real = harness.build_mother
+        real = codes._code_indices
 
-        def corrupted(k):
-            st = real(k)
-            if k == 8:
-                table = st.table.copy()
+        def corrupted(k, n_t):
+            table = real(k, n_t)
+            if k == 8 and n_t > 5:
                 table[3, 5] = (table[3, 5] + 2 * k) % (4 * k)
-                st = qostbc.EncodingStructure(table)
-            return st
+            return table
 
-        monkeypatch.setattr(harness, "build_mother", corrupted)
+        monkeypatch.setattr(codes, "_code_indices", corrupted)
         report = verify(8)
         assert not report.ok
         failed = {c.name for c in report.checks if not c.passed and c.k == 8}
@@ -303,22 +313,18 @@ class TestVerify:
     def test_minor_sign_flip_detected(self, k, monkeypatch):
         # flipping the sign of one minor entry at one K breaks the received
         # block and the matched filter's product there, and nowhere else
-        real_tables = channels._minor_tables
-        real = real_tables(k, k)
+        real_indices = channels._minor_indices
+        real = real_indices(k)
         rng = np.random.default_rng(100 + k)
         for _ in range(3):
-            which = int(rng.integers(2))
-            idx = tuple(rng.choice(np.argwhere(real[which] != 0)))
-            bad = [t.copy() for t in real]
-            v = bad[which][idx]
-            bad[which][idx] = v + k if v <= k else v - k  # +h_j <-> -h_j
+            bad = flip_one_minor_sign(real, rng, k)
             monkeypatch.setattr(
-                channels, "_minor_tables",
-                lambda kk, n_t, bad=tuple(bad): bad if (kk, n_t) == (k, k) else real_tables(kk, n_t),
+                channels, "_minor_indices",
+                lambda kk, bad=bad: bad if kk == k else real_indices(kk),
             )
             report = verify(32, seed=k)
             failed = {c.name for c in report.checks if not c.passed and c.k == k}
-            assert {"received-block-identity", "walsh-matched-filter"} <= failed, (which, idx)
+            assert {"received-block-identity", "walsh-matched-filter"} <= failed
             assert all(c.passed for c in report.checks if c.k != k)
 
     @pytest.mark.parametrize("k", [2, 16, 256])
@@ -340,6 +346,16 @@ class TestVerify:
         failed = {(c.name, c.k) for c in report.checks if not c.passed}
         assert failed == {("walsh-matched-filter", k)}, failed
 
+    def test_keeps_no_tables(self):
+        # no code or minor table outlives the call: a K=1024 table is 8 MB
+        tracemalloc.start()
+        try:
+            verify(1024)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20, held
+
     def test_rejects_k_beyond_residue_bound(self):
         with pytest.raises(ConfigError, match="4096"):
             verify(2 * harness.RESIDUE_K_MAX)
@@ -350,17 +366,13 @@ class TestReductionResiduals:
     def test_single_sign_flip_detected(self, k, monkeypatch):
         # flipping the sign of one minor entry breaks the block split at
         # some order, and the exact check counts the broken entries
-        real = channels._minor_tables(k, k)
+        real = channels._minor_indices(k)
         rng = np.random.default_rng(k)
         for _ in range(6):
-            which = int(rng.integers(2))
-            idx = tuple(rng.choice(np.argwhere(real[which] != 0)))
-            bad = [t.copy() for t in real]
-            v = bad[which][idx]
-            bad[which][idx] = v + k if v <= k else v - k  # +h_j <-> -h_j
-            monkeypatch.setattr(channels, "_minor_tables", lambda kk, n_t, bad=tuple(bad): bad)
+            bad = flip_one_minor_sign(real, rng, k)
+            monkeypatch.setattr(channels, "_minor_indices", lambda kk, bad=bad: bad)
             res = harness.reduction_residuals(k, rng)
-            assert any(count for _, count in res), (k, which, idx, res)
+            assert any(count for _, count in res), (k, res)
 
     @pytest.mark.parametrize("k", [128, 256])
     def test_zero_on_every_seed(self, k):
