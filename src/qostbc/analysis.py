@@ -6,11 +6,14 @@ error probabilities are written as finite angular integrals with the SNR
 appearing only inside an exponential, so averaging over independent
 branches turns the integrand into a product of per-branch moment
 generating functions.  A rate ``rho`` stretches the SNR argument and a
-transmit diversity order ``eta`` exponentiates the product.  The product
-is formed as a sum of log-MGFs, with one vectorised evaluation per fading
-family.
+transmit diversity order ``eta`` exponentiates the product.  Every
+family's MGF is a power ``base**-a`` of a base of at least 1, times
+``exp(p / base - p)`` for Rice.  The branches of one family that share the
+exponent ``a`` form a group, whose bases are multiplied and then take one
+log per (SNR, node) rather than one per branch.
 
-Each integral is evaluated for a whole Es/N0 sweep at once, on one fixed
+All integrals of one BER curve are evaluated in one pass of
+:func:`mgf_integral`, for the whole Es/N0 sweep at once, on one fixed
 rule: ``DEFAULT_POINTS`` Gauss-Legendre nodes on ``u`` in [0, 1], mapped
 to ``theta = upper * u**3``.  The integrands are analytic on the range,
 but their poles near ``theta = +-i sqrt(g * gamma_bar)`` come close to
@@ -27,6 +30,7 @@ correct for every ``M``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,9 +52,13 @@ __all__ = [
 
 DEFAULT_POINTS = 96  # quadrature nodes per integral
 
-# Largest number of elements of one (SNR, branch, node) temporary; longer
-# sweeps are integrated in chunks of SNR points.
-CHUNK_ELEMENTS = 1 << 19
+# Largest number of elements of one (branch, integral, SNR, node)
+# temporary.  A pass takes its integrals and SNR points in chunks of this
+# size and works in two buffers it reuses, so the temporaries stay in cache
+# and the memory of a long sweep or BER sum stays bounded.  Only a group of
+# more than CHUNK_ELEMENTS / DEFAULT_POINTS branches exceeds it, with one
+# integral and one SNR point per chunk.
+CHUNK_ELEMENTS = 1 << 16
 
 
 def _graded_rule(n: int):
@@ -95,31 +103,44 @@ class BerParams:
 
 
 def _form(stat: BranchStat, nakagami_approx: bool):
-    """``(formula, parameter, scale)`` of a branch's log-MGF.
+    """``(family, exponent, parameter, scale)`` of a branch's MGF.
 
     Rayleigh, and every branch with ``m = 1``, is Nakagami with ``m = 1``.
-    The parameter is Nakagami's ``m``, Hoyt's ``(2q / (1 + q^2))^2`` or
-    Rice's ``K``; the scale multiplies ``-s * gamma_bar`` before the
-    formula applies.
+    The exponent is Nakagami's ``m``, 1/2 for Hoyt and 1 for Rice.  The
+    parameter is Hoyt's ``(2q / (1 + q^2))^2`` or Rice's ``K``, and 0 for
+    Nakagami; the scale multiplies ``-s * gamma_bar`` before the formula of
+    :func:`_to_base` applies.
     """
     if nakagami_approx or stat.family == "nakagami":
-        return "nakagami", stat.m, 1.0 / stat.m
+        return "nakagami", stat.m, 0.0, 1.0 / stat.m
     if stat.family == "rayleigh" or stat.m == 1.0:
-        return "nakagami", 1.0, 1.0
+        return "nakagami", 1.0, 0.0, 1.0
     if stat.family == "hoyt":
         q = m_to_hoyt_q(stat.m)
-        return "hoyt", (2.0 * q / (1.0 + q * q)) ** 2, 1.0
+        return "hoyt", 0.5, (2.0 * q / (1.0 + q * q)) ** 2, 1.0
     k = m_to_rice_k(stat.m)
-    return "rice", k, 1.0 / (1.0 + k)
+    return "rice", 1.0, k, 1.0 / (1.0 + k)
 
 
-def _log_mgf(family: str, p, y):
-    """Log-MGF of one family at ``y = -s * gamma_bar * scale >= 0``."""
-    if family == "nakagami":
-        return -p * np.log1p(y)
-    if family == "hoyt":
-        return -0.5 * np.log1p(y * (2.0 + p * y))
-    return p / (1.0 + y) - np.log1p(y) - p
+def _to_base(family: str, p, y, tmp):
+    """Overwrite ``y = -s * gamma_bar * scale >= 0`` with its family's base.
+
+    A branch MGF is ``base**-exponent``, times ``exp(p / base - p)`` for
+    Rice, and the base is at least 1.  Returns ``p / base`` for Rice,
+    written to ``tmp``, a scratch array of ``y``'s shape, and 0 otherwise.
+    Working in place keeps the kernel's temporaries in two buffers it
+    reuses.
+    """
+    if family == "hoyt":  # 1 + y (2 + p y)
+        np.multiply(p, y, out=tmp)
+        tmp += 2.0
+        y *= tmp
+        y += 1.0
+        return 0.0
+    y += 1.0
+    if family != "rice":
+        return 0.0
+    return np.divide(p, y, out=tmp)
 
 
 def mgf(stat: BranchStat, gamma_bar: float, s, nakagami_approx: bool = False):
@@ -131,34 +152,71 @@ def mgf(stat: BranchStat, gamma_bar: float, s, nakagami_approx: bool = False):
     s = np.asarray(s, dtype=float)
     if np.any(s > 0):
         raise ValueError("MGF is only evaluated for s <= 0")
-    family, p, scale = _form(stat, nakagami_approx)
-    return np.exp(_log_mgf(family, p, -s * gamma_bar * scale))
+    family, a, p, scale = _form(stat, nakagami_approx)
+    base = np.array(-s * gamma_bar * scale)
+    rice = _to_base(family, p, base, np.empty_like(base))
+    if family == "rice":
+        rice = rice - p
+    return np.exp(rice - a * np.log(base))
 
 
 @lru_cache(maxsize=32)
 def _families(branches: tuple, nakagami_approx: bool):
-    """``(family, branch indexes, parameters, scales)`` per family.
+    """``(family, exponent, branch indexes, parameters, scales)`` per group.
 
-    A BER evaluation integrates hundreds of times over the same branches,
-    so the grouping is cached; its arrays are read-only.
+    A group holds the branches of one family that share one exponent, so
+    Nakagami branches of distinct ``m`` form one group each.  The
+    parameters are shaped ``(n, 1, 1, 1)`` against the (branch, integral,
+    SNR, node) temporaries.  A BER evaluation reuses the same branches
+    for every chunk, so the grouping is cached; its arrays are read-only.
     """
     groups = {}
     for i, stat in enumerate(branches):
-        family, p, scale = _form(stat, nakagami_approx)
-        groups.setdefault(family, []).append((i, p, scale))
+        family, a, p, scale = _form(stat, nakagami_approx)
+        groups.setdefault((family, a), []).append((i, p, scale))
     out = []
-    for family, members in groups.items():
+    for (family, a), members in groups.items():
         idx, p, scale = (np.array(col) for col in zip(*members))
-        p = p[:, None]
-        for a in (idx, p, scale):
-            a.flags.writeable = False
-        out.append((family, idx, p, scale))
+        p = p.reshape(-1, 1, 1, 1)
+        for arr in (idx, p, scale):
+            arr.flags.writeable = False
+        out.append((family, a, idx, p, scale))
     return tuple(out)
 
 
+def _log_product(x, s_abs, groups, scratch):
+    """Log of the integrand's branch product before the power ``r * eta``.
+
+    ``x`` holds the mean SNRs ``(n_snr, n_branches)`` of a chunk and
+    ``s_abs`` the values ``-s`` at the nodes of its integrals, ``(n_int,
+    n_nodes)``; returns ``(n_int, n_snr, n_nodes)``.  ``scratch`` is two
+    flat buffers, each with room for the widest group's (branch, integral,
+    SNR, node) temporary.
+    """
+    total = 0.0
+    for family, a, idx, p, scale in groups:
+        shape = (len(idx), len(s_abs), len(x), s_abs.shape[1])
+        y, tmp = (buf[: math.prod(shape)].reshape(shape) for buf in scratch)
+        np.multiply((x[:, idx] * scale).T[:, None, :, None], s_abs[:, None, :], out=y)
+        rice = _to_base(family, p, y, tmp)
+        # Every base is at least 1, so the product can only overflow.  An
+        # overflowed entry takes one log per branch instead, because its
+        # integrand is below 1e-308 only where the power a * r * eta is at
+        # least 1: at 1/2 it can be as large as 1e-154.
+        with np.errstate(over="ignore"):
+            log_prod = np.log(y.prod(axis=0))
+        over = np.isposinf(log_prod)
+        if over.any():
+            log_prod[over] = np.log(y[:, over]).sum(axis=0)
+        total = total - a * log_prod
+        if family == "rice":
+            total = total + (rice.sum(axis=0) - p.sum())
+    return total
+
+
 def mgf_integral(
-    delta: float,
-    g: float,
+    delta,
+    g,
     n_total: int,
     rho: float,
     eta: float,
@@ -166,65 +224,69 @@ def mgf_integral(
     gamma_bars,
     nakagami_approx: bool = False,
 ):
-    """Signed angular MGF integral over a sweep of operating points.
+    """Signed angular MGF integrals over a sweep of operating points.
 
     Evaluates ``(1/pi) * int_0^{pi(1-delta)} prod_a mgf_a(-g / (rho
     sin^2 t))^(r*eta) dt`` where ``r = n_total / len(branches)`` replicates
-    each transmit branch across the receive antennas.  ``gamma_bars`` holds
-    the mean SNR of each branch: shape ``(n_branches,)`` for one operating
-    point, which returns a float, or ``(n_snr, n_branches)`` for a sweep,
-    which returns shape ``(n_snr,)``.  Negative ranges (``delta > 1``)
-    give the negative of the corresponding positive-range integral.  A
-    branch of infinite mean SNR has MGF 0, so its operating point
-    integrates to exactly 0.
+    each transmit branch across the receive antennas.  ``delta`` and ``g``
+    are scalars or 1-D arrays, broadcast together; each pair is one
+    integral, and all of them are evaluated in one pass.  ``gamma_bars``
+    holds the mean SNR of each branch: shape ``(n_branches,)`` for one
+    operating point or ``(n_snr, n_branches)`` for a sweep.  The result has
+    the pairs' shape followed by the sweep's: a float for one pair at one
+    point, ``(n_snr,)`` for one pair over a sweep, and one row per pair,
+    ``(n_pairs,)`` or ``(n_pairs, n_snr)``, for arrays.  Negative ranges
+    (``delta > 1``) give the negative of the corresponding positive-range
+    integral.  A branch of infinite mean SNR has MGF 0, so its operating
+    point integrates to exactly 0.
     """
     branches = tuple(branches)
+    delta, g = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(g, dtype=float))
     gamma_bars = np.asarray(gamma_bars, dtype=float)
+    if delta.ndim > 1:
+        raise ValueError("delta and g must be scalars or 1-D")
     if n_total % len(branches):
         raise ValueError("branch count must divide the total branch number")
-    if g <= 0:
+    if np.any(g <= 0):
         raise ValueError("g must be positive")
     if gamma_bars.ndim not in (1, 2) or gamma_bars.shape[-1] != len(branches):
         raise ValueError(f"need {len(branches)} mean SNRs per operating point")
     sweep = gamma_bars.reshape(-1, len(branches))
     power = (n_total // len(branches)) * eta
-    upper = np.pi * (1.0 - delta)
-    out = np.zeros(len(sweep))
+    upper = np.pi * (1.0 - delta.ravel())
+    out = np.zeros((upper.size, len(sweep)))
     live = np.flatnonzero(~np.isposinf(sweep).any(axis=1))
-    if upper != 0.0 and live.size:
-        s_abs = g / (rho * np.sin(upper * _NODES) ** 2)  # -s at each node
+    ints = np.flatnonzero(upper != 0.0)
+    if ints.size and live.size:
+        # -s at each node of each integral
+        s_abs = g.ravel()[ints, None] / (rho * np.sin(upper[ints, None] * _NODES) ** 2)
         groups = _families(branches, nakagami_approx)
-        rows = max(1, CHUNK_ELEMENTS // (len(branches) * DEFAULT_POINTS))
-        for start in range(0, live.size, rows):
-            at = live[start:start + rows]
-            chunk = sweep[at]
-            log_prod = sum(
-                _log_mgf(family, p, (chunk[:, idx] * scale)[:, :, None] * s_abs).sum(axis=1)
-                for family, idx, p, scale in groups
-            )
-            out[at] = np.exp(power * log_prod) @ _WEIGHTS
-        out *= upper / np.pi
-    return float(out[0]) if gamma_bars.ndim == 1 else out
+        # a chunk is `step` integrals by `rows` SNR points
+        widest = max(len(idx) for _, _, idx, _, _ in groups)
+        pairs = max(1, CHUNK_ELEMENTS // (widest * DEFAULT_POINTS))
+        rows = min(live.size, pairs)
+        step = min(pairs // rows, ints.size)
+        scratch = np.empty((2, widest * step * rows * DEFAULT_POINTS))
+        for i in range(0, ints.size, step):
+            for r in range(0, live.size, rows):
+                at = live[r:r + rows]
+                log_prod = _log_product(sweep[at], s_abs[i:i + step], groups, scratch)
+                out[ints[i:i + step, None], at] = np.exp(power * log_prod) @ _WEIGHTS
+        out *= upper[:, None] / np.pi
+    out = out.reshape(delta.shape + gamma_bars.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
-def _gamma_bars(params: BerParams, esno_db: np.ndarray) -> np.ndarray:
-    """Mean branch SNRs ``omega * 10^(Es/N0 / 10)``, shape ``(n_snr, n_t)``."""
+def _sweep_integrals(params: BerParams, esno_db: np.ndarray, delta, g):
+    """:func:`mgf_integral` of the pairs ``(delta, g)`` over the sweep
+    ``esno_db``, one row per pair; mean branch SNRs are ``omega * 10^(Es/N0
+    / 10)``."""
     omega = np.array([b.omega for b in params.branches])
-    return 10.0 ** (esno_db.reshape(-1, 1) / 10.0) * omega
-
-
-def _integrator(params: BerParams, esno_db: np.ndarray):
-    """``(delta, g) -> mgf_integral(...)`` over the sweep ``esno_db``."""
-    gbars = _gamma_bars(params, esno_db)
-    n_total = params.n_t * params.n_r
-
-    def integral(delta, g):
-        return mgf_integral(
-            delta, g, n_total, params.rho, params.eta,
-            params.branches, gbars, params.nakagami_approx,
-        )
-
-    return integral
+    gamma_bars = 10.0 ** (esno_db.reshape(-1, 1) / 10.0) * omega
+    return mgf_integral(
+        delta, g, params.n_t * params.n_r, params.rho, params.eta,
+        params.branches, gamma_bars, params.nakagami_approx,
+    )
 
 
 def _like(ber: np.ndarray, esno_db: np.ndarray):
@@ -242,7 +304,7 @@ def psk_ber(m: int, params: BerParams, esno_db):
     params : BerParams
     esno_db : float or array_like
         Constellation-energy-to-noise-power ratio in dB (scalar or sweep);
-        each integral is evaluated once for the whole sweep.
+        all integrals are evaluated in one pass over the whole sweep.
 
     Returns
     -------
@@ -255,16 +317,16 @@ def psk_ber(m: int, params: BerParams, esno_db):
     b = int(np.log2(m))
     if 2**b != m or m < 2:
         raise ValueError(f"M={m} is not a power of two >= 2")
-    spectrum = psk_distance_spectrum(m)
     esno_db = np.asarray(esno_db, dtype=float)
-    integral = _integrator(params, esno_db)
-    total = 0.0
-    for k in range(1, m):
-        d_lo = (2 * k - 1) / m
-        d_hi = (2 * k + 1) / m
-        total = total + spectrum[k - 1] * (
-            integral(d_lo, np.sin(np.pi * d_lo) ** 2) - integral(d_hi, np.sin(np.pi * d_hi) ** 2)
-        )
+    # Landing k sectors away, which costs s_k bits, is I(d_{k-1}) - I(d_k)
+    # on the sector edges d_j = (2j + 1)/M.  Summed over k that telescopes
+    # to the weights c_j = s_{j+1} - s_j with s_0 = s_M = 0, and since
+    # d_{M-1-j} = 2 - d_j and I(2 - d) = -I(d), edge M-1-j folds onto edge j.
+    c = np.diff(psk_distance_spectrum(m), prepend=0.0, append=0.0)
+    weights = c[: m // 2] - c[::-1][: m // 2]
+    j = np.flatnonzero(weights)
+    d = (2 * j + 1) / m
+    total = weights[j] @ _sweep_integrals(params, esno_db, d, np.sin(np.pi * d) ** 2)
     return _like(total / (2.0 * b), esno_db)
 
 
@@ -293,11 +355,9 @@ def qam_ber(m: int, params: BerParams, esno_db):
         d = qam_bit_coefficients(m, k)
         weights[: len(d)] += d
     esno_db = np.asarray(esno_db, dtype=float)
-    integral = _integrator(params, esno_db)
-    total = 0.0
-    for i in np.flatnonzero(weights):
-        g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
-        total = total + weights[i] * integral(0.5, g)
+    i = np.flatnonzero(weights)
+    g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
+    total = weights[i] @ _sweep_integrals(params, esno_db, 0.5, g)
     return _like(4.0 * total / (side * b), esno_db)
 
 

@@ -353,21 +353,18 @@ def permutation_indexes(n: int) -> PermutationPair:
     return PermutationPair(x[odd == 0], x[odd == 1])
 
 
-def _split_blocks(g):
-    """Split ``g`` of shape ``(..., n, n)`` along :func:`permutation_indexes` ``(n)``.
+def _split_blocks(g, q0, q1):
+    """Split ``g`` of shape ``(..., n, n)`` along the 0-based index sets ``q0, q1``.
 
-    Returns ``(g00, g11), (g01, g10), (q0, q1)``: the two diagonal blocks,
-    the two off-blocks and the 0-based index sets, with ``gab`` the rows
-    ``qa`` and columns ``qb`` of ``g``.  The paper's nested chain rests on
-    the off-blocks vanishing at every order, which
-    :func:`reduction_residuals` checks with this split.
+    The sets are those of :func:`permutation_indexes` ``(n)``, less one.
+    Returns ``(g00, g11), (g01, g10)``: the two diagonal blocks and the two
+    off-blocks, with ``gab`` the rows ``qa`` and columns ``qb`` of ``g``.
+    The paper's nested chain rests on the off-blocks vanishing at every
+    order, which :func:`reduction_residuals` checks with this split.
     """
-    pair = permutation_indexes(g.shape[-1])
-    q0, q1 = pair.p0 - 1, pair.p1 - 1
     return (
         (g[..., q0[:, None], q0], g[..., q1[:, None], q1]),
         (g[..., q0[:, None], q1], g[..., q1[:, None], q0]),
-        (q0, q1),
     )
 
 
@@ -408,7 +405,9 @@ def reduction_residuals(k: int, rng):
     it in floating point (``tests/oracles.py``).  It rests on the
     off-blocks of every ``g`` vanishing for every channel.  This runs the
     same chain of products on integers modulo ``RESIDUE_PRIME``, which
-    checks that exactly, splitting each ``g`` with ``_split_blocks``.
+    checks that exactly, splitting each ``g`` with ``_split_blocks``.  The
+    split sets are prefix-consistent, so one :func:`permutation_indexes`
+    ``(K/2)`` serves every order.
 
     Minor entries are ``+-h_j`` or 0 and the products use transposes only,
     so each off-block entry is an integer polynomial ``p(h, conj(h))``.  It
@@ -440,6 +439,10 @@ def reduction_residuals(k: int, rng):
     if k > RESIDUE_K_MAX:
         raise ValueError(f"K={k} exceeds {RESIDUE_K_MAX}: the residue products would lose float64 exactness")
     counts = [0] * (int(np.log2(k)) - 1)
+    if not counts:
+        return []
+    pair = permutation_indexes(k // 2)
+    q0, q1 = pair.p0 - 1, pair.p1 - 1
     for _ in range(2):
         uv = rng.integers(0, RESIDUE_PRIME, size=(2, k)).astype(float)
         (u1, v1), (u2, v2) = encoded_channel_minors(uv, k)  # both in one call
@@ -448,7 +451,8 @@ def reduction_residuals(k: int, rng):
         del u1, u2, v1, v2  # before the next draw's minors
         a = b = _mod_prime(g)
         for i in range(len(counts)):
-            (a, b), offs, _ = _split_blocks(_mod_prime(a.T @ b))
+            h = len(a) // 2
+            (a, b), offs = _split_blocks(_mod_prime(a.T @ b), q0[:h], q1[:h])
             counts[i] += sum(int(np.count_nonzero(o)) for o in offs)
     return list(enumerate(counts, 1))
 

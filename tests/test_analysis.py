@@ -1,7 +1,10 @@
 """Analytic BER tests against independent oracles: Rayleigh/MRC closed
 forms, the Gaussian Q function, direct multi-branch quadrature of the
-fading average, and structural properties of the formulas."""
+fading average, the BER sums of one integral per sector edge or term, and
+structural properties of the formulas."""
 
+import contextlib
+import io
 import tracemalloc
 import warnings
 
@@ -23,9 +26,11 @@ from qostbc import (
     qam_ber,
     qam_bit_coefficients,
 )
-from qostbc import analysis
+from qostbc import analysis, cli
 from qostbc.fading import linear_profile, m_to_hoyt_q, m_to_rice_k
 from qostbc.harness import CAPACITY_MODULATIONS, _shared_power, branch_stats
+
+from oracles import psk_ber_sectors, qam_ber_terms
 
 
 def rayleigh_params(gamma_db, n=1, n_r=1):
@@ -35,6 +40,25 @@ def rayleigh_params(gamma_db, n=1, n_r=1):
 
 def q_func(x):
     return 0.5 * erfc(x / np.sqrt(2.0))
+
+
+def integral_counts(monkeypatch, fn, orders):
+    """Distinct ``(delta, g)`` pairs of the one ``mgf_integral`` call of
+    ``fn(m, ...)``, per order ``m``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.broadcast_arrays(args[0], args[1]))
+        return mgf_integral(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "mgf_integral", counting)
+    counts = {}
+    for m in orders:
+        calls.clear()
+        fn(m, rayleigh_params(0.0), [0.0, 10.0])
+        assert len(calls) == 1
+        counts[m] = len(set(zip(*calls[0])))
+    return counts
 
 
 class TestMgf:
@@ -88,6 +112,20 @@ class TestMgfIntegral:
         with pytest.raises(ValueError):
             mgf_integral(0.5, 1.0, 3, 1.0, 1.0, (BranchStat("rayleigh"),) * 2, [1.0, 1.0])
 
+    def test_pairs_give_one_row_each(self):
+        b = (BranchStat("rice", 2.0), BranchStat("hoyt", 0.7, 0.5), BranchStat("nakagami", 3.0, 2.0))
+        sweep = np.array([[0.1, 1.0, 3.0], [1.0, 2.0, 4.0], [np.inf, 10.0, 50.0], [0.0, 0.0, 0.0]])
+        delta, g = [0.25, 1.5, 1.0, 0.5], [0.5, 0.5, 0.3, 2.0]
+        got = mgf_integral(delta, g, 6, 1.0, 1.0, b, sweep)
+        assert got.shape == (4, 4)
+        for row, d, gg in zip(got, delta, g):
+            np.testing.assert_array_equal(row, mgf_integral(d, gg, 6, 1.0, 1.0, b, sweep))
+        point = mgf_integral(0.5, g, 6, 1.0, 1.0, b, sweep[0])
+        assert point.shape == (4,)
+        np.testing.assert_array_equal(point, mgf_integral(0.5, g, 6, 1.0, 1.0, b, sweep[:1])[:, 0])
+        with pytest.raises(ValueError):
+            mgf_integral([[0.5]], 1.0, 6, 1.0, 1.0, b, sweep)
+
 
 class TestPskBer:
     @pytest.mark.parametrize("gamma_db", [0.0, 10.0, 20.0])
@@ -116,6 +154,12 @@ class TestPskBer:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             psk_ber(6, rayleigh_params(0.0), 0.0)
+
+    def test_one_pass_folds_the_sectors(self, monkeypatch):
+        # the 2(M-1) sector integrals telescope onto the M edges and fold
+        # by I(2 - d) = -I(d); edges of weight zero are skipped
+        counts = integral_counts(monkeypatch, psk_ber, (2, 4, 8, 16, 32, 64))
+        assert counts == {2: 1, 4: 2, 8: 2, 16: 6, 32: 14, 64: 30}
 
 
 class TestQamBer:
@@ -161,19 +205,7 @@ class TestQamBer:
         np.testing.assert_allclose(qam_ber(m, params, esno_db), want, rtol=1e-13, atol=0.0)
 
     def test_one_integral_per_term(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return mgf_integral(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "mgf_integral", counting)
-        counts = {}
-        for m in (4, 16, 64, 256, 1024, 4096):
-            calls.clear()
-            qam_ber(m, rayleigh_params(0.0), [0.0, 10.0])
-            assert len(set(calls)) == len(calls)
-            counts[m] = len(calls)
+        counts = integral_counts(monkeypatch, qam_ber, (4, 16, 64, 256, 1024, 4096))
         assert counts == {4: 1, 16: 3, 64: 5, 256: 13, 1024: 29, 4096: 61}
 
     def test_bit_error_rate_picks_the_formula(self):
@@ -384,3 +416,50 @@ def test_long_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert ber.shape == esno_db.shape and np.all(np.diff(ber) < 0)
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("approx", [False, True], ids=["binding", "nakagami-approx"])
+@pytest.mark.parametrize(
+    "channel", ["rayleigh", "rice:m=4", "hoyt:m=0.6", "nakagami:m=3.5", "nakagami:m=0.5", "mixed"]
+)
+def test_ber_matches_one_integral_per_edge_and_term(channel, approx):
+    # the one vectorised pass against the BER sums as defined; at n_t = 64
+    # and 40 dB some branch products overflow, whose integrands are not
+    # negligible where the power a * n_r * eta is below 1
+    esno_db = np.r_[-np.inf, np.arange(-10.0, 41.0, 10.0), np.inf]
+    for n_t in (1, 2, 8, 16, 64):
+        if channel == "mixed" and n_t == 1:
+            continue
+        for n_r, eta in ((1, 1.0), (2, 0.5)):
+            params = BerParams(n_t=n_t, n_r=n_r, branches=branch_stats(n_t, channel, "equipower"),
+                               eta=eta, nakagami_approx=approx)
+            for m in (2, 4, 8, 16, 32, 64):
+                np.testing.assert_allclose(psk_ber(m, params, esno_db), psk_ber_sectors(m, params, esno_db),
+                                           rtol=1e-11, atol=0.0, err_msg=f"psk{m} n_t={n_t}")
+            for m in (4, 16, 64, 256, 1024, 4096):
+                np.testing.assert_allclose(qam_ber(m, params, esno_db), qam_ber_terms(m, params, esno_db),
+                                           rtol=1e-11, atol=0.0, err_msg=f"qam{m} n_t={n_t}")
+
+
+def test_large_analyze_stays_in_chunks_without_warnings():
+    # about half the branch products of 1024 x 4 branches overflow, which
+    # must stay silent.  Every temporary is chunked: the peak, about 3.3 MB,
+    # is two scratch buffers for the widest group (878 Rice branches, 1.3
+    # chunks each) plus the overflowed entries' per-branch logs, where one
+    # unchunked temporary would take 240 MB
+    argv = ["analyze", "--mod", "qam4096", "--nt", "1024", "--nr", "4", "--channel", "mixed",
+            "--esno-start", "0", "--esno-stop", "40", "--esno-step", "10"]
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert rc == 0
+    ber = np.array([float(line.split(",")[1]) for line in out.getvalue().splitlines()[1:]])
+    assert len(ber) == 5 and np.all(ber > 0) and np.all(np.diff(ber) < 0)
+    assert peak < 12 * analysis.CHUNK_ELEMENTS * 8

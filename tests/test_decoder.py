@@ -204,9 +204,9 @@ class TestHigherOrderReduce:
         # the one split of the exact reduction check, on a batch of
         # matrices: four blocks along the permutation sets
         g = np.arange(3 * n * n).reshape(3, n, n)
-        (g00, g11), (g01, g10), (q0, q1) = harness._split_blocks(g)
         pair = permutation_indexes(n)
-        assert np.array_equal(q0, pair.p0 - 1) and np.array_equal(q1, pair.p1 - 1)
+        q0, q1 = pair.p0 - 1, pair.p1 - 1
+        (g00, g11), (g01, g10) = harness._split_blocks(g, q0, q1)
         for got, (a, b) in zip((g00, g11, g01, g10), ((q0, q0), (q1, q1), (q0, q1), (q1, q0))):
             assert np.array_equal(got, np.stack([m[np.ix_(a, b)] for m in g]))
 
