@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._workspace import ALLOCATE
 from .codes import _is_power_of_two, _walsh_product
 
 __all__ = ["encoded_channel_minors", "received_blocks"]
 
 
-def received_blocks(symbols, gains, k: int, *, transforms=None):
+def received_blocks(symbols, gains, k: int, *, transforms=None, work=None):
     """Noiseless received blocks ``r = C(s) h`` of a batch, in the Walsh domain.
 
     With ``V = walsh_basis(K/2)`` each manifold is ``T(v) = V diag(V^T v)
@@ -53,8 +54,9 @@ def received_blocks(symbols, gains, k: int, *, transforms=None):
 
     Every product with ``V`` is one :func:`~qostbc.codes._walsh_product`
     over the whole batch, and at ``K=2`` there is none; the rest is
-    elementwise on arrays whose slices per receive antenna and half are
-    contiguous.  Neither the ``(K, n_t)`` transmit matrix nor the minors are
+    elementwise on contiguous ``(B, K/2)`` arrays, one receive antenna and
+    half at a time, so that numpy runs each as one flat loop and needs no
+    buffer.  Neither the ``(K, n_t)`` transmit matrix nor the minors are
     formed.
 
     Parameters
@@ -68,6 +70,10 @@ def received_blocks(symbols, gains, k: int, *, transforms=None):
     transforms : np.ndarray, optional
         ``_gain_transforms(gains, k)``, when the caller has formed them
         already; the simulator shares them with the decoder.
+    work : qostbc._workspace.Workspace, optional
+        Where the blocks are taken, as ``"channels.received"``, and the
+        temporaries too; a second call of the same size then allocates
+        nothing.
 
     Returns
     -------
@@ -85,51 +91,73 @@ def received_blocks(symbols, gains, k: int, *, transforms=None):
     if n_t > k:
         raise ValueError(f"n_t={n_t} exceeds K={k}")
     half = k // 2
-    g = _transforms(gains, k, transforms)
-    # x = V^T s of both halves; at K=2, V = [[1]] and x is a view of s
-    x = _walsh_product(symbols.reshape(nbatch, 2, half).transpose(1, 0, 2))
-    if half > 1:  # a new array: the 1 / (K/2) of r, exact for a power of two
+    work = ALLOCATE if work is None else work
+    g = _transforms(gains, k, transforms, work)
+    # x = V^T s of both halves, (2, B, K/2); at K=2, V = [[1]] and x is a copy of s
+    x = work.take("scratch0", (2, nbatch, half))
+    np.copyto(x, symbols.reshape(nbatch, 2, half).transpose(1, 0, 2))
+    x = _walsh_product(x, out=x if half == 1 else work.take("scratch1", x.shape))
+    if half > 1:  # the 1 / (K/2) of r, exact for a power of two
         x /= half
-    x1, x2 = x
-    ga, gb = g[:, 0], g[:, 1]
-    # (n_r, B, 2, K/2), so that r = y V^T reads as (B, K, n_r) without a copy
-    y = np.empty((n_r, nbatch, 2, half), dtype=complex)
-    top, bot = y[:, :, 0], y[:, :, 1]
-    np.multiply(x1, ga, out=top)
-    top += x2 * gb
-    np.multiply(x1.conj(), gb, out=bot)
-    bot -= x2.conj() * ga
-    r = _walsh_product(y, transpose=True)
-    return r.reshape(n_r, nbatch, k).transpose(1, 2, 0)
+    # y = (x1 g_a + x2 g_b, conj(x1) g_b - conj(x2) g_a) per receive antenna,
+    # (n_r, 2, B, K/2), and r = y V^T read as (B, K, n_r); at K=2, r is y, and
+    # each y[r, j] is one strided column of it
+    out = work.take("channels.received", (nbatch, k, n_r))
+    rt = out.reshape(nbatch, 2, half, n_r).transpose(3, 1, 0, 2)
+    y = rt if half == 1 else work.take("scratch2", rt.shape)
+    term = work.take("scratch3", (nbatch, half))
+    ga, gb = g
+    for r in range(n_r):
+        np.multiply(x[0], ga[r], out=y[r, 0])
+        y[r, 0] += np.multiply(x[1], gb[r], out=term)
+    np.conjugate(x, out=x)
+    for r in range(n_r):
+        np.multiply(x[0], gb[r], out=y[r, 1])
+        y[r, 1] -= np.multiply(x[1], ga[r], out=term)
+    if half > 1:
+        np.copyto(rt, _walsh_product(y, transpose=True, out=work.take("scratch0", y.shape)))
+    return out
 
 
-def _gain_transforms(gains, k: int):
+def _gain_transforms(gains, k: int, work=None):
     """Transforms ``g = V^H h`` of the halves ``h_a, h_b`` of ``(B, n_r, n_t)``
-    gains, zero-padded to ``K``, laid out ``(n_r, 2, B, K/2)``.
+    gains, zero-padded to ``K``, laid out ``(2, n_r, B, K/2)``.
 
-    The layout puts the receive antenna and the half first, so every ``g[r,
-    j]`` is one contiguous ``(B, K/2)`` array: the decoder's sums over
-    antennas and halves add whole arrays, with no reduction over a short
-    axis.
+    The layout puts the half and the receive antenna first, so ``g[j]`` is
+    one contiguous ``(n_r, B, K/2)`` array and ``g[j, r]`` one contiguous
+    ``(B, K/2)`` array: the decoder's products run on whole arrays, and its
+    sums over the antennas reduce the leading axis.  With a workspace
+    ``work`` they are taken from it as ``"channels.gain_transforms"``.
     """
     nbatch, n_r, n_t = gains.shape
     half = k // 2
-    # g = h conj(V) = conj(conj(h) V), with no conjugated copy of V
-    padded = np.zeros((n_r, 2, nbatch, half), dtype=complex)
+    if not _is_power_of_two(half):
+        raise ValueError(f"K/2={half} is not a power of two")
+    work = ALLOCATE if work is None else work
+    g = work.take("channels.gain_transforms", (2, n_r, nbatch, half))
+    # the halves zero-padded; at K=2, V = [[1]] and they are g itself
+    padded = g if half == 1 else work.take("scratch0", g.shape)
     h = gains.transpose(1, 0, 2)
-    np.conjugate(h[..., :half], out=padded[:, 0, :, : min(n_t, half)])
-    np.conjugate(h[..., half:], out=padded[:, 1, :, : max(n_t - half, 0)])
-    g = _walsh_product(padded)
-    return np.conjugate(g, out=g)
+    for j, part in enumerate((h[..., :half], h[..., half:])):
+        n = part.shape[-1]
+        np.copyto(padded[j, ..., :n], part)
+        if n < half:  # punctured antennas
+            padded[j, ..., n:] = 0
+    if half > 1:
+        # g = h conj(V) = conj(conj(h) V), with no conjugated copy of V
+        np.conjugate(padded, out=padded)
+        _walsh_product(padded, out=g)
+        np.conjugate(g, out=g)
+    return g
 
 
-def _transforms(gains, k: int, given=None):
-    """``given`` after a shape check, or else ``_gain_transforms(gains, k)``."""
+def _transforms(gains, k: int, given=None, work=None):
+    """``given`` after a shape check, or else ``_gain_transforms(gains, k, work)``."""
     if given is None:
-        return _gain_transforms(gains, k)
+        return _gain_transforms(gains, k, work)
     nbatch, n_r, _ = gains.shape
-    if given.shape != (n_r, 2, nbatch, k // 2):
-        raise ValueError(f"gain transforms of shape {given.shape} are not ({n_r}, 2, {nbatch}, {k // 2})")
+    if given.shape != (2, n_r, nbatch, k // 2):
+        raise ValueError(f"gain transforms of shape {given.shape} are not (2, {n_r}, {nbatch}, {k // 2})")
     return given
 
 

@@ -39,27 +39,31 @@ w`` give ``x = V^T s`` of each symbol half times ``lambda' = sum_r |g_a|^2
 ``V`` is the Kronecker power of ``[[1, 1], [i, -i]]``, and every product
 with it is :func:`qostbc.codes._walsh_product`: one dense GEMM up to ``K/2
 = 64``, two Kronecker factors beyond, none at ``K=2``.  The transforms are
-laid out receive antenna and half first, ``(n_r, 2, B, K/2)``, so the sums
-over antennas and halves add whole contiguous ``(B, K/2)`` arrays, and the
-combiners are scaled by the real reciprocal of ``lambda'``.
+laid out half and receive antenna first, ``(2, n_r, B, K/2)``, so every
+product runs on whole contiguous arrays and the sums over the antennas
+reduce the leading axis; the combiners are scaled by the real reciprocal
+of ``lambda'``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._workspace import ALLOCATE
 # nothing here calls encoded_channel_minors: bench/spans.py wraps it under this name
 from .channels import _transforms, encoded_channel_minors
 from .codes import _is_power_of_two, _walsh_product
 
 __all__ = ["DegenerateChannelError", "decode_batch"]
 
+_EPS = np.finfo(float).eps
+
 
 class DegenerateChannelError(ValueError):
     """The channel's Gram matrix is singular; the symbols cannot be separated."""
 
 
-def decode_batch(received, channels, k: int = None, *, transforms=None):
+def decode_batch(received, channels, k: int = None, *, transforms=None, work=None):
     """Least-squares decoder over a leading batch of independent blocks.
 
     Parameters
@@ -75,6 +79,11 @@ def decode_batch(received, channels, k: int = None, *, transforms=None):
         ``qostbc.channels._gain_transforms(channels, k)``, when the caller
         has formed them already; the simulator shares them with
         :func:`~qostbc.channels.received_blocks`.
+    work : qostbc._workspace.Workspace, optional
+        Where the estimates and eigenvalues are taken, as
+        ``"decoder.estimates"`` and ``"decoder.lambda"``, and the
+        temporaries too; a second call of the same size then allocates
+        nothing.
 
     Returns
     -------
@@ -108,26 +117,52 @@ def decode_batch(received, channels, k: int = None, *, transforms=None):
     if channels.shape[2] > k:
         raise ValueError(f"n_t={channels.shape[2]} exceeds K={k}")
     half = k // 2
-    g = _transforms(channels, k, transforms)
-    # lambda reversed: the (antenna, half) slices are added in that order
-    lam = (np.square(g.real) + np.square(g.imag)).reshape(2 * n_r, nbatch, half).sum(axis=0)
-    singular = lam.min(axis=1) <= k * np.finfo(float).eps * lam.max(axis=1)
-    if np.any(singular):
+    work = ALLOCATE if work is None else work
+    g = _transforms(channels, k, transforms, work)
+    # lambda reversed: |g|^2 of the (antenna, half) slices, summed in that order
+    sq = np.square(g.view(float), out=work.take("scratch0", g.shape[:-1] + (2 * half,), float))
+    sq = np.add(sq[..., 0::2], sq[..., 1::2], out=sq[..., 0::2])
+    by_antenna = work.take("scratch1", (n_r, 2, nbatch, half), float)
+    np.copyto(by_antenna, sq.transpose(1, 0, 2, 3))
+    lam = work.take("decoder.lambda", (nbatch, half), float)
+    np.add.reduce(by_antenna.reshape(2 * n_r, nbatch, half), axis=0, out=lam)
+    low, high = work.take("scratch1", (2, nbatch), float)
+    np.minimum.reduce(lam, axis=1, out=low)
+    np.maximum.reduce(lam, axis=1, out=high)
+    high *= k * _EPS
+    singular = np.less_equal(low, high, out=work.take("scratch2", (nbatch,), bool))
+    if singular.any():
         raise DegenerateChannelError(
-            f"singular channel Gram matrix in {int(singular.sum())} of {nbatch} blocks"
+            f"singular channel Gram matrix in {np.count_nonzero(singular)} of {nbatch} blocks"
         )
     # conj(r) V = conj(V^H r) per half, with no conjugated copy of V: conj(u), w
-    t = np.conjugate(received.reshape(nbatch, 2, half, n_r).transpose(3, 1, 0, 2), order="C")
-    t = _walsh_product(t)
-    ga, gb, t0, t1 = g[:, 0], g[:, 1], t[:, 0], t[:, 1]
+    t = work.take("scratch0", g.shape)
+    np.copyto(t, received.reshape(nbatch, 2, half, n_r).transpose(1, 3, 0, 2))
+    np.conjugate(t, out=t)
+    t = _walsh_product(t, out=t if half == 1 else work.take("scratch1", g.shape))
     # conj(x) lambda' of both symbol halves, summed over the antennas
-    y = np.empty((2, nbatch, half), dtype=complex)
-    np.add.reduce(ga * t0 + np.conj(gb * t1), axis=0, out=y[0])
-    np.add.reduce(gb * t0 - np.conj(ga * t1), axis=0, out=y[1])
-    # lambda' stays real: numpy divides by a complex c + 0i as a product with
-    # 1 / c, so this product gives the same bits at a fraction of the cost
-    y *= 1 / (lam * half)
+    y = work.take("scratch3", (2, nbatch, half))
+    p, q = work.take("scratch2", g.shape)
+    (ga, gb), (t0, t1) = g, t
+    np.multiply(ga, t0, out=p)
+    np.conjugate(np.multiply(gb, t1, out=q), out=q)
+    np.add.reduce(np.add(p, q, out=p), axis=0, out=y[0])
+    np.multiply(gb, t0, out=p)
+    np.conjugate(np.multiply(ga, t1, out=q), out=q)
+    np.add.reduce(np.subtract(p, q, out=p), axis=0, out=y[1])
+    # y / (lambda' K/2) as products with a real reciprocal, written out for
+    # both parts of each entry: numpy divides by a complex c + 0i as a product
+    # with 1 / c, and a product with c + 0i scales each part by c, so the bits
+    # are the same at a fraction of the cost; (1 / (K/2)) / lambda' is
+    # 1 / (lambda' K/2), as K/2 is a power of two
+    scale = work.take("scratch1", (nbatch, half, 2), float)
+    np.divide(1 / half, lam, out=scale[..., 0])
+    np.positive(scale[..., 0], out=scale[..., 1])  # np.copyto would copy through a buffer
+    for part in y.view(float).reshape(2, nbatch, half, 2):
+        part *= scale
     # conj(V) x / (K/2) = conj(conj(x) V^T) / (K/2), back in natural order
-    est = _walsh_product(y, transpose=True)
-    est = np.conjugate(est.transpose(1, 0, 2), order="C").reshape(nbatch, k)
-    return est, lam[:, ::-1]
+    y = _walsh_product(y, transpose=True, out=y if half == 1 else work.take("scratch0", y.shape))
+    est = work.take("decoder.estimates", (nbatch, 2, half))
+    np.copyto(est, y.transpose(1, 0, 2))
+    np.conjugate(est, out=est)
+    return est.reshape(nbatch, k), lam[:, ::-1]

@@ -10,10 +10,12 @@ the whole block (memoryless block fading).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
+
+from ._workspace import ALLOCATE
 
 __all__ = [
     "BranchStat",
@@ -39,6 +41,8 @@ class BranchStat:
     family: str
     m: float = 1.0
     omega: float = 1.0
+    # how sample_gain draws the branch, worked out once (see _generator_form)
+    _form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -53,6 +57,7 @@ class BranchStat:
             raise ValueError("Rice needs m >= 1")
         if self.family == "hoyt" and self.m > 1.0:
             raise ValueError("Hoyt needs m <= 1")
+        object.__setattr__(self, "_form", _generator_form(self))
 
 
 def severity_family(m: float) -> str:
@@ -79,32 +84,38 @@ def m_to_rice_k(m: float) -> float:
     return float(root / (m - root))
 
 
-def _normal_form(stat: BranchStat):
-    """``(los, scale)`` of gains ``los + scale * (x + i y)``, ``x, y`` standard normal.
+def _generator_form(stat: BranchStat):
+    """How :func:`sample_gain` draws the branch, with its constants.
 
-    Rayleigh, and Rice and Hoyt at ``m = 1``, have ``los = 0``; Rice has a
-    line-of-sight component of power ``omega*k/(1+k)``.  Other branches
-    give None.
+    - ``("normal", los, scale)``: gains ``los + scale (x + i y)`` with ``x,
+      y`` standard normal.  Rayleigh, and Rice and Hoyt at ``m = 1``, have
+      ``los = 0``; Rice has a line-of-sight component of power
+      ``omega*k/(1+k)``.
+    - ``("hoyt", s_i, s_q)``: gains ``(s_i x + i s_q y) exp(2 pi i u)``
+      with ``u`` uniform, ``s_q / s_i = q``.
+    - ``("nakagami", m, omega / m)``: gains ``sqrt(omega / m G) exp(2 pi i
+      u)`` with ``G`` standard gamma of shape ``m``.
+
+    :class:`BranchStat` works this out once, when it is built.
     """
     omega = stat.omega
     if stat.family == "rayleigh" or (stat.family in ("rice", "hoyt") and stat.m == 1.0):
-        return 0.0, np.sqrt(omega / 2.0)
+        return "normal", 0.0, np.sqrt(omega / 2.0)
     if stat.family == "rice":
         kf = m_to_rice_k(stat.m)
-        return np.sqrt(omega * kf / (1.0 + kf)), np.sqrt(omega / (2.0 * (1.0 + kf)))
-    return None
+        return "normal", np.sqrt(omega * kf / (1.0 + kf)), np.sqrt(omega / (2.0 * (1.0 + kf)))
+    if stat.family == "hoyt":
+        q = m_to_hoyt_q(stat.m)
+        s_i = np.sqrt(omega / (1.0 + q * q))
+        return "hoyt", s_i, q * s_i
+    return "nakagami", stat.m, omega / stat.m
 
 
-def _phasors(rng: np.random.Generator, size):
-    """``exp(2 pi i u)`` for uniform ``u``: cos and sin written into one buffer."""
-    theta = 2.0 * np.pi * rng.random(size)
-    out = np.empty(np.shape(theta), dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out[()]  # a scalar when size is None
+def _shape(size):
+    return () if size is None else ((size,) if np.ndim(size) == 0 else tuple(size))
 
 
-def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None):
+def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None, work=None):
     """Draw complex gains with ``E[|h|^2] = omega`` for one branch.
 
     Rayleigh is circularly symmetric Gaussian.  Rice adds a deterministic
@@ -112,52 +123,89 @@ def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None):
     real/imaginary parts with unequal variances (ratio ``q``) and applies
     a uniform random rotation so the aggregate is circular.  Nakagami
     draws the power from a Gamma distribution and a uniform phase.
+
+    With a :class:`~qostbc._workspace.Workspace` ``work`` the gains and the
+    draws are taken from it (the gains as ``"fading.gain"``), and a second
+    call of the same size allocates nothing.
     """
-    omega = stat.omega
-    form = _normal_form(stat)
-    if form is not None:
-        los, scale = form
-        z = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        return los + z if los else z
-    if stat.family == "hoyt":
-        q = m_to_hoyt_q(stat.m)
-        s_i = np.sqrt(omega / (1.0 + q * q))
-        s_q = q * s_i
-        z = s_i * rng.standard_normal(size) + 1j * s_q * rng.standard_normal(size)
-        return z * _phasors(rng, size)
-    # nakagami: envelope approximation, phase chosen uniform (any phase
-    # convention leaves |h|^2 statistics unchanged)
-    power = rng.gamma(stat.m, omega / stat.m, size)
-    return np.sqrt(power) * _phasors(rng, size)
+    kind, c1, c2 = stat._form
+    shape = _shape(size)
+    work = ALLOCATE if work is None else work
+    out = work.take("fading.gain", shape)
+    # the draws in stream order: two normal planes or a gamma power, then
+    # the phase
+    draws = work.take("scratch0", (3,) + shape, float)
+    if kind == "nakagami":
+        # envelope approximation, phase chosen uniform (any phase convention
+        # leaves |h|^2 statistics unchanged); rng.gamma(m, omega / m) is this
+        # draw times omega / m
+        power, theta = draws[0, ...], draws[1, ...]  # views, also at shape ()
+        rng.standard_gamma(c1, out=power)
+        power *= c2
+        np.sqrt(power, out=power)
+    else:
+        rng.standard_normal(out=draws[:2])
+        np.multiply(draws[0], c1 if kind == "hoyt" else c2, out=out.real)
+        np.multiply(draws[1], c2, out=out.imag)
+        if kind == "normal":
+            if c1:
+                out.real += c1
+            return out[()] if size is None else out
+        theta = draws[2, ...]
+    # the phase exp(2 pi i u), cos and sin written apart
+    rng.random(out=theta)
+    theta *= 2.0 * np.pi
+    if kind == "nakagami":
+        np.cos(theta, out=out.real)
+        np.sin(theta, out=out.imag)
+        out.real *= power
+        out.imag *= power
+    else:
+        # the Hoyt rotation stays a complex product: a real-arithmetic form
+        # rounds differently
+        phasors = work.take("scratch1", shape)
+        np.cos(theta, out=phasors.real)
+        np.sin(theta, out=phasors.imag)
+        np.multiply(out, phasors, out=out)
+    return out[()] if size is None else out
 
 
-def sample_gains(stats, rng: np.random.Generator, size):
+def sample_gains(stats, rng: np.random.Generator, size, work=None):
     """Gains of every branch in ``stats``, shape ``size + (len(stats),)``.
 
     Consumes ``rng`` exactly as :func:`sample_gain` called branch by branch
     would, and returns the same values.  A run of neighbouring branches
     whose gains are affine in two normal draws (Rayleigh and Rice) is drawn
     with one call, since ``standard_normal((run, 2) + size)`` yields the
-    draws of the run's branches in that order.
+    draws of the run's branches in that order.  With a workspace ``work``
+    the gains are taken from it as ``"fading.gains"``, and the draws too.
     """
-    size = (size,) if np.ndim(size) == 0 else tuple(size)
-    out = np.empty(size + (len(stats),), dtype=complex)
-    forms = [_normal_form(s) for s in stats]
+    size = _shape(size)
+    work = ALLOCATE if work is None else work
+    out = work.take("fading.gains", size + (len(stats),))
     a = 0
-    for normal, run in groupby(forms, key=lambda f: f is not None):
-        b = a + len(list(run))
+    for normal, run in groupby(stats, key=lambda s: s._form[0] == "normal"):
+        run = list(run)
+        b = a + len(run)
         if normal:
-            los, scale = np.array(forms[a:b]).T
+            z = work.take("scratch0", (b - a, 2) + size, float)
+            rng.standard_normal(out=z)
+            # los + scale z per branch, on its contiguous planes; a run of
+            # equal constants scales in one pass
+            i = 0
+            for (los, scale), same in groupby(s._form[1:] for s in run):
+                n = len(list(same))
+                z[i : i + n] *= scale
+                for plane in z[i : i + n, 0] if los else ():
+                    plane += los
+                i += n
             # (run, 2) + size  ->  (2,) + size + (run,)
-            z = np.moveaxis(rng.standard_normal((b - a, 2) + size), (0, 1), (-1, 0))
-            seg = out[..., a:b]
-            seg.real, seg.imag = z
-            seg *= scale
-            if los.any():
-                seg += los
+            z = np.moveaxis(z, (0, 1), (-1, 0))
+            np.copyto(out[..., a:b].real, z[0])
+            np.copyto(out[..., a:b].imag, z[1])
         else:
-            for j in range(a, b):
-                out[..., j] = sample_gain(stats[j], rng, size)
+            for j, stat in enumerate(run, a):
+                out[..., j] = sample_gain(stat, rng, size, work)
         a = b
     return out
 
@@ -180,19 +228,26 @@ def severity_profile(k: int) -> np.ndarray:
     return 0.5 + 3.5 * np.arange(k) / (k - 1)
 
 
-def add_awgn(signal, n0: float, rng: np.random.Generator) -> np.ndarray:
-    """Add complex Gaussian noise of variance ``n0`` per sample."""
+def add_awgn(signal, n0: float, rng: np.random.Generator, work=None) -> np.ndarray:
+    """Add complex Gaussian noise of variance ``n0`` per sample.
+
+    Both noise planes, real then imaginary, are one ``standard_normal``
+    draw.  With a workspace ``work`` the result is taken from it as
+    ``"fading.noisy"`` and the planes too; ``signal`` is never written.
+    """
     signal = np.asarray(signal, dtype=complex)
     if n0 < 0:
         raise ValueError("noise power must be non-negative")
     if n0 == 0:
         return signal
-    noise = np.empty(signal.shape, dtype=complex)
-    noise.real = rng.standard_normal(signal.shape)
-    noise.imag = rng.standard_normal(signal.shape)
+    work = ALLOCATE if work is None else work
+    noise = work.take("scratch0", (2,) + signal.shape, float)
+    rng.standard_normal(out=noise)
     noise *= np.sqrt(n0 / 2.0)
-    noise += signal
-    return noise
+    out = work.take("fading.noisy", signal.shape)
+    np.add(signal.real, noise[0], out=out.real)
+    np.add(signal.imag, noise[1], out=out.imag)
+    return out
 
 
 def parse_channel_spec(spec: str):

@@ -13,6 +13,12 @@ same gains.  The received blocks are formed in the code's Walsh domain
 :func:`verify` checks that model against :func:`~qostbc.codes.encode`.
 Each point also records the decoder's conditioning, the smallest ratio of
 smallest to largest Gram eigenvalue over its blocks.
+
+A sweep keeps one :class:`~qostbc._workspace.Workspace` per worker slot,
+and batch ``j`` runs in slot ``j % workers``.  Every stage of a batch takes
+its arrays from it, so once the first batch has sized it, a batch allocates
+no batch-sized array but its bits.  With one worker the batches run on the
+calling thread and no thread pool is started.
 """
 
 from __future__ import annotations
@@ -20,12 +26,13 @@ from __future__ import annotations
 import time
 from collections import deque
 from itertools import islice
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import analysis, fading
+from ._workspace import ALLOCATE, Workspace
 from .codes import EncodingStructure, build_mother, encode, _is_power_of_two, _walsh_product
 from .channels import encoded_channel_minors, received_blocks, _gain_transforms
 from .decoder import decode_batch
@@ -172,26 +179,37 @@ class SweepResult:
         return asdict(self.config)
 
 
-def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks):
+def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks, work=None):
     """Simulate one batch of blocks.
 
-    Returns the bit error count and the smallest ratio of smallest to
-    largest Gram eigenvalue over the batch's blocks.
+    Every stage takes its arrays from ``work``, the workspace of the batch's
+    worker slot, so a batch no larger than the last one allocates no
+    batch-sized array but its bits.  Returns the bit error count and the
+    smallest ratio of smallest to largest Gram eigenvalue over the batch's
+    blocks.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(snr_idx, batch_idx))
     )
+    work = ALLOCATE if work is None else work
     k, n_r = config.k, config.n_r
     bits = rng.integers(0, 2, size=(nblocks, k, mod.bits_per_symbol), dtype=np.uint8)
-    symbols = mod.map_bits(bits)
-    gains = fading.sample_gains(stats, rng, (nblocks, n_r))
-    gains /= np.sqrt(config.n_t)  # shared transmit power: the channel the receiver sees
+    symbols = mod.map_bits(bits, work=work)
+    gains = fading.sample_gains(stats, rng, (nblocks, n_r), work=work)
+    # shared transmit power: the channel the receiver sees is gains / sqrt(n_t),
+    # which numpy divides as a product with 1 / sqrt(n_t), part by part
+    scaled = gains.view(float)
+    scaled *= 1 / np.sqrt(config.n_t)
     # the forward model and the decoder share one transform of the gains
-    g = _gain_transforms(gains, k)
-    rx = fading.add_awgn(received_blocks(symbols, gains, k, transforms=g), n0, rng)
-    estimates, lam = decode_batch(rx, gains, k, transforms=g)
-    ratio = float((lam.min(axis=1) / lam.max(axis=1)).min())
-    return count_bit_errors(bits, mod.demap(estimates)), ratio
+    g = _gain_transforms(gains, k, work=work)
+    rx = received_blocks(symbols, gains, k, transforms=g, work=work)
+    rx = fading.add_awgn(rx, n0, rng, work=work)
+    estimates, lam = decode_batch(rx, gains, k, transforms=g, work=work)
+    ends = work.take("scratch0", (2, nblocks), float)
+    np.minimum.reduce(lam, axis=1, out=ends[0])
+    np.maximum.reduce(lam, axis=1, out=ends[1])
+    ratio = float(np.divide(*ends, out=ends[0]).min())
+    return count_bit_errors(bits, mod.demap(estimates, work=work), work=work), ratio
 
 
 def _batch_plan(cap, batch):
@@ -203,7 +221,23 @@ def _batch_plan(cap, batch):
         idx += 1
 
 
-def _run_point(config, mod, stats, esno_db, snr_idx):
+class _Inline:
+    """The executor of a one-worker sweep: each batch runs at once, on the calling thread."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    @staticmethod
+    def submit(fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _run_point(config, mod, stats, esno_db, snr_idx, works):
     n0 = 10.0 ** (-esno_db / 10.0)
     t0 = time.perf_counter()
     errors = 0
@@ -211,14 +245,19 @@ def _run_point(config, mod, stats, esno_db, snr_idx):
     ratio = 1.0
     # speculative submission of at most ``workers`` batches; results are
     # consumed strictly in batch-index order, so the totals do not depend
-    # on the worker count
+    # on the worker count.  Batch ``idx`` runs in the workspace of slot
+    # ``idx % workers``: batch ``idx + workers`` is submitted only once
+    # ``idx`` has been consumed, and leaving the pool waits for any batch
+    # still running, so no two batches share a workspace at once.
     plan = _batch_plan(config.trials, config.batch)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    workers = len(works)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else _Inline() as pool:
 
         def submit(idx, n):
-            return n, pool.submit(_sim_batch, config, mod, stats, n0, snr_idx, idx, n)
+            args = (config, mod, stats, n0, snr_idx, idx, n, works[idx % workers])
+            return n, pool.submit(_sim_batch, *args)
 
-        pending = deque(submit(idx, n) for idx, n in islice(plan, config.workers))
+        pending = deque(submit(idx, n) for idx, n in islice(plan, workers))
         while pending:
             n, fut = pending.popleft()
             e, r = fut.result()
@@ -254,10 +293,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     mod = modulation(config.modulation)
     stats = branch_stats(config.n_t, config.channel, config.profile)
     ber_analytic = analytic_ber(config, config.esno_db)
+    # one workspace per worker slot, sized by the first batch and reused
+    works = [Workspace() for _ in range(config.workers)]
     rows = []
     for snr_idx, esno_db in enumerate(config.esno_db):
         errors, trials, nbits, seconds, ratio = _run_point(
-            config, mod, stats, esno_db, snr_idx
+            config, mod, stats, esno_db, snr_idx, works
         )
         rows.append(
             SweepPoint(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._workspace import ALLOCATE
+
 __all__ = [
     "Modulation",
     "modulation",
@@ -71,29 +73,68 @@ class Modulation:
     def __repr__(self):
         return f"{self.order}-{self.family.upper()}"
 
-    def map_bits(self, bits) -> np.ndarray:
-        """Map bit words of shape ``(..., bits_per_symbol)`` to symbols."""
+    def map_bits(self, bits, work=None) -> np.ndarray:
+        """Map bit words of shape ``(..., bits_per_symbol)`` to symbols.
+
+        With a :class:`~qostbc._workspace.Workspace` ``work`` the symbols
+        are taken from it as ``"modem.symbols"``, and the labels too.
+        """
         bits = np.asarray(bits)
         if bits.shape[-1] != self.bits_per_symbol:
             raise ValueError(
                 f"expected {self.bits_per_symbol} bits per symbol, got {bits.shape[-1]}"
             )
-        return self._point_of_label.take(bits @ self._weights)
+        shape = bits.shape[:-1]
+        work = ALLOCATE if work is None else work
+        labels = work.take("scratch0", shape, np.result_type(bits, self._weights))
+        np.matmul(bits, self._weights, out=labels)
+        # take would convert narrower labels in a new array
+        index = work.take("scratch1", shape, np.intp)
+        np.copyto(index, labels)
+        # every label of a bit word is in range; "raise" would copy the output
+        return self._point_of_label.take(index, out=work.take("modem.symbols", shape), mode="clip")
 
-    def demap(self, symbols) -> np.ndarray:
-        """Nearest-point hard decision; returns ``(..., bits_per_symbol)`` bits."""
+    def demap(self, symbols, work=None) -> np.ndarray:
+        """Nearest-point hard decision; returns ``(..., bits_per_symbol)`` bits.
+
+        With a workspace ``work`` the bits are taken from it as
+        ``"modem.bits"``, and the decisions too.
+        """
         symbols = np.asarray(symbols, dtype=complex)
+        shape = symbols.shape
+        work = ALLOCATE if work is None else work
+        x = work.take("scratch0", shape, float)
+        index = work.take("scratch1", shape, np.intp)
         if self.family == "psk":
-            sector = np.round(np.angle(symbols) * self.order / (2 * np.pi)).astype(int)
-            index = sector & (self.order - 1)  # the ring index, modulo M
+            np.arctan2(symbols.imag, symbols.real, out=x)  # np.angle
+            x *= self.order
+            x /= 2 * np.pi
+            self._rounded(x, index)
+            index &= self.order - 1  # the ring index, modulo M
         else:
-            index = self._axis_index(symbols.real) * self._side + self._axis_index(symbols.imag)
-        return self._point_bits.take(index, axis=0)
+            q = work.take("scratch2", shape, np.intp)
+            self._axis_index(symbols.real, x, index)
+            self._axis_index(symbols.imag, x, q)
+            index *= self._side
+            index += q
+        bits = work.take("modem.bits", shape + (self.bits_per_symbol,), np.uint8)
+        return self._point_bits.take(index, axis=0, out=bits, mode="clip")
 
-    def _axis_index(self, coord):
+    @staticmethod
+    def _rounded(x, out):
+        """``np.round(x).astype(int)`` into ``out``; ``x`` is overwritten."""
+        np.round(x, out=x)
+        np.copyto(out, x, casting="unsafe")
+        return out
+
+    def _axis_index(self, coord, x, out):
+        """The grid index along one axis into ``out``, through the float scratch ``x``."""
         side = self._side
-        idx = np.round((coord / self._scale + side - 1) / 2.0).astype(int)
-        return np.clip(idx, 0, side - 1)
+        np.divide(coord, self._scale, out=x)
+        x += side
+        x -= 1
+        x /= 2.0
+        return np.clip(self._rounded(x, out), 0, side - 1, out=out)
 
 
 _ALIASES = {"bpsk": ("psk", 2), "qpsk": ("psk", 4)}
@@ -137,10 +178,14 @@ def psk_distance_spectrum(m: int) -> np.ndarray:
     return d
 
 
-def count_bit_errors(tx_bits, rx_bits) -> int:
-    """Hamming distance between two equally shaped bit arrays."""
+def count_bit_errors(tx_bits, rx_bits, work=None) -> int:
+    """Hamming distance between two equally shaped bit arrays.
+
+    With a workspace ``work`` the mismatch mask is taken from it.
+    """
     tx = np.asarray(tx_bits)
     rx = np.asarray(rx_bits)
     if tx.shape != rx.shape:
         raise ValueError(f"shape mismatch {tx.shape} vs {rx.shape}")
-    return int(np.sum(tx != rx))
+    work = ALLOCATE if work is None else work
+    return int(np.count_nonzero(np.not_equal(tx, rx, out=work.take("scratch0", tx.shape, bool))))

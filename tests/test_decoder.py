@@ -26,6 +26,7 @@ import qostbc.channels as channels
 import qostbc.codes as codes
 import qostbc.harness as harness
 from qostbc.harness import reduction_residuals
+from workspaces import NaNWorkspace
 from oracles import (
     chain_decode, channel_gram, matched_filter, real_form, symbol_order, sylvester, walsh_dw,
 )
@@ -608,8 +609,8 @@ class TestWalshDomain:
             gains = rng.integers(-9, 10, (2, 3, n_t)) + 1j * rng.integers(-9, 10, (2, 3, n_t))
             padded = np.zeros((2, 3, 2, half), dtype=complex)
             padded.reshape(2, 3, k)[..., :n_t] = gains
-            # laid out (n_r, 2, B, K/2): receive antenna and half first
-            g = channels._gain_transforms(gains, k).transpose(2, 0, 1, 3)
+            # laid out (2, n_r, B, K/2): half and receive antenna first
+            g = channels._gain_transforms(gains, k).transpose(2, 1, 0, 3)
             assert np.array_equal(g, padded @ v.conj())
             flip = np.arange(half) ^ (half - 1)
             assert np.array_equal(flip, np.arange(half)[::-1])
@@ -634,6 +635,25 @@ class TestWalshDomain:
         cfg = harness.ExperimentConfig(k=k, n_t=n_t, n_r=2, esno_db=(10.0,), trials=64,
                                        batch=32, target_errors=10**9, seed=5)
         assert [row.trials for row in harness.run_sweep(cfg).rows] == [64]
+
+    @pytest.mark.parametrize("k", [2, 16, 256])
+    def test_workspace_forms_equal_allocating(self, k):
+        # with a workspace whose buffers come filled with NaN, and then a
+        # shorter last batch on the same workspace, the estimates and the
+        # eigenvalues equal the allocating call's, with the gain transforms
+        # given or not
+        rng = np.random.default_rng(4600 + k)
+        for n_t, n_r in ((k, 2), (min(3, k), 1), (max(1, k - 1), 3)):
+            work = NaNWorkspace()
+            for nblocks in (32, 11):
+                s = crandn(rng, nblocks, k)
+                gains = crandn(rng, nblocks, n_r, n_t)
+                rx = channels.received_blocks(s, gains, k) + 0.1 * crandn(rng, nblocks, k, n_r)
+                est, lam = decode_batch(rx, gains, k)
+                for g in (None, channels._gain_transforms(gains, k)):
+                    got_est, got_lam = decode_batch(rx, gains, k, transforms=g, work=work)
+                    assert np.array_equal(got_est, est), (k, n_t, n_r, nblocks)
+                    assert np.array_equal(got_lam, lam), (k, n_t, n_r, nblocks)
 
     def test_round_trip_k4096_in_linear_memory(self):
         # n_t = K, n_r = 2, B = 2: a noiseless round trip through the

@@ -25,7 +25,9 @@ from qostbc.harness import (
     run_sweep,
     verify,
 )
+from qostbc._workspace import Workspace
 from oracles import channel_gram
+from workspaces import NaNWorkspace
 
 
 def small_config(**kw):
@@ -147,9 +149,9 @@ class TestRunSweep:
         # the forward model and the decoder share one transform of the gains
         calls = []
 
-        def counted(gains, k):
+        def counted(gains, k, **kwargs):
             calls.append(len(gains))
-            return real(gains, k)
+            return real(gains, k, **kwargs)
 
         real = channels._gain_transforms
         for module in (channels, harness):
@@ -179,14 +181,58 @@ class TestRunSweep:
                   batch=256, workers=2), [28557, 18263, 3681]),
             (dict(k=128, n_t=96, n_r=1, modulation="qpsk", channel="rayleigh", trials=64,
                   batch=32), [3875, 226, 0]),
+            # a shorter last batch reuses the full batch's workspace
+            (dict(k=2, n_t=2, n_r=2, modulation="psk8", channel="mixed", trials=3000,
+                  batch=1024), [4619, 888, 2]),
+            (dict(k=16, n_t=13, n_r=2, modulation="qam16", channel="mixed", trials=700,
+                  batch=256, workers=2), [19618, 12553, 2471]),
         ],
-        ids=["k2-psk8-mixed", "k16-nt13-qam16-mixed", "k128-nt96-qpsk"],
+        ids=["k2-psk8-mixed", "k16-nt13-qam16-mixed", "k128-nt96-qpsk", "k2-ragged",
+             "k16-ragged-2-workers"],
     )
     def test_golden_bit_errors(self, params, counts):
         # fixed-seed counts of the encode/fade/decode/demap chain; a
         # refactor that keeps the arithmetic must reproduce them exactly
         cfg = ExperimentConfig(esno_db=(0.0, 10.0, 20.0), target_errors=10**9, seed=77, **params)
         assert [row.bit_errors for row in run_sweep(cfg).rows] == counts
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        # one worker runs every batch on the calling thread
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep must start no thread pool")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        cfg = ExperimentConfig(k=2, n_t=2, n_r=2, modulation="psk8", channel="mixed", trials=3000,
+                               batch=1024, esno_db=(0.0, 10.0, 20.0), target_errors=10**9, seed=77)
+        assert [row.bit_errors for row in run_sweep(cfg).rows] == [4619, 888, 2]
+
+    @pytest.mark.parametrize("params", [
+        dict(k=2, n_t=2, n_r=2, modulation="psk8", channel="mixed", batch=2048),
+        dict(k=16, n_t=13, n_r=2, modulation="qam16", channel="mixed", batch=256),
+    ], ids=["k2-psk8-mixed", "k16-nt13-qam16-mixed"])
+    def test_warm_batch_allocates_no_batch_array(self, params):
+        # once a workspace has run one batch, a batch of the same size
+        # raises the traced peak by less than one (B, K, n_r) complex array,
+        # and a workspace whose buffers come filled with NaN gives the
+        # allocating batch's result, for a shorter batch too
+        cfg = ExperimentConfig(esno_db=(5.0,), **params)
+        mod = modulation(cfg.modulation)
+        stats = branch_stats(cfg.n_t, cfg.channel, cfg.profile)
+        work = Workspace()
+        harness._sim_batch(cfg, mod, stats, 0.3, 0, 0, cfg.batch, work)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = harness._sim_batch(cfg, mod, stats, 0.3, 0, 1, cfg.batch, work)
+            rise = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rise < cfg.batch * cfg.k * cfg.n_r * 16, rise
+        assert got == harness._sim_batch(cfg, mod, stats, 0.3, 0, 1, cfg.batch)
+        poisoned = NaNWorkspace()
+        for n in (cfg.batch, cfg.batch // 3):
+            want = harness._sim_batch(cfg, mod, stats, 0.3, 0, 2, n)
+            assert harness._sim_batch(cfg, mod, stats, 0.3, 0, 2, n, poisoned) == want
 
     def test_conditioning_is_worker_invariant(self):
         # the error target stops each point after a batch or two, so the
