@@ -1,7 +1,7 @@
 """Command-line front end: simulate, analyze, verify, capacity.
 
 Exit codes: 0 success, 1 invariant violation (failed verification),
-2 configuration error.
+2 configuration error or a run too large for the memory available.
 """
 
 from __future__ import annotations
@@ -225,6 +225,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (harness.ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

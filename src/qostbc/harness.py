@@ -17,16 +17,20 @@ smallest to largest Gram eigenvalue over its blocks.
 A sweep keeps one :class:`~qostbc._workspace.Workspace` per worker slot,
 and batch ``j`` runs in slot ``j % workers``.  Every stage of a batch takes
 its arrays from it, so once the first batch has sized it, a batch allocates
-no batch-sized array but its bits.  With one worker the batches run on the
-calling thread and no thread pool is started.
+no batch-sized array but its bits.  Slot 0 is the calling thread: its
+batches run when the in-order consumption reaches them.  The other slots'
+batches run on one thread pool of ``workers - 1`` threads, started once per
+sweep and shut down before :func:`run_sweep` returns; with one worker no
+pool is started.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import nullcontext
 from itertools import islice
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -75,6 +79,13 @@ def _check_block_size(k):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One simulate sweep, validated when built.
+
+    ``branches`` is the tuple of per-branch fading statistics,
+    :func:`branch_stats` of ``(n_t, channel, profile)``, built once here.  It
+    is an attribute, not a field, so :func:`dataclasses.asdict` leaves it out.
+    """
+
     k: int
     n_t: int
     n_r: int
@@ -103,9 +114,10 @@ class ExperimentConfig:
             raise ConfigError(f"workers={self.workers} must lie in 1..{MAX_WORKERS}")
         try:
             modulation(self.modulation)
-            branch_stats(self.n_t, self.channel, self.profile)
+            branches = tuple(branch_stats(self.n_t, self.channel, self.profile))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "branches", branches)
 
 
 def branch_stats(n_t: int, channel: str, profile: str):
@@ -143,9 +155,8 @@ def analytic_ber(config: ExperimentConfig, esno_db):
     lies above this value.
     """
     mod = modulation(config.modulation)
-    stats = branch_stats(config.n_t, config.channel, config.profile)
     params = analysis.BerParams(
-        n_t=config.n_t, n_r=config.n_r, branches=_shared_power(stats)
+        n_t=config.n_t, n_r=config.n_r, branches=_shared_power(config.branches)
     )
     return analysis.bit_error_rate(mod, params, esno_db)
 
@@ -221,23 +232,7 @@ def _batch_plan(cap, batch):
         idx += 1
 
 
-class _Inline:
-    """The executor of a one-worker sweep: each batch runs at once, on the calling thread."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    @staticmethod
-    def submit(fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-def _run_point(config, mod, stats, esno_db, snr_idx, works):
+def _run_point(config, mod, esno_db, snr_idx, works, pool):
     n0 = 10.0 ** (-esno_db / 10.0)
     t0 = time.perf_counter()
     errors = 0
@@ -246,31 +241,38 @@ def _run_point(config, mod, stats, esno_db, snr_idx, works):
     # speculative submission of at most ``workers`` batches; results are
     # consumed strictly in batch-index order, so the totals do not depend
     # on the worker count.  Batch ``idx`` runs in the workspace of slot
-    # ``idx % workers``: batch ``idx + workers`` is submitted only once
-    # ``idx`` has been consumed, and leaving the pool waits for any batch
-    # still running, so no two batches share a workspace at once.
+    # ``idx % workers``; slot 0's batches are deferred to this thread, which
+    # runs each when the loop consumes it, and the others go to ``pool``.
+    # Batch ``idx + workers`` is submitted only once ``idx`` has been
+    # consumed, and on leaving, the pool batches not started are cancelled
+    # and the running ones waited for, so no two batches share a workspace
+    # at once, within a point or across points.
     plan = _batch_plan(config.trials, config.batch)
     workers = len(works)
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else _Inline() as pool:
 
-        def submit(idx, n):
-            args = (config, mod, stats, n0, snr_idx, idx, n, works[idx % workers])
-            return n, pool.submit(_sim_batch, *args)
+    def submit(idx, n):
+        args = (config, mod, config.branches, n0, snr_idx, idx, n, works[idx % workers])
+        return n, args, None if idx % workers == 0 else pool.submit(_sim_batch, *args)
 
-        pending = deque(submit(idx, n) for idx, n in islice(plan, workers))
+    pending = deque(submit(idx, n) for idx, n in islice(plan, workers))
+    try:
         while pending:
-            n, fut = pending.popleft()
-            e, r = fut.result()
+            n, args, fut = pending.popleft()
+            e, r = _sim_batch(*args) if fut is None else fut.result()
             errors += e
             ratio = min(ratio, r)
             trials += n
             if errors >= config.target_errors:
-                for _, f in pending:
-                    f.cancel()
                 break
             nxt = next(plan, None)
             if nxt is not None:
                 pending.append(submit(*nxt))
+    finally:
+        # deferred batches left in ``pending`` never ran and are dropped
+        stale = [fut for _, _, fut in pending if fut is not None]
+        for fut in stale:
+            fut.cancel()
+        wait(stale)
     seconds = time.perf_counter() - t0
     nbits = trials * config.k * mod.bits_per_symbol
     return errors, trials, nbits, seconds, ratio
@@ -289,28 +291,32 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     The ``ber_analytic`` column is the full-diversity ML bound of
     :func:`analytic_ber`; it matches the simulated linear decoder at
     ``K=2`` only and is not a prediction for it at ``K >= 4``.
+
+    With ``workers`` slots, the calling thread runs slot 0 and one pool of
+    ``workers - 1`` threads, shared by every point, runs the rest; no
+    thread outlives the call.
     """
     mod = modulation(config.modulation)
-    stats = branch_stats(config.n_t, config.channel, config.profile)
     ber_analytic = analytic_ber(config, config.esno_db)
     # one workspace per worker slot, sized by the first batch and reused
     works = [Workspace() for _ in range(config.workers)]
     rows = []
-    for snr_idx, esno_db in enumerate(config.esno_db):
-        errors, trials, nbits, seconds, ratio = _run_point(
-            config, mod, stats, esno_db, snr_idx, works
-        )
-        rows.append(
-            SweepPoint(
-                esno_db=esno_db,
-                ber_sim=errors / nbits,
-                ber_analytic=float(ber_analytic[snr_idx]),
-                trials=trials,
-                bit_errors=errors,
-                seconds=seconds,
-                min_eigenvalue_ratio=ratio,
+    with ThreadPoolExecutor(max_workers=config.workers - 1) if config.workers > 1 else nullcontext() as pool:
+        for snr_idx, esno_db in enumerate(config.esno_db):
+            errors, trials, nbits, seconds, ratio = _run_point(
+                config, mod, esno_db, snr_idx, works, pool
             )
-        )
+            rows.append(
+                SweepPoint(
+                    esno_db=esno_db,
+                    ber_sim=errors / nbits,
+                    ber_analytic=float(ber_analytic[snr_idx]),
+                    trials=trials,
+                    bit_errors=errors,
+                    seconds=seconds,
+                    min_eigenvalue_ratio=ratio,
+                )
+            )
     return SweepResult(config=config, rows=tuple(rows))
 
 

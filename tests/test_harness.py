@@ -2,9 +2,14 @@
 validation, the verification report, fault injection, capacity sweep
 properties and the command-line front end."""
 
+import dataclasses
 import json
 import platform
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -67,6 +72,24 @@ class TestConfig:
     def test_rejects_unknown_channel(self):
         with pytest.raises(ConfigError):
             small_config(channel="awgn7")
+
+    def test_branch_stats_built_once(self, monkeypatch):
+        # the config keeps the tuple it validated, and the sweep and its
+        # analytic column reuse it; it stays out of asdict, so out of the sidecar
+        calls = []
+        real = harness.branch_stats
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "branch_stats", counted)
+        cfg = small_config(n_r=2, channel="mixed", trials=256, batch=128)
+        run_sweep(cfg)
+        assert calls == [(2, "mixed", "equipower")]
+        assert cfg.branches == tuple(real(2, "mixed", "equipower"))
+        assert set(dataclasses.asdict(cfg)) == set(ExperimentConfig.__dataclass_fields__)
+        assert "branches" not in ExperimentConfig.__dataclass_fields__
 
 
 class TestBranchStats:
@@ -205,6 +228,86 @@ class TestRunSweep:
         cfg = ExperimentConfig(k=2, n_t=2, n_r=2, modulation="psk8", channel="mixed", trials=3000,
                                batch=1024, esno_db=(0.0, 10.0, 20.0), target_errors=10**9, seed=77)
         assert [row.bit_errors for row in run_sweep(cfg).rows] == [4619, 888, 2]
+
+    def test_one_pool_per_sweep_with_the_caller_as_slot_zero(self, monkeypatch):
+        # two workers: one pool thread for the whole sweep, and every even
+        # batch of every point runs on the calling thread
+        pools, ran = [], []
+        real = harness._sim_batch
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        def recording(*args):
+            ran.append((args[4], args[5], threading.get_ident()))
+            return real(*args)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(harness, "_sim_batch", recording)
+        cfg = small_config(esno_db=(0.0, 3.0, 6.0), trials=4 * 256, batch=256,
+                           target_errors=10**9, workers=2)
+        run_sweep(cfg)
+        assert pools == [((), {"max_workers": 1})]
+        assert sorted((i, j) for i, j, _ in ran) == [(i, j) for i in range(3) for j in range(4)]
+        caller = threading.get_ident()
+        assert all((thread == caller) == (j % 2 == 0) for _, j, thread in ran)
+
+    def test_no_slot_reused_while_a_discarded_batch_runs(self, monkeypatch):
+        # every point stops on its first batch, while the pool still runs
+        # the batches of slots 1 and 2; slot 1's run longest, so a pool
+        # thread is free to start the next point's slot-1 batch before its
+        # discarded one has finished, unless the point waits for it
+        clashes = []
+        real = harness._sim_batch
+
+        class Guarded(Workspace):
+            def __init__(self):
+                super().__init__()
+                self.busy = threading.Lock()
+
+        def guarded(*args):
+            busy = args[-1].busy
+            if not busy.acquire(blocking=False):
+                clashes.append(args[4:6])
+                return real(*args)
+            try:
+                time.sleep(0.05 if args[5] % 3 == 1 else 0.0)
+                return real(*args)
+            finally:
+                busy.release()
+
+        monkeypatch.setattr(harness, "Workspace", Guarded)
+        monkeypatch.setattr(harness, "_sim_batch", guarded)
+        cfg = small_config(esno_db=(0.0, 1.0, 2.0, 3.0), trials=20 * 64, batch=64,
+                           target_errors=1, workers=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rows = run_sweep(cfg).rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert clashes == []
+        assert [r.trials for r in rows] == [64] * 4
+
+    def test_no_thread_outlives_the_sweep(self, monkeypatch):
+        before = threading.active_count()
+        cfg = small_config(esno_db=(0.0, 6.0), trials=8 * 64, batch=64, target_errors=10**9,
+                           workers=3)
+        run_sweep(cfg)
+        assert threading.active_count() == before
+        real = harness._sim_batch
+
+        def failing(*args):
+            if (args[4], args[5]) == (1, 4):  # a slot-1 batch, run by the pool
+                raise RuntimeError("batch failed")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_sim_batch", failing)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            run_sweep(cfg)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("params", [
         dict(k=2, n_t=2, n_r=2, modulation="psk8", channel="mixed", batch=2048),
@@ -628,6 +731,17 @@ class TestCli:
         assert main(["simulate", "--K", "2", "--out", str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
         assert not missing.parent.exists()
+
+    def test_out_of_memory_exit_code(self, monkeypatch, capsys):
+        # a sweep too large for memory exits 2 with one line, not a traceback
+        def too_large(config):
+            raise MemoryError("Unable to allocate 29.8 GiB for an array")
+
+        monkeypatch.setattr(harness, "run_sweep", too_large)
+        assert main(["simulate", "--K", "2", "--nr", "1000000000", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: Unable to allocate 29.8 GiB for an array\n"
+        assert captured.out == ""
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         import qostbc.harness as hmod
