@@ -1,10 +1,10 @@
 """Reusable scratch arrays for the stages of a Monte Carlo batch.
 
-Every stage of :func:`qostbc.harness._sim_batch` takes the arrays it
-returns and the temporaries it needs from one :class:`Workspace`, so a
-second batch of the same or a smaller size allocates no batch-sized array.
-A stage called without a workspace takes them from :data:`ALLOCATE`,
-which allocates every array anew.
+Every stage of :func:`qostbc.harness._sim_batch` takes the temporaries it
+needs from one :class:`Workspace`, so a second batch of the same or a
+smaller size allocates only the arrays the stages return, each with
+``np.empty``.  A stage called without a workspace takes its temporaries
+from :data:`ALLOCATE`, which allocates every array anew.
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ class Workspace:
     small; its contents are undefined.  ``shape`` is a tuple.  The array of
     each ``(name, shape, dtype)`` is made once and handed out again, so a
     shorter last batch takes leading views of the full batch's buffers.
-    The names follow two rules:
 
-    - A stage takes the arrays it returns under its own names, such as
-      ``"decoder.estimates"``.  They stay valid until the same stage runs
-      again on the same workspace.
-    - Temporaries are taken under the shared names ``"scratch0"`` to
-      ``"scratch3"`` and are dead when the stage returns.  A stage holds
-      none of them across a call of another stage on the same workspace, so
-      stages whose temporaries are never live at once share their storage.
+    It lends temporaries only.  They are taken under the shared names
+    ``"scratch0"`` to ``"scratch3"`` and are dead when the stage returns: a
+    stage holds none of them across a call of another stage on the same
+    workspace, and returns none of them, so stages whose temporaries are
+    never live at once share their storage.
     """
 
     def __init__(self):
@@ -57,7 +54,7 @@ class Workspace:
 
 
 class _Allocate:
-    """What a stage takes its arrays from when it is given no workspace."""
+    """What a stage takes its temporaries from when it is given no workspace."""
 
     @staticmethod
     def take(name, shape, dtype=complex):

@@ -41,7 +41,7 @@ from .codes import _is_power_of_two, _walsh_product
 __all__ = ["encoded_channel_minors", "received_blocks"]
 
 
-def received_blocks(symbols, gains, k: int, *, transforms=None, work=None):
+def received_blocks(symbols, gains, *, transforms=None, work=None):
     """Noiseless received blocks ``r = C(s) h`` of a batch, in the Walsh domain.
 
     With ``V = walsh_basis(K/2)`` each manifold is ``T(v) = V diag(V^T v)
@@ -62,18 +62,15 @@ def received_blocks(symbols, gains, k: int, *, transforms=None, work=None):
     Parameters
     ----------
     symbols : array_like
-        ``(B, K)`` complex symbols.
+        ``(B, K)`` complex symbols, ``K`` a power of two >= 2.
     gains : array_like
         ``(B, n_r, n_t)`` channel gains, ``n_t <= K``.
-    k : int
-        Block size, a power of two >= 2.
     transforms : np.ndarray, optional
-        ``_gain_transforms(gains, k)``, when the caller has formed them
+        ``_gain_transforms(gains, K)``, when the caller has formed them
         already; the simulator shares them with the decoder.
     work : qostbc._workspace.Workspace, optional
-        Where the blocks are taken, as ``"channels.received"``, and the
-        temporaries too; a second call of the same size then allocates
-        nothing.
+        Where the temporaries are taken; a second call of the same size
+        then allocates only the blocks it returns.
 
     Returns
     -------
@@ -86,8 +83,9 @@ def received_blocks(symbols, gains, k: int, *, transforms=None, work=None):
     if symbols.ndim != 2 or gains.ndim != 3:
         raise ValueError("symbols must be (B, K) and gains (B, n_r, n_t)")
     nbatch, n_r, n_t = gains.shape
-    if symbols.shape != (nbatch, k):
-        raise ValueError(f"symbols of shape {symbols.shape} are not ({nbatch}, K={k})")
+    if symbols.shape[0] != nbatch:
+        raise ValueError(f"{symbols.shape[0]} blocks of symbols but {nbatch} of gains")
+    k = symbols.shape[1]
     if n_t > k:
         raise ValueError(f"n_t={n_t} exceeds K={k}")
     half = k // 2
@@ -102,7 +100,7 @@ def received_blocks(symbols, gains, k: int, *, transforms=None, work=None):
     # y = (x1 g_a + x2 g_b, conj(x1) g_b - conj(x2) g_a) per receive antenna,
     # (n_r, 2, B, K/2), and r = y V^T read as (B, K, n_r); at K=2, r is y, and
     # each y[r, j] is one strided column of it
-    out = work.take("channels.received", (nbatch, k, n_r))
+    out = np.empty((nbatch, k, n_r), complex)
     rt = out.reshape(nbatch, 2, half, n_r).transpose(3, 1, 0, 2)
     y = rt if half == 1 else work.take("scratch2", rt.shape)
     term = work.take("scratch3", (nbatch, half))
@@ -127,14 +125,15 @@ def _gain_transforms(gains, k: int, work=None):
     one contiguous ``(n_r, B, K/2)`` array and ``g[j, r]`` one contiguous
     ``(B, K/2)`` array: the decoder's products run on whole arrays, and its
     sums over the antennas reduce the leading axis.  With a workspace
-    ``work`` they are taken from it as ``"channels.gain_transforms"``.
+    ``work`` the padded halves are taken from it; the transforms are a new
+    array.
     """
     nbatch, n_r, n_t = gains.shape
     half = k // 2
     if not _is_power_of_two(half):
         raise ValueError(f"K/2={half} is not a power of two")
     work = ALLOCATE if work is None else work
-    g = work.take("channels.gain_transforms", (2, n_r, nbatch, half))
+    g = np.empty((2, n_r, nbatch, half), complex)
     # the halves zero-padded; at K=2, V = [[1]] and they are g itself
     padded = g if half == 1 else work.take("scratch0", g.shape)
     h = gains.transpose(1, 0, 2)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invariant violation (failed verification),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -157,6 +158,7 @@ def _cmd_capacity(args):
     return 0
 
 
+@functools.cache  # one parser per process: parse_args does not change it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qostbc",

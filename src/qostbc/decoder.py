@@ -74,16 +74,15 @@ def decode_batch(received, channels, k: int = None, *, transforms=None, work=Non
         ``(B, n_r, n_t)`` channel gains as the receiver sees them, one
         vector per antenna and block.
     k : int, optional
-        Block size; defaults to ``received.shape[1]``.
+        Block size; if given it must equal ``received.shape[1]``.  Only
+        ``bench/test_bench.py`` still passes it.
     transforms : np.ndarray, optional
-        ``qostbc.channels._gain_transforms(channels, k)``, when the caller
+        ``qostbc.channels._gain_transforms(channels, K)``, when the caller
         has formed them already; the simulator shares them with
         :func:`~qostbc.channels.received_blocks`.
     work : qostbc._workspace.Workspace, optional
-        Where the estimates and eigenvalues are taken, as
-        ``"decoder.estimates"`` and ``"decoder.lambda"``, and the
-        temporaries too; a second call of the same size then allocates
-        nothing.
+        Where the temporaries are taken; a second call of the same size
+        then allocates only the estimates and eigenvalues it returns.
 
     Returns
     -------
@@ -124,7 +123,7 @@ def decode_batch(received, channels, k: int = None, *, transforms=None, work=Non
     sq = np.add(sq[..., 0::2], sq[..., 1::2], out=sq[..., 0::2])
     by_antenna = work.take("scratch1", (n_r, 2, nbatch, half), float)
     np.copyto(by_antenna, sq.transpose(1, 0, 2, 3))
-    lam = work.take("decoder.lambda", (nbatch, half), float)
+    lam = np.empty((nbatch, half))
     np.add.reduce(by_antenna.reshape(2 * n_r, nbatch, half), axis=0, out=lam)
     low, high = work.take("scratch1", (2, nbatch), float)
     np.minimum.reduce(lam, axis=1, out=low)
@@ -162,7 +161,7 @@ def decode_batch(received, channels, k: int = None, *, transforms=None, work=Non
         part *= scale
     # conj(V) x / (K/2) = conj(conj(x) V^T) / (K/2), back in natural order
     y = _walsh_product(y, transpose=True, out=y if half == 1 else work.take("scratch0", y.shape))
-    est = work.take("decoder.estimates", (nbatch, 2, half))
+    est = np.empty((nbatch, 2, half), complex)
     np.copyto(est, y.transpose(1, 0, 2))
     np.conjugate(est, out=est)
     return est.reshape(nbatch, k), lam[:, ::-1]

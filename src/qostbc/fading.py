@@ -124,14 +124,13 @@ def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None, work=None
     a uniform random rotation so the aggregate is circular.  Nakagami
     draws the power from a Gamma distribution and a uniform phase.
 
-    With a :class:`~qostbc._workspace.Workspace` ``work`` the gains and the
-    draws are taken from it (the gains as ``"fading.gain"``), and a second
-    call of the same size allocates nothing.
+    With a :class:`~qostbc._workspace.Workspace` ``work`` the draws are
+    taken from it; the gains are a new array.
     """
     kind, c1, c2 = stat._form
     shape = _shape(size)
     work = ALLOCATE if work is None else work
-    out = work.take("fading.gain", shape)
+    out = np.empty(shape, complex)
     # the draws in stream order: two normal planes or a gamma power, then
     # the phase
     draws = work.take("scratch0", (3,) + shape, float)
@@ -178,11 +177,11 @@ def sample_gains(stats, rng: np.random.Generator, size, work=None):
     whose gains are affine in two normal draws (Rayleigh and Rice) is drawn
     with one call, since ``standard_normal((run, 2) + size)`` yields the
     draws of the run's branches in that order.  With a workspace ``work``
-    the gains are taken from it as ``"fading.gains"``, and the draws too.
+    the draws are taken from it; the gains are a new array.
     """
     size = _shape(size)
     work = ALLOCATE if work is None else work
-    out = work.take("fading.gains", size + (len(stats),))
+    out = np.empty(size + (len(stats),), complex)
     a = 0
     for normal, run in groupby(stats, key=lambda s: s._form[0] == "normal"):
         run = list(run)
@@ -232,8 +231,9 @@ def add_awgn(signal, n0: float, rng: np.random.Generator, work=None) -> np.ndarr
     """Add complex Gaussian noise of variance ``n0`` per sample.
 
     Both noise planes, real then imaginary, are one ``standard_normal``
-    draw.  With a workspace ``work`` the result is taken from it as
-    ``"fading.noisy"`` and the planes too; ``signal`` is never written.
+    draw.  With a workspace ``work`` the planes are taken from it.  The
+    result is a new array, or ``signal`` itself at ``n0 = 0``; ``signal`` is
+    never written.
     """
     signal = np.asarray(signal, dtype=complex)
     if n0 < 0:
@@ -244,7 +244,7 @@ def add_awgn(signal, n0: float, rng: np.random.Generator, work=None) -> np.ndarr
     noise = work.take("scratch0", (2,) + signal.shape, float)
     rng.standard_normal(out=noise)
     noise *= np.sqrt(n0 / 2.0)
-    out = work.take("fading.noisy", signal.shape)
+    out = np.empty(signal.shape, complex)
     np.add(signal.real, noise[0], out=out.real)
     np.add(signal.imag, noise[1], out=out.imag)
     return out

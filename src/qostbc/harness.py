@@ -16,12 +16,12 @@ smallest to largest Gram eigenvalue over its blocks.
 
 A sweep keeps one :class:`~qostbc._workspace.Workspace` per worker slot,
 and batch ``j`` runs in slot ``j % workers``.  Every stage of a batch takes
-its arrays from it, so once the first batch has sized it, a batch allocates
-no batch-sized array but its bits.  Slot 0 is the calling thread: its
-batches run when the in-order consumption reaches them.  The other slots'
-batches run on one thread pool of ``workers - 1`` threads, started once per
-sweep and shut down before :func:`run_sweep` returns; with one worker no
-pool is started.
+its temporaries from it, so once the first batch has sized it, a batch
+allocates only the arrays its stages return.  Slot 0 is the calling
+thread: its batches run when the in-order consumption reaches them.  The
+other slots' batches run on one thread pool of ``workers - 1`` threads,
+started once per sweep and shut down before :func:`run_sweep` returns; with
+one worker no pool is started.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ConfigError("empty Es/N0 sweep")
         if self.trials < 1 or self.target_errors < 1 or self.batch < 1:
             raise ConfigError("trials, target_errors and batch must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers={self.workers} must lie in 1..{MAX_WORKERS}")
         try:
@@ -193,9 +195,9 @@ class SweepResult:
 def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks, work=None):
     """Simulate one batch of blocks.
 
-    Every stage takes its arrays from ``work``, the workspace of the batch's
-    worker slot, so a batch no larger than the last one allocates no
-    batch-sized array but its bits.  Returns the bit error count and the
+    Every stage takes its temporaries from ``work``, the workspace of the
+    batch's worker slot, so a batch no larger than the last one allocates
+    only the arrays the stages return.  Returns the bit error count and the
     smallest ratio of smallest to largest Gram eigenvalue over the batch's
     blocks.
     """
@@ -213,9 +215,9 @@ def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks, work=None):
     scaled *= 1 / np.sqrt(config.n_t)
     # the forward model and the decoder share one transform of the gains
     g = _gain_transforms(gains, k, work=work)
-    rx = received_blocks(symbols, gains, k, transforms=g, work=work)
+    rx = received_blocks(symbols, gains, transforms=g, work=work)
     rx = fading.add_awgn(rx, n0, rng, work=work)
-    estimates, lam = decode_batch(rx, gains, k, transforms=g, work=work)
+    estimates, lam = decode_batch(rx, gains, transforms=g, work=work)
     ends = work.take("scratch0", (2, nblocks), float)
     np.minimum.reduce(lam, axis=1, out=ends[0])
     np.maximum.reduce(lam, axis=1, out=ends[1])
@@ -603,7 +605,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         # puncturing keeps the leftmost n_t antennas
         n_ts = sorted({k, k - 1, min(3, k)})
         for n_t in n_ts:
-            walsh = received_blocks(s[None], h[None, None, :n_t], k)[0, :, 0]
+            walsh = received_blocks(s[None], h[None, None, :n_t])[0, :, 0]
             exact(f"walsh-forward-model(nt={n_t})", k, walsh - code[:, :n_t] @ h[:n_t])
         del code
 
@@ -614,7 +616,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         c += r[half:].conj() @ h2
         del h1, h2
 
-        lam = decode_batch(np.zeros((1, k, 1)), h[None, None], k)[1][0]
+        lam = decode_batch(np.zeros((1, k, 1)), h[None, None])[1][0]
         # V^H x = conj(conj(x) V), with no conjugated copy of V
         rhs = np.conj(_walsh_product(s.reshape(2, half).conj()))
         rhs *= _mod_prime(lam)
@@ -636,7 +638,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
                 s = crandn(k)
                 gains = crandn(n_r, n_t)
                 rx = encode(st, s) @ gains.T
-                est = decode_batch(rx[None], gains[None], k)[0]
+                est = decode_batch(rx[None], gains[None])[0]
                 res = np.linalg.norm(est[0] - s) / np.linalg.norm(s)
                 checks.append(
                     CheckResult(f"round-trip(nt={n_t},nr={n_r})", k, res, ROUNDTRIP_TOL, res <= ROUNDTRIP_TOL)

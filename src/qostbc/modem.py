@@ -76,8 +76,8 @@ class Modulation:
     def map_bits(self, bits, work=None) -> np.ndarray:
         """Map bit words of shape ``(..., bits_per_symbol)`` to symbols.
 
-        With a :class:`~qostbc._workspace.Workspace` ``work`` the symbols
-        are taken from it as ``"modem.symbols"``, and the labels too.
+        With a :class:`~qostbc._workspace.Workspace` ``work`` the labels are
+        taken from it; the symbols are a new array.
         """
         bits = np.asarray(bits)
         if bits.shape[-1] != self.bits_per_symbol:
@@ -92,13 +92,13 @@ class Modulation:
         index = work.take("scratch1", shape, np.intp)
         np.copyto(index, labels)
         # every label of a bit word is in range; "raise" would copy the output
-        return self._point_of_label.take(index, out=work.take("modem.symbols", shape), mode="clip")
+        return self._point_of_label.take(index, out=np.empty(shape, complex), mode="clip")
 
     def demap(self, symbols, work=None) -> np.ndarray:
         """Nearest-point hard decision; returns ``(..., bits_per_symbol)`` bits.
 
-        With a workspace ``work`` the bits are taken from it as
-        ``"modem.bits"``, and the decisions too.
+        With a workspace ``work`` the decisions are taken from it; the bits
+        are a new array.
         """
         symbols = np.asarray(symbols, dtype=complex)
         shape = symbols.shape
@@ -117,7 +117,7 @@ class Modulation:
             self._axis_index(symbols.imag, x, q)
             index *= self._side
             index += q
-        bits = work.take("modem.bits", shape + (self.bits_per_symbol,), np.uint8)
+        bits = np.empty(shape + (self.bits_per_symbol,), np.uint8)
         return self._point_bits.take(index, axis=0, out=bits, mode="clip")
 
     @staticmethod

@@ -243,7 +243,7 @@ class TestReceivedBlocks:
             for n_r in (1, 2, 4):
                 gains = crandn(rng, 3, n_r, n_t)
                 want = tx @ gains.swapaxes(1, 2)
-                got = received_blocks(s, gains, k)
+                got = received_blocks(s, gains)
                 assert got.shape == (3, k, n_r)
                 err = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert err <= 1e-13, (k, n_t, n_r, err)
@@ -257,7 +257,7 @@ class TestReceivedBlocks:
             z = z[0] + 1j * z[1]
             s, gains = z[:, :k], z[:, None, k:]
             want = encode(puncture(build_mother(k), n_t), s) @ gains.swapaxes(1, 2)
-            assert np.array_equal(received_blocks(s, gains, k), want), (k, n_t)
+            assert np.array_equal(received_blocks(s, gains), want), (k, n_t)
 
     @pytest.mark.parametrize("k", [2, 16, 256])
     def test_workspace_forms_equal_allocating(self, k):
@@ -273,15 +273,15 @@ class TestReceivedBlocks:
                     gains = crandn(rng, nblocks, n_r, n_t)
                     g = channels._gain_transforms(gains, k)
                     assert np.array_equal(channels._gain_transforms(gains, k, work=work), g)
-                    want = received_blocks(s, gains, k)
-                    assert np.array_equal(received_blocks(s, gains, k, work=work), want)
-                    got = received_blocks(s, gains, k, transforms=g, work=work)
+                    want = received_blocks(s, gains)
+                    assert np.array_equal(received_blocks(s, gains, work=work), want)
+                    got = received_blocks(s, gains, transforms=g, work=work)
                     assert np.array_equal(got, want), (k, n_t, n_r, nblocks)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            received_blocks(np.zeros((2, 4)), np.zeros((2, 1, 5)), 4)
+            received_blocks(np.zeros((2, 4)), np.zeros((2, 1, 5)))
         with pytest.raises(ValueError):
-            received_blocks(np.zeros((3, 4)), np.zeros((2, 1, 4)), 4)
+            received_blocks(np.zeros((3, 4)), np.zeros((2, 1, 4)))
         with pytest.raises(ValueError):
-            received_blocks(np.zeros(4), np.zeros((1, 1, 4)), 4)
+            received_blocks(np.zeros(4), np.zeros((1, 1, 4)))

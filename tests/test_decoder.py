@@ -36,10 +36,10 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def decode_block(received, gains, k):
+def decode_block(received, gains):
     """:func:`decode_batch` on one block: ``(K,)`` or ``(K, n_r)`` samples and
     ``(n_t,)`` or ``(n_r, n_t)`` gains; returns the estimates and eigenvalues."""
-    est, lam = decode_batch(np.reshape(received, (k, -1))[None], np.atleast_2d(gains)[None], k)
+    est, lam = decode_batch(np.reshape(received, (len(received), -1))[None], np.atleast_2d(gains)[None])
     return est[0], lam[0]
 
 
@@ -261,7 +261,7 @@ class TestDecode:
         s = crandn(rng, 2)
         h = crandn(rng, 2)
         r = encode(build_mother(2), s) @ h
-        est, lam = decode_block(r, h, 2)
+        est, lam = decode_block(r, h)
         np.testing.assert_allclose(est, s, rtol=1e-12)
         np.testing.assert_allclose(lam, [np.sum(np.abs(h) ** 2)], rtol=1e-12)
         est, gain, _ = chain_decode(r, h, 2)
@@ -273,7 +273,7 @@ class TestDecode:
         s = crandn(rng, 64)
         hh = crandn(rng, 4, 64)
         r = encode(build_mother(64), s) @ hh.T
-        est = decode_block(r, hh, 64)[0]
+        est = decode_block(r, hh)[0]
         assert np.linalg.norm(est - s) <= 1e-9 * np.linalg.norm(s)
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256])
@@ -284,7 +284,7 @@ class TestDecode:
             s = crandn(rng, k)
             hh = crandn(rng, n_r, n_t)
             r = encode(puncture(build_mother(k), n_t), s) @ hh.T
-            est = decode_block(r, hh, k)[0]
+            est = decode_block(r, hh)[0]
             err = np.linalg.norm(est - s) / np.linalg.norm(s)
             assert err <= 1e-9, (k, n_t, n_r, err)
 
@@ -316,7 +316,7 @@ class TestDecode:
         hh = crandn(rng, n_r, k)
         clean = encode(build_mother(k), s) @ hh.T
         noisy = clean[None] + 0.3 * crandn(rng, trials, k, n_r)
-        est = decode_batch(noisy, np.broadcast_to(hh, (trials, n_r, k)), k)[0]
+        est = decode_batch(noisy, np.broadcast_to(hh, (trials, n_r, k)))[0]
         mean = est.mean(axis=0)
         sem = est.std(axis=0) / np.sqrt(trials)
         assert np.all(np.abs(mean - s) <= 4.0 * sem + 1e-12)
@@ -324,11 +324,11 @@ class TestDecode:
     @pytest.mark.parametrize("k", [1, 6, 12])
     def test_rejects_k_not_a_power_of_two(self, k):
         with pytest.raises(ValueError, match="power of two"):
-            decode_batch(np.ones((1, k, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex), k)
+            decode_batch(np.ones((1, k, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex))
 
     def test_degenerate_channel(self):
         with pytest.raises(DegenerateChannelError):
-            decode_block(np.ones(4, dtype=complex), np.zeros(4, dtype=complex), 4)
+            decode_block(np.ones(4, dtype=complex), np.zeros(4, dtype=complex))
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(18)
@@ -336,9 +336,9 @@ class TestDecode:
         s = crandn(rng, nb, k)
         hh = crandn(rng, nb, n_r, k)
         rx = np.einsum("bka,bia->bki", encode(build_mother(k), s), hh)
-        est = decode_batch(rx, hh, k)[0]
+        est = decode_batch(rx, hh)[0]
         for b in range(nb):
-            single = decode_block(rx[b], hh[b], k)[0]
+            single = decode_block(rx[b], hh[b])[0]
             np.testing.assert_allclose(est[b], single, rtol=1e-10)
 
 
@@ -354,7 +354,7 @@ class TestCombinerWeights:
             (np.conj(h[0]) * r[0] + h[1] * np.conj(r[1])) / energy,
             (np.conj(h[1]) * r[0] - h[0] * np.conj(r[1])) / energy,
         ]
-        np.testing.assert_allclose(decode_block(r, h, 2)[0], want, rtol=1e-12)
+        np.testing.assert_allclose(decode_block(r, h)[0], want, rtol=1e-12)
 
     def test_alamouti_gain_tracks_channel_energy(self):
         # the absolute combining gain equals the channel energy for the
@@ -411,7 +411,7 @@ class TestFixedBasis:
             gains = crandn(rng, n_r, n_t)
             r = encode(puncture(build_mother(k), n_t), s) @ gains.T + 0.3 * crandn(rng, k, n_r)
             want, _ = lstsq_oracle(r, gains, k)
-            got = decode_block(r, gains, k)[0]
+            got = decode_block(r, gains)[0]
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err <= 1e-12, (k, n_t, n_r, err)
 
@@ -431,7 +431,7 @@ class TestFixedBasis:
             assert np.abs(d - np.diag(lam)).max() <= 1e-12 * lam.max()
             # the decoder's eigenvalues, one per group of four columns
             np.testing.assert_allclose(
-                decode_block(np.zeros((k, n_r)), gains, k)[1], lam[::4],
+                decode_block(np.zeros((k, n_r)), gains)[1], lam[::4],
                 rtol=0, atol=1e-12 * lam.max()
             )
 
@@ -485,7 +485,7 @@ class TestFixedBasis:
             per_antenna = np.abs(padded[:, :half] @ v) ** 2 + np.abs(padded[:, half:] @ v) ** 2
             for n_r in (1, 2, 4):
                 want = per_antenna[:n_r].sum(axis=0)
-                got = decode_block(np.zeros((k, n_r)), gains[:n_r], k)[1]
+                got = decode_block(np.zeros((k, n_r)), gains[:n_r])[1]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256, 512])
@@ -500,7 +500,7 @@ class TestFixedBasis:
             per_antenna = [np.einsum("ij,ij->j", q4, channel_gram(h, k) @ q4) for h in gains]
             for n_r in (1, 2, 4):
                 want = np.sum(per_antenna[:n_r], axis=0)
-                got = decode_block(np.zeros((k, n_r)), gains[:n_r], k)[1]
+                got = decode_block(np.zeros((k, n_r)), gains[:n_r])[1]
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize("k", [4, 8])
@@ -540,7 +540,7 @@ class TestFixedBasis:
                     lam * v for v in col]
             exact.append(lam)
         assert min(exact) / max(exact) < 10 * ratio  # the case is as ill-conditioned as meant
-        got = decode_block(np.zeros((k, n_r)), gains, k)[1]
+        got = decode_block(np.zeros((k, n_r)), gains)[1]
         err = max(abs(Fraction(float(v)) - e) / e for v, e in zip(got, exact))
         assert err <= 1e-9, float(err)
 
@@ -556,7 +556,7 @@ class TestFixedBasis:
 
         def worker():
             barrier.wait(timeout=10)
-            results.append(decode_block(r, h, k)[0])
+            results.append(decode_block(r, h)[0])
 
         threads = [threading.Thread(target=worker) for _ in range(2)]
         for t in threads:
@@ -573,11 +573,11 @@ class TestFixedBasis:
         h = np.array([1.0, 1.0j, 0.0, 0.0])
         r = encode(build_mother(4), np.ones(4, dtype=complex)) @ h
         with pytest.raises(DegenerateChannelError):
-            decode_block(r, h, 4)
+            decode_block(r, h)
         rng = np.random.default_rng(24)
         gains = np.stack([crandn(rng, 1, 4), h[None]])
         with pytest.raises(DegenerateChannelError):
-            decode_batch(np.stack([r, r])[..., None], gains, 4)
+            decode_batch(np.stack([r, r])[..., None], gains)
 
     @pytest.mark.parametrize("k", [4, 8, 16, 32])
     def test_chain_reference_agrees(self, k):
@@ -586,7 +586,7 @@ class TestFixedBasis:
         hh = crandn(rng, 2, k)
         r = encode(build_mother(k), s) @ hh.T + 0.3 * crandn(rng, k, 2)
         chain = chain_decode(r, hh, k)[0]
-        fixed = decode_block(r, hh, k)[0]
+        fixed = decode_block(r, hh)[0]
         assert np.linalg.norm(chain - fixed) <= 1e-10 * np.linalg.norm(fixed)
 
 
@@ -616,7 +616,7 @@ class TestWalshDomain:
             assert np.array_equal(flip, np.arange(half)[::-1])
             assert np.array_equal(g, (padded @ v)[..., flip])
             # so the eigenvalues in Walsh order, sum |V^T h|^2, are sum |g|^2 reversed
-            lam = decode_batch(np.zeros((2, k, 3)), gains, k)[1]
+            lam = decode_batch(np.zeros((2, k, 3)), gains)[1]
             assert np.array_equal(lam, energy(padded @ v))
             assert np.array_equal(lam, energy(g)[:, ::-1])
 
@@ -630,7 +630,7 @@ class TestWalshDomain:
         n_t = max(1, 3 * k // 4)
         s = crandn(rng, 4, k)
         gains = crandn(rng, 4, 2, n_t)
-        est = decode_batch(channels.received_blocks(s, gains, k), gains, k)[0]
+        est = decode_batch(channels.received_blocks(s, gains), gains)[0]
         assert np.linalg.norm(est - s) <= 1e-12 * np.linalg.norm(s)
         cfg = harness.ExperimentConfig(k=k, n_t=n_t, n_r=2, esno_db=(10.0,), trials=64,
                                        batch=32, target_errors=10**9, seed=5)
@@ -648,10 +648,10 @@ class TestWalshDomain:
             for nblocks in (32, 11):
                 s = crandn(rng, nblocks, k)
                 gains = crandn(rng, nblocks, n_r, n_t)
-                rx = channels.received_blocks(s, gains, k) + 0.1 * crandn(rng, nblocks, k, n_r)
-                est, lam = decode_batch(rx, gains, k)
+                rx = channels.received_blocks(s, gains) + 0.1 * crandn(rng, nblocks, k, n_r)
+                est, lam = decode_batch(rx, gains)
                 for g in (None, channels._gain_transforms(gains, k)):
-                    got_est, got_lam = decode_batch(rx, gains, k, transforms=g, work=work)
+                    got_est, got_lam = decode_batch(rx, gains, transforms=g, work=work)
                     assert np.array_equal(got_est, est), (k, n_t, n_r, nblocks)
                     assert np.array_equal(got_lam, lam), (k, n_t, n_r, nblocks)
 
@@ -666,11 +666,11 @@ class TestWalshDomain:
         rng = np.random.default_rng(4500)
         s = crandn(rng, nbatch, k)
         gains = crandn(rng, nbatch, n_r, k)
-        rx = channels.received_blocks(s, gains, k)
-        decode_batch(rx, gains, k)  # caches V
+        rx = channels.received_blocks(s, gains)
+        decode_batch(rx, gains)  # caches V
         tracemalloc.start()
         try:
-            est = decode_batch(rx, gains, k)[0]
+            est = decode_batch(rx, gains)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -692,7 +692,7 @@ def test_decode_cost_scales_subcubically():
         best = np.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            decode_block(r, h, k)
+            decode_block(r, h)
             best = min(best, time.perf_counter() - t0)
         return best
 

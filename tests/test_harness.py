@@ -19,7 +19,7 @@ import qostbc.channels as channels
 import qostbc.codes as codes
 import qostbc.harness as harness
 from qostbc import modulation
-from qostbc.cli import main
+from qostbc.cli import build_parser, main
 from qostbc.decoder import decode_batch
 from qostbc.harness import (
     CSV_HEADER,
@@ -191,9 +191,9 @@ class TestRunSweep:
         g = channels._gain_transforms(gains, 8)
         for bad in (g[:1], g[:, :, :3], g[..., :2]):
             with pytest.raises(ValueError):
-                channels.received_blocks(np.ones((4, 8)), gains, 8, transforms=bad)
+                channels.received_blocks(np.ones((4, 8)), gains, transforms=bad)
             with pytest.raises(ValueError):
-                decode_batch(np.ones((4, 8, 2)), gains, 8, transforms=bad)
+                decode_batch(np.ones((4, 8, 2)), gains, transforms=bad)
 
     @pytest.mark.parametrize(
         "params,counts",
@@ -313,16 +313,18 @@ class TestRunSweep:
         dict(k=2, n_t=2, n_r=2, modulation="psk8", channel="mixed", batch=2048),
         dict(k=16, n_t=13, n_r=2, modulation="qam16", channel="mixed", batch=256),
     ], ids=["k2-psk8-mixed", "k16-nt13-qam16-mixed"])
-    def test_warm_batch_allocates_no_batch_array(self, params):
+    def test_warm_batch_allocates_only_stage_results(self, params):
         # once a workspace has run one batch, a batch of the same size
-        # raises the traced peak by less than one (B, K, n_r) complex array,
-        # and a workspace whose buffers come filled with NaN gives the
-        # allocating batch's result, for a shorter batch too
+        # raises the traced peak by less than the arrays its stages return
+        # and leaves the workspace as large as it was, and a workspace whose
+        # buffers come filled with NaN gives the allocating batch's result,
+        # for a shorter batch too
         cfg = ExperimentConfig(esno_db=(5.0,), **params)
         mod = modulation(cfg.modulation)
         stats = branch_stats(cfg.n_t, cfg.channel, cfg.profile)
         work = Workspace()
         harness._sim_batch(cfg, mod, stats, 0.3, 0, 0, cfg.batch, work)
+        held = sum(buf.nbytes for buf in work._buffers.values())
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -330,7 +332,18 @@ class TestRunSweep:
             rise = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert rise < cfg.batch * cfg.k * cfg.n_r * 16, rise
+        b, k, n_r, n_t = cfg.batch, cfg.k, cfg.n_r, cfg.n_t
+        returned = (
+            2 * b * k * mod.bits_per_symbol  # drawn and demapped bits, uint8
+            + 16 * b * k  # symbols
+            + 16 * b * n_r  # one branch of sample_gain
+            + 16 * b * n_r * n_t  # gains
+            + 16 * b * n_r * k  # gain transforms, (2, n_r, B, K/2)
+            + 2 * 16 * b * k * n_r  # received and noisy blocks
+            + 16 * b * k + 8 * b * k // 2  # estimates and eigenvalues
+        )
+        assert rise < returned, (rise, returned)
+        assert sum(buf.nbytes for buf in work._buffers.values()) == held
         assert got == harness._sim_batch(cfg, mod, stats, 0.3, 0, 1, cfg.batch)
         poisoned = NaNWorkspace()
         for n in (cfg.batch, cfg.batch // 3):
@@ -353,9 +366,9 @@ class TestRunSweep:
         # lambda_max of each block's Gram with a dense eigensolver
         seen = []
 
-        def recording(received, gains, k, **kwargs):
+        def recording(received, gains, **kwargs):
             seen.append(gains.copy())
-            return decode_batch(received, gains, k, **kwargs)
+            return decode_batch(received, gains, **kwargs)
 
         monkeypatch.setattr(harness, "decode_batch", recording)
         cfg = small_config(k=8, n_t=6, n_r=2, modulation="qpsk", esno_db=(5.0,), trials=300,
@@ -483,9 +496,9 @@ class TestVerify:
         # trips do not read the eigenvalues
         real = harness.decode_batch
 
-        def raised(received, gains, kk):
-            est, lam = real(received, gains, kk)
-            if kk == k:
+        def raised(received, gains):
+            est, lam = real(received, gains)
+            if received.shape[1] == k:
                 lam = lam.copy()
                 lam[:, -1] += 1
             return est, lam
@@ -715,6 +728,63 @@ class TestCli:
         assert all(flag in captured.err for flag in argv if flag.startswith("--esno"))
         if "--out" in argv:
             assert argv[argv.index("--out") + 1] in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "",
+            "frobnicate",
+            "simulate --K abc",
+            "simulate --K 4 --mod psk3",
+            "simulate --K 4 --channel rice:m=0.5",
+            "simulate --K 4 --profile linear:pmax=nan",
+            "simulate --K 4 --nt 5",
+            "simulate --K 4 --nr 0",
+            "simulate --K 4 --batch 0",
+            "simulate --K 4 --target-errors 0",
+            "simulate --K 4 --seed -1",
+            "simulate --K 4 --esno-start 10 --esno-stop 0",
+            "simulate --K 2 --workers 0",
+            "analyze --mod qpsk --nt 2 --m-list 1,2,3",
+            "analyze --mod qpsk --nt 2 --m-list a,b",
+            "analyze --mod qam8 --nt 2",
+            "capacity --nt 2 --mods qpsk,foo",
+            "capacity --nt 2 --channel hoyt:m=0.3",
+            "analyze --mod qpsk --nt 2 --rho 0",
+            "verify --K 4 --seed -1",
+        ],
+    )
+    def test_invalid_argv_exits_2_with_a_message(self, argv, monkeypatch, capsys):
+        # argparse's rejections and values the program rejects itself, each
+        # before a sweep starts; test_invalid_input_exit_code has more
+        def no_sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(harness, "run_sweep", no_sweep)
+        try:
+            rc = main(argv.split())
+        except SystemExit as exc:  # argparse's own rejections
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_parser_is_built_once(self, monkeypatch):
+        assert build_parser() is build_parser()
+        # the --nt default is still K on every call
+        seen = []
+        real = harness.run_sweep
+
+        def recording(config):
+            seen.append(config.n_t)
+            return real(config)
+
+        monkeypatch.setattr(harness, "run_sweep", recording)
+        for k in ("4", "2"):
+            assert main(["simulate", "--K", k, "--trials", "1", "--esno-stop", "0"]) == 0
+        assert seen == [4, 2]
 
     @pytest.mark.parametrize("command", [["analyze", "--mod", "qpsk"], ["capacity"]])
     @pytest.mark.parametrize("nt", ["0", "-1"])
