@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._workspace import ALLOCATE
 from .codes import _is_power_of_two, _walsh_product
 
 __all__ = ["encoded_channel_minors", "received_blocks"]
 
 
-def received_blocks(symbols, gains, *, transforms=None, work=None):
+def received_blocks(symbols, gains, *, transforms=None):
     """Noiseless received blocks ``r = C(s) h`` of a batch, in the Walsh domain.
 
     With ``V = walsh_basis(K/2)`` each manifold is ``T(v) = V diag(V^T v)
@@ -68,9 +67,6 @@ def received_blocks(symbols, gains, *, transforms=None, work=None):
     transforms : np.ndarray, optional
         ``_gain_transforms(gains, K)``, when the caller has formed them
         already; the simulator shares them with the decoder.
-    work : qostbc._workspace.Workspace, optional
-        Where the temporaries are taken; a second call of the same size
-        then allocates only the blocks it returns.
 
     Returns
     -------
@@ -89,12 +85,9 @@ def received_blocks(symbols, gains, *, transforms=None, work=None):
     if n_t > k:
         raise ValueError(f"n_t={n_t} exceeds K={k}")
     half = k // 2
-    work = ALLOCATE if work is None else work
-    g = _transforms(gains, k, transforms, work)
+    g = _transforms(gains, k, transforms)
     # x = V^T s of both halves, (2, B, K/2); at K=2, V = [[1]] and x is a copy of s
-    x = work.take("scratch0", (2, nbatch, half))
-    np.copyto(x, symbols.reshape(nbatch, 2, half).transpose(1, 0, 2))
-    x = _walsh_product(x, out=x if half == 1 else work.take("scratch1", x.shape))
+    x = _walsh_product(symbols.reshape(nbatch, 2, half).transpose(1, 0, 2).copy())
     if half > 1:  # the 1 / (K/2) of r, exact for a power of two
         x /= half
     # y = (x1 g_a + x2 g_b, conj(x1) g_b - conj(x2) g_a) per receive antenna,
@@ -102,8 +95,8 @@ def received_blocks(symbols, gains, *, transforms=None, work=None):
     # each y[r, j] is one strided column of it
     out = np.empty((nbatch, k, n_r), complex)
     rt = out.reshape(nbatch, 2, half, n_r).transpose(3, 1, 0, 2)
-    y = rt if half == 1 else work.take("scratch2", rt.shape)
-    term = work.take("scratch3", (nbatch, half))
+    y = rt if half == 1 else np.empty(rt.shape, complex)
+    term = np.empty((nbatch, half), complex)
     ga, gb = g
     for r in range(n_r):
         np.multiply(x[0], ga[r], out=y[r, 0])
@@ -113,47 +106,43 @@ def received_blocks(symbols, gains, *, transforms=None, work=None):
         np.multiply(x[0], gb[r], out=y[r, 1])
         y[r, 1] -= np.multiply(x[1], ga[r], out=term)
     if half > 1:
-        np.copyto(rt, _walsh_product(y, transpose=True, out=work.take("scratch0", y.shape)))
+        np.copyto(rt, _walsh_product(y, transpose=True))
     return out
 
 
-def _gain_transforms(gains, k: int, work=None):
+def _gain_transforms(gains, k: int):
     """Transforms ``g = V^H h`` of the halves ``h_a, h_b`` of ``(B, n_r, n_t)``
     gains, zero-padded to ``K``, laid out ``(2, n_r, B, K/2)``.
 
     The layout puts the half and the receive antenna first, so ``g[j]`` is
     one contiguous ``(n_r, B, K/2)`` array and ``g[j, r]`` one contiguous
     ``(B, K/2)`` array: the decoder's products run on whole arrays, and its
-    sums over the antennas reduce the leading axis.  With a workspace
-    ``work`` the padded halves are taken from it; the transforms are a new
-    array.
+    sums over the antennas reduce the leading axis.
     """
     nbatch, n_r, n_t = gains.shape
     half = k // 2
     if not _is_power_of_two(half):
         raise ValueError(f"K/2={half} is not a power of two")
-    work = ALLOCATE if work is None else work
-    g = np.empty((2, n_r, nbatch, half), complex)
     # the halves zero-padded; at K=2, V = [[1]] and they are g itself
-    padded = g if half == 1 else work.take("scratch0", g.shape)
+    padded = np.empty((2, n_r, nbatch, half), complex)
     h = gains.transpose(1, 0, 2)
     for j, part in enumerate((h[..., :half], h[..., half:])):
         n = part.shape[-1]
         np.copyto(padded[j, ..., :n], part)
         if n < half:  # punctured antennas
             padded[j, ..., n:] = 0
-    if half > 1:
-        # g = h conj(V) = conj(conj(h) V), with no conjugated copy of V
-        np.conjugate(padded, out=padded)
-        _walsh_product(padded, out=g)
-        np.conjugate(g, out=g)
-    return g
+    if half == 1:
+        return padded
+    # g = h conj(V) = conj(conj(h) V), with no conjugated copy of V
+    np.conjugate(padded, out=padded)
+    g = _walsh_product(padded)
+    return np.conjugate(g, out=g)
 
 
-def _transforms(gains, k: int, given=None, work=None):
-    """``given`` after a shape check, or else ``_gain_transforms(gains, k, work)``."""
+def _transforms(gains, k: int, given=None):
+    """``given`` after a shape check, or else ``_gain_transforms(gains, k)``."""
     if given is None:
-        return _gain_transforms(gains, k, work)
+        return _gain_transforms(gains, k)
     nbatch, n_r, _ = gains.shape
     if given.shape != (2, n_r, nbatch, k // 2):
         raise ValueError(f"gain transforms of shape {given.shape} are not (2, {n_r}, {nbatch}, {k // 2})")

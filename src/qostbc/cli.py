@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invariant violation (failed verification),
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, harness
-from .fading import BranchStat, parse_channel_spec, severity_family
+from .fading import BranchStat, parse_channel_spec, parse_profile_spec, severity_family
 from .modem import modulation
 
 
@@ -22,6 +23,65 @@ MAX_ESNO_POINTS = 100_000
 
 # what the ber_analytic column of simulate is, stated in its sidecar
 BER_ANALYTIC_NOTE = "full-diversity ML bound; equals the linear decoder only at K=2"
+
+# glibc's mallopt parameter numbers (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@functools.cache  # once per process
+def _keep_freed_memory():
+    """Let memory freed by one simulate batch serve the next.
+
+    By default glibc serves an array of 128 KiB or more with its own mmap
+    and returns it to the system when it is freed, so each batch faults its
+    pages in anew.  So this sets glibc's mmap threshold to 32 MiB, glibc's
+    own ceiling for its dynamic threshold on 64-bit, and its trim threshold
+    to twice that, 64 MiB, as glibc's dynamic rule pairs them.  Both are
+    needed: with the mmap threshold set alone, glibc no longer raises its
+    trim threshold and still returns the freed heap top on every batch.
+    Where libc has no ``mallopt`` (not glibc), nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _seed(text):
+    """A ``--seed``: an integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
+def _numbers(text):
+    """A comma-separated list of numbers, such as ``--m-list 0.5,2``."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _spec(parse):
+    """An argparse type that keeps the spec string if ``parse`` accepts it."""
+
+    def check(text):
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+
+    return check
 
 
 def _esno_list(args):
@@ -71,14 +131,14 @@ def _write_csv(text, out_path, sidecar=None):
 def _branches_from_args(args, n_t):
     stats = harness.branch_stats(n_t, args.channel, args.profile)
     if getattr(args, "m_list", None):
-        ms = [float(x) for x in args.m_list.split(",")]
+        ms = args.m_list
         if len(ms) != n_t:
             raise harness.ConfigError(f"--m-list needs {n_t} entries")
         nakagami = parse_channel_spec(args.channel)[0] == "nakagami"
         fams = ["nakagami" if nakagami else severity_family(m) for m in ms]
         stats = [BranchStat(f, m, s.omega) for f, m, s in zip(fams, ms, stats)]
     if getattr(args, "omega_list", None):
-        oms = [float(x) for x in args.omega_list.split(",")]
+        oms = args.omega_list
         if len(oms) != n_t:
             raise harness.ConfigError(f"--omega-list needs {n_t} entries")
         stats = [BranchStat(s.family, s.m, o) for s, o in zip(stats, oms)]
@@ -171,13 +231,13 @@ def build_parser():
     p.add_argument("--nt", type=int, default=None, help="transmit antennas (default K)")
     p.add_argument("--nr", type=int, default=1, help="receive antennas")
     p.add_argument("--mod", type=str, default="qpsk", help='modulation, e.g. "psk8", "qam64"')
-    p.add_argument("--channel", type=str, default="rayleigh",
+    p.add_argument("--channel", type=_spec(parse_channel_spec), default="rayleigh",
                    help='"rayleigh", "rice:m=2", "hoyt:m=0.7", "nakagami:m=2.5", "mixed"')
-    p.add_argument("--profile", type=str, default="equipower",
+    p.add_argument("--profile", type=_spec(parse_profile_spec), default="equipower",
                    help='"equipower" or "linear:pmax=2"')
     p.add_argument("--trials", type=int, default=1_000_000, help="block cap per SNR point")
     p.add_argument("--target-errors", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--seed", type=_seed, default=1234)
     p.add_argument("--batch", type=int, default=2048)
     p.add_argument("--workers", type=int, default=1)
     _add_sweep_flags(p)
@@ -189,11 +249,11 @@ def build_parser():
     p.add_argument("--nr", type=int, default=1)
     p.add_argument("--rho", type=float, default=1.0, help="code rate")
     p.add_argument("--eta", type=float, default=1.0, help="transmit diversity order")
-    p.add_argument("--channel", type=str, default="rayleigh")
-    p.add_argument("--profile", type=str, default="equipower")
-    p.add_argument("--m-list", type=str, default=None,
+    p.add_argument("--channel", type=_spec(parse_channel_spec), default="rayleigh")
+    p.add_argument("--profile", type=_spec(parse_profile_spec), default="equipower")
+    p.add_argument("--m-list", type=_numbers, default=None,
                    help="comma-separated per-branch severities (overrides --channel m)")
-    p.add_argument("--omega-list", type=str, default=None,
+    p.add_argument("--omega-list", type=_numbers, default=None,
                    help="comma-separated per-branch mean powers (overrides --profile)")
     p.add_argument("--nakagami-approx", action="store_true",
                    help="use the Nakagami MGF for every branch")
@@ -202,14 +262,14 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the structural invariant suite")
     p.add_argument("--K", type=int, default=256, help="largest block size to check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("capacity", help="hard-decision rate capacity per modulation")
     p.add_argument("--nt", type=int, required=True)
     p.add_argument("--nr", type=int, default=1)
-    p.add_argument("--channel", type=str, default="rayleigh")
-    p.add_argument("--profile", type=str, default="equipower")
+    p.add_argument("--channel", type=_spec(parse_channel_spec), default="rayleigh")
+    p.add_argument("--profile", type=_spec(parse_profile_spec), default="equipower")
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--mods", type=str, default=None,
                    help="comma-separated modulation list (default BPSK..4096QAM)")
@@ -219,6 +279,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "nt", None) is None and hasattr(args, "K"):

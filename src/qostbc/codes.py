@@ -76,7 +76,7 @@ def walsh_basis(half: int) -> np.ndarray:
 _DENSE_HALF_MAX = 64
 
 
-def _walsh_product(x: np.ndarray, transpose: bool = False, out=None) -> np.ndarray:
+def _walsh_product(x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``x @ V``, or ``x @ V^T`` with ``transpose``, along the last axis of an array.
 
     ``V = walsh_basis(half)`` for the last axis's length ``half``.  ``V`` is
@@ -89,42 +89,26 @@ def _walsh_product(x: np.ndarray, transpose: bool = False, out=None) -> np.ndarr
     The split is fixed: up to ``half = 64`` one dense GEMM, beyond it ``a =
     2^floor(log2(half) / 2)`` and ``b = half / a``, so no basis larger than
     64 is built up to ``half = 2048``.  At ``half = 1``, ``V = [[1]]`` and
-    ``x`` itself is returned, or copied into ``out``.  Every entry of ``V_a``
-    and ``V_b`` is ``+-1`` or ``+-i``, so on Gaussian integers each partial
-    sum is a sub-sum of the dense product's and the result is exact whenever
-    that one is.
-
-    ``out``, a C-contiguous complex array of the shape of ``x`` that does
-    not overlap it (but may be ``x`` itself at ``half = 1``), receives the
-    product, and a dense GEMM then allocates nothing.
+    ``x`` itself is returned.  Every entry of ``V_a`` and ``V_b`` is ``+-1``
+    or ``+-i``, so on Gaussian integers each partial sum is a sub-sum of the
+    dense product's and the result is exact whenever that one is.
     """
     half = x.shape[-1]
     if not _is_power_of_two(half):
         raise ValueError(f"K/2={half} is not a power of two")
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
     if half == 1:
-        if out is None or out is x:
-            return x
-        np.copyto(out, x)
-        return out
+        return x
     rows = x.reshape(-1, half)
     if half <= _DENSE_HALF_MAX:
         v = walsh_basis(half)
-        left, right = rows, (v.T if transpose else v)
-        shape = rows.shape
-    else:
-        a = 1 << ((half.bit_length() - 1) // 2)
-        b = half // a
-        va, vb = walsh_basis(a), walsh_basis(b)
-        if transpose:
-            va, vb = va.T, vb.T
-        z = (rows.reshape(-1, b) @ vb).reshape(-1, a, b)
-        left, right, shape = va.T, z, z.shape
-    if out is None:
-        return np.matmul(left, right).reshape(x.shape)
-    np.matmul(left, right, out=out.reshape(shape))
-    return out
+        return (rows @ (v.T if transpose else v)).reshape(x.shape)
+    a = 1 << ((half.bit_length() - 1) // 2)
+    b = half // a
+    va, vb = walsh_basis(a), walsh_basis(b)
+    if transpose:
+        va, vb = va.T, vb.T
+    z = (rows.reshape(-1, b) @ vb).reshape(-1, a, b)
+    return (va.T @ z).reshape(x.shape)
 
 
 def _code_indices(k: int, n_t: int) -> np.ndarray:

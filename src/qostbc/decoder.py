@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._workspace import ALLOCATE
 # nothing here calls encoded_channel_minors: bench/spans.py wraps it under this name
 from .channels import _transforms, encoded_channel_minors
 from .codes import _is_power_of_two, _walsh_product
@@ -63,7 +62,7 @@ class DegenerateChannelError(ValueError):
     """The channel's Gram matrix is singular; the symbols cannot be separated."""
 
 
-def decode_batch(received, channels, k: int = None, *, transforms=None, work=None):
+def decode_batch(received, channels, k: int = None, *, transforms=None):
     """Least-squares decoder over a leading batch of independent blocks.
 
     Parameters
@@ -80,9 +79,6 @@ def decode_batch(received, channels, k: int = None, *, transforms=None, work=Non
         ``qostbc.channels._gain_transforms(channels, K)``, when the caller
         has formed them already; the simulator shares them with
         :func:`~qostbc.channels.received_blocks`.
-    work : qostbc._workspace.Workspace, optional
-        Where the temporaries are taken; a second call of the same size
-        then allocates only the estimates and eigenvalues it returns.
 
     Returns
     -------
@@ -116,32 +112,24 @@ def decode_batch(received, channels, k: int = None, *, transforms=None, work=Non
     if channels.shape[2] > k:
         raise ValueError(f"n_t={channels.shape[2]} exceeds K={k}")
     half = k // 2
-    work = ALLOCATE if work is None else work
-    g = _transforms(channels, k, transforms, work)
+    g = _transforms(channels, k, transforms)
     # lambda reversed: |g|^2 of the (antenna, half) slices, summed in that order
-    sq = np.square(g.view(float), out=work.take("scratch0", g.shape[:-1] + (2 * half,), float))
+    sq = np.square(g.view(float))
     sq = np.add(sq[..., 0::2], sq[..., 1::2], out=sq[..., 0::2])
-    by_antenna = work.take("scratch1", (n_r, 2, nbatch, half), float)
-    np.copyto(by_antenna, sq.transpose(1, 0, 2, 3))
-    lam = np.empty((nbatch, half))
-    np.add.reduce(by_antenna.reshape(2 * n_r, nbatch, half), axis=0, out=lam)
-    low, high = work.take("scratch1", (2, nbatch), float)
-    np.minimum.reduce(lam, axis=1, out=low)
-    np.maximum.reduce(lam, axis=1, out=high)
-    high *= k * _EPS
-    singular = np.less_equal(low, high, out=work.take("scratch2", (nbatch,), bool))
+    lam = np.add.reduce(sq.transpose(1, 0, 2, 3).reshape(2 * n_r, nbatch, half), axis=0)
+    del sq
+    singular = lam.min(axis=1) <= lam.max(axis=1) * (k * _EPS)
     if singular.any():
         raise DegenerateChannelError(
             f"singular channel Gram matrix in {np.count_nonzero(singular)} of {nbatch} blocks"
         )
     # conj(r) V = conj(V^H r) per half, with no conjugated copy of V: conj(u), w
-    t = work.take("scratch0", g.shape)
-    np.copyto(t, received.reshape(nbatch, 2, half, n_r).transpose(1, 3, 0, 2))
-    np.conjugate(t, out=t)
-    t = _walsh_product(t, out=t if half == 1 else work.take("scratch1", g.shape))
+    t = np.empty(g.shape, complex)
+    np.conjugate(received.reshape(nbatch, 2, half, n_r).transpose(1, 3, 0, 2), out=t)
+    t = _walsh_product(t)
     # conj(x) lambda' of both symbol halves, summed over the antennas
-    y = work.take("scratch3", (2, nbatch, half))
-    p, q = work.take("scratch2", g.shape)
+    y = np.empty((2, nbatch, half), complex)
+    p, q = np.empty(g.shape, complex)
     (ga, gb), (t0, t1) = g, t
     np.multiply(ga, t0, out=p)
     np.conjugate(np.multiply(gb, t1, out=q), out=q)
@@ -149,19 +137,19 @@ def decode_batch(received, channels, k: int = None, *, transforms=None, work=Non
     np.multiply(gb, t0, out=p)
     np.conjugate(np.multiply(ga, t1, out=q), out=q)
     np.add.reduce(np.subtract(p, q, out=p), axis=0, out=y[1])
+    del p, q, t, t0, t1
     # y / (lambda' K/2) as products with a real reciprocal, written out for
     # both parts of each entry: numpy divides by a complex c + 0i as a product
     # with 1 / c, and a product with c + 0i scales each part by c, so the bits
     # are the same at a fraction of the cost; (1 / (K/2)) / lambda' is
     # 1 / (lambda' K/2), as K/2 is a power of two
-    scale = work.take("scratch1", (nbatch, half, 2), float)
+    scale = np.empty((nbatch, half, 2))
     np.divide(1 / half, lam, out=scale[..., 0])
     np.positive(scale[..., 0], out=scale[..., 1])  # np.copyto would copy through a buffer
     for part in y.view(float).reshape(2, nbatch, half, 2):
         part *= scale
     # conj(V) x / (K/2) = conj(conj(x) V^T) / (K/2), back in natural order
-    y = _walsh_product(y, transpose=True, out=y if half == 1 else work.take("scratch0", y.shape))
+    y = _walsh_product(y, transpose=True)
     est = np.empty((nbatch, 2, half), complex)
-    np.copyto(est, y.transpose(1, 0, 2))
-    np.conjugate(est, out=est)
+    np.conjugate(y.transpose(1, 0, 2), out=est)
     return est.reshape(nbatch, k), lam[:, ::-1]

@@ -15,8 +15,6 @@ from itertools import groupby
 
 import numpy as np
 
-from ._workspace import ALLOCATE
-
 __all__ = [
     "BranchStat",
     "severity_family",
@@ -115,7 +113,7 @@ def _shape(size):
     return () if size is None else ((size,) if np.ndim(size) == 0 else tuple(size))
 
 
-def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None, work=None):
+def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None):
     """Draw complex gains with ``E[|h|^2] = omega`` for one branch.
 
     Rayleigh is circularly symmetric Gaussian.  Rice adds a deterministic
@@ -123,17 +121,13 @@ def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None, work=None
     real/imaginary parts with unequal variances (ratio ``q``) and applies
     a uniform random rotation so the aggregate is circular.  Nakagami
     draws the power from a Gamma distribution and a uniform phase.
-
-    With a :class:`~qostbc._workspace.Workspace` ``work`` the draws are
-    taken from it; the gains are a new array.
     """
     kind, c1, c2 = stat._form
     shape = _shape(size)
-    work = ALLOCATE if work is None else work
     out = np.empty(shape, complex)
     # the draws in stream order: two normal planes or a gamma power, then
     # the phase
-    draws = work.take("scratch0", (3,) + shape, float)
+    draws = np.empty((3,) + shape)
     if kind == "nakagami":
         # envelope approximation, phase chosen uniform (any phase convention
         # leaves |h|^2 statistics unchanged); rng.gamma(m, omega / m) is this
@@ -162,33 +156,30 @@ def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None, work=None
     else:
         # the Hoyt rotation stays a complex product: a real-arithmetic form
         # rounds differently
-        phasors = work.take("scratch1", shape)
+        phasors = np.empty(shape, complex)
         np.cos(theta, out=phasors.real)
         np.sin(theta, out=phasors.imag)
         np.multiply(out, phasors, out=out)
     return out[()] if size is None else out
 
 
-def sample_gains(stats, rng: np.random.Generator, size, work=None):
+def sample_gains(stats, rng: np.random.Generator, size):
     """Gains of every branch in ``stats``, shape ``size + (len(stats),)``.
 
     Consumes ``rng`` exactly as :func:`sample_gain` called branch by branch
     would, and returns the same values.  A run of neighbouring branches
     whose gains are affine in two normal draws (Rayleigh and Rice) is drawn
     with one call, since ``standard_normal((run, 2) + size)`` yields the
-    draws of the run's branches in that order.  With a workspace ``work``
-    the draws are taken from it; the gains are a new array.
+    draws of the run's branches in that order.
     """
     size = _shape(size)
-    work = ALLOCATE if work is None else work
     out = np.empty(size + (len(stats),), complex)
     a = 0
     for normal, run in groupby(stats, key=lambda s: s._form[0] == "normal"):
         run = list(run)
         b = a + len(run)
         if normal:
-            z = work.take("scratch0", (b - a, 2) + size, float)
-            rng.standard_normal(out=z)
+            z = rng.standard_normal((b - a, 2) + size)
             # los + scale z per branch, on its contiguous planes; a run of
             # equal constants scales in one pass
             i = 0
@@ -204,7 +195,7 @@ def sample_gains(stats, rng: np.random.Generator, size, work=None):
             np.copyto(out[..., a:b].imag, z[1])
         else:
             for j, stat in enumerate(run, a):
-                out[..., j] = sample_gain(stat, rng, size, work)
+                out[..., j] = sample_gain(stat, rng, size)
         a = b
     return out
 
@@ -227,22 +218,19 @@ def severity_profile(k: int) -> np.ndarray:
     return 0.5 + 3.5 * np.arange(k) / (k - 1)
 
 
-def add_awgn(signal, n0: float, rng: np.random.Generator, work=None) -> np.ndarray:
+def add_awgn(signal, n0: float, rng: np.random.Generator) -> np.ndarray:
     """Add complex Gaussian noise of variance ``n0`` per sample.
 
     Both noise planes, real then imaginary, are one ``standard_normal``
-    draw.  With a workspace ``work`` the planes are taken from it.  The
-    result is a new array, or ``signal`` itself at ``n0 = 0``; ``signal`` is
-    never written.
+    draw.  The result is a new array, or ``signal`` itself at ``n0 = 0``;
+    ``signal`` is never written.
     """
     signal = np.asarray(signal, dtype=complex)
     if n0 < 0:
         raise ValueError("noise power must be non-negative")
     if n0 == 0:
         return signal
-    work = ALLOCATE if work is None else work
-    noise = work.take("scratch0", (2,) + signal.shape, float)
-    rng.standard_normal(out=noise)
+    noise = rng.standard_normal((2,) + signal.shape)
     noise *= np.sqrt(n0 / 2.0)
     out = np.empty(signal.shape, complex)
     np.add(signal.real, noise[0], out=out.real)

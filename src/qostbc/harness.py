@@ -14,14 +14,14 @@ same gains.  The received blocks are formed in the code's Walsh domain
 Each point also records the decoder's conditioning, the smallest ratio of
 smallest to largest Gram eigenvalue over its blocks.
 
-A sweep keeps one :class:`~qostbc._workspace.Workspace` per worker slot,
-and batch ``j`` runs in slot ``j % workers``.  Every stage of a batch takes
-its temporaries from it, so once the first batch has sized it, a batch
-allocates only the arrays its stages return.  Slot 0 is the calling
-thread: its batches run when the in-order consumption reaches them.  The
-other slots' batches run on one thread pool of ``workers - 1`` threads,
-started once per sweep and shut down before :func:`run_sweep` returns; with
-one worker no pool is started.
+A sweep runs at most ``workers`` batches at once, and batch ``j`` runs in
+worker slot ``j % workers``.  Slot 0 is the calling thread: its batches run
+when the in-order consumption reaches them.  The other slots' batches run
+on one thread pool of ``workers - 1`` threads, started once per sweep and
+shut down before :func:`run_sweep` returns; with one worker no pool is
+started.  Every stage of a batch allocates its own arrays, and a batch
+frees each once it is dead, so the memory of a sweep is that of at most
+``workers`` batches.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import analysis, fading
-from ._workspace import ALLOCATE, Workspace
 from .codes import EncodingStructure, build_mother, encode, _is_power_of_two, _walsh_product
 from .channels import encoded_channel_minors, received_blocks, _gain_transforms
 from .decoder import decode_batch
@@ -192,37 +191,33 @@ class SweepResult:
         return asdict(self.config)
 
 
-def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks, work=None):
+def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks):
     """Simulate one batch of blocks.
 
-    Every stage takes its temporaries from ``work``, the workspace of the
-    batch's worker slot, so a batch no larger than the last one allocates
-    only the arrays the stages return.  Returns the bit error count and the
-    smallest ratio of smallest to largest Gram eigenvalue over the batch's
-    blocks.
+    Returns the bit error count and the smallest ratio of smallest to
+    largest Gram eigenvalue over the batch's blocks.  Each array is freed
+    once no later stage needs it.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(snr_idx, batch_idx))
     )
-    work = ALLOCATE if work is None else work
     k, n_r = config.k, config.n_r
     bits = rng.integers(0, 2, size=(nblocks, k, mod.bits_per_symbol), dtype=np.uint8)
-    symbols = mod.map_bits(bits, work=work)
-    gains = fading.sample_gains(stats, rng, (nblocks, n_r), work=work)
+    symbols = mod.map_bits(bits)
+    gains = fading.sample_gains(stats, rng, (nblocks, n_r))
     # shared transmit power: the channel the receiver sees is gains / sqrt(n_t),
     # which numpy divides as a product with 1 / sqrt(n_t), part by part
     scaled = gains.view(float)
     scaled *= 1 / np.sqrt(config.n_t)
     # the forward model and the decoder share one transform of the gains
-    g = _gain_transforms(gains, k, work=work)
-    rx = received_blocks(symbols, gains, transforms=g, work=work)
-    rx = fading.add_awgn(rx, n0, rng, work=work)
-    estimates, lam = decode_batch(rx, gains, transforms=g, work=work)
-    ends = work.take("scratch0", (2, nblocks), float)
-    np.minimum.reduce(lam, axis=1, out=ends[0])
-    np.maximum.reduce(lam, axis=1, out=ends[1])
-    ratio = float(np.divide(*ends, out=ends[0]).min())
-    return count_bit_errors(bits, mod.demap(estimates, work=work), work=work), ratio
+    g = _gain_transforms(gains, k)
+    rx = received_blocks(symbols, gains, transforms=g)
+    del symbols
+    rx = fading.add_awgn(rx, n0, rng)
+    estimates, lam = decode_batch(rx, gains, transforms=g)
+    del gains, scaled, g, rx
+    ratio = float((lam.min(axis=1) / lam.max(axis=1)).min())
+    return count_bit_errors(bits, mod.demap(estimates)), ratio
 
 
 def _batch_plan(cap, batch):
@@ -234,7 +229,7 @@ def _batch_plan(cap, batch):
         idx += 1
 
 
-def _run_point(config, mod, esno_db, snr_idx, works, pool):
+def _run_point(config, mod, esno_db, snr_idx, pool):
     n0 = 10.0 ** (-esno_db / 10.0)
     t0 = time.perf_counter()
     errors = 0
@@ -242,18 +237,20 @@ def _run_point(config, mod, esno_db, snr_idx, works, pool):
     ratio = 1.0
     # speculative submission of at most ``workers`` batches; results are
     # consumed strictly in batch-index order, so the totals do not depend
-    # on the worker count.  Batch ``idx`` runs in the workspace of slot
-    # ``idx % workers``; slot 0's batches are deferred to this thread, which
-    # runs each when the loop consumes it, and the others go to ``pool``.
-    # Batch ``idx + workers`` is submitted only once ``idx`` has been
-    # consumed, and on leaving, the pool batches not started are cancelled
-    # and the running ones waited for, so no two batches share a workspace
-    # at once, within a point or across points.
+    # on the worker count.  Batch ``idx`` runs in slot ``idx % workers``;
+    # slot 0's batches are deferred to this thread, which runs each when the
+    # loop consumes it, and the others go to ``pool``.  Batch ``idx +
+    # workers`` is submitted only once ``idx`` has been consumed, and on
+    # leaving, the pool batches not started are cancelled and the running
+    # ones waited for.  So every batch of a point, discarded ones too, ends
+    # before the point returns: its seconds count them, none runs beside the
+    # next point's batches, and at most ``workers`` batches hold threads and
+    # memory at once.
     plan = _batch_plan(config.trials, config.batch)
-    workers = len(works)
+    workers = config.workers
 
     def submit(idx, n):
-        args = (config, mod, config.branches, n0, snr_idx, idx, n, works[idx % workers])
+        args = (config, mod, config.branches, n0, snr_idx, idx, n)
         return n, args, None if idx % workers == 0 else pool.submit(_sim_batch, *args)
 
     pending = deque(submit(idx, n) for idx, n in islice(plan, workers))
@@ -300,13 +297,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """
     mod = modulation(config.modulation)
     ber_analytic = analytic_ber(config, config.esno_db)
-    # one workspace per worker slot, sized by the first batch and reused
-    works = [Workspace() for _ in range(config.workers)]
     rows = []
     with ThreadPoolExecutor(max_workers=config.workers - 1) if config.workers > 1 else nullcontext() as pool:
         for snr_idx, esno_db in enumerate(config.esno_db):
             errors, trials, nbits, seconds, ratio = _run_point(
-                config, mod, esno_db, snr_idx, works, pool
+                config, mod, esno_db, snr_idx, pool
             )
             rows.append(
                 SweepPoint(

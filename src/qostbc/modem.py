@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._workspace import ALLOCATE
-
 __all__ = [
     "Modulation",
     "modulation",
@@ -73,38 +71,23 @@ class Modulation:
     def __repr__(self):
         return f"{self.order}-{self.family.upper()}"
 
-    def map_bits(self, bits, work=None) -> np.ndarray:
-        """Map bit words of shape ``(..., bits_per_symbol)`` to symbols.
-
-        With a :class:`~qostbc._workspace.Workspace` ``work`` the labels are
-        taken from it; the symbols are a new array.
-        """
+    def map_bits(self, bits) -> np.ndarray:
+        """Map bit words of shape ``(..., bits_per_symbol)`` to symbols."""
         bits = np.asarray(bits)
         if bits.shape[-1] != self.bits_per_symbol:
             raise ValueError(
                 f"expected {self.bits_per_symbol} bits per symbol, got {bits.shape[-1]}"
             )
-        shape = bits.shape[:-1]
-        work = ALLOCATE if work is None else work
-        labels = work.take("scratch0", shape, np.result_type(bits, self._weights))
-        np.matmul(bits, self._weights, out=labels)
-        # take would convert narrower labels in a new array
-        index = work.take("scratch1", shape, np.intp)
-        np.copyto(index, labels)
+        labels = bits @ self._weights
         # every label of a bit word is in range; "raise" would copy the output
-        return self._point_of_label.take(index, out=np.empty(shape, complex), mode="clip")
+        return self._point_of_label.take(labels, out=np.empty(labels.shape, complex), mode="clip")
 
-    def demap(self, symbols, work=None) -> np.ndarray:
-        """Nearest-point hard decision; returns ``(..., bits_per_symbol)`` bits.
-
-        With a workspace ``work`` the decisions are taken from it; the bits
-        are a new array.
-        """
+    def demap(self, symbols) -> np.ndarray:
+        """Nearest-point hard decision; returns ``(..., bits_per_symbol)`` bits."""
         symbols = np.asarray(symbols, dtype=complex)
         shape = symbols.shape
-        work = ALLOCATE if work is None else work
-        x = work.take("scratch0", shape, float)
-        index = work.take("scratch1", shape, np.intp)
+        x = np.empty(shape)
+        index = np.empty(shape, np.intp)
         if self.family == "psk":
             np.arctan2(symbols.imag, symbols.real, out=x)  # np.angle
             x *= self.order
@@ -112,7 +95,7 @@ class Modulation:
             self._rounded(x, index)
             index &= self.order - 1  # the ring index, modulo M
         else:
-            q = work.take("scratch2", shape, np.intp)
+            q = np.empty(shape, np.intp)
             self._axis_index(symbols.real, x, index)
             self._axis_index(symbols.imag, x, q)
             index *= self._side
@@ -178,14 +161,10 @@ def psk_distance_spectrum(m: int) -> np.ndarray:
     return d
 
 
-def count_bit_errors(tx_bits, rx_bits, work=None) -> int:
-    """Hamming distance between two equally shaped bit arrays.
-
-    With a workspace ``work`` the mismatch mask is taken from it.
-    """
+def count_bit_errors(tx_bits, rx_bits) -> int:
+    """Hamming distance between two equally shaped bit arrays."""
     tx = np.asarray(tx_bits)
     rx = np.asarray(rx_bits)
     if tx.shape != rx.shape:
         raise ValueError(f"shape mismatch {tx.shape} vs {rx.shape}")
-    work = ALLOCATE if work is None else work
-    return int(np.count_nonzero(np.not_equal(tx, rx, out=work.take("scratch0", tx.shape, bool))))
+    return int(np.count_nonzero(tx != rx))

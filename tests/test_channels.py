@@ -9,7 +9,6 @@ import pytest
 
 import qostbc.channels as channels
 from qostbc import build_mother, encode, encoded_channel_minors, puncture, received_blocks
-from workspaces import NaNWorkspace
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]
 TABLE_CASES = [
@@ -258,25 +257,6 @@ class TestReceivedBlocks:
             s, gains = z[:, :k], z[:, None, k:]
             want = encode(puncture(build_mother(k), n_t), s) @ gains.swapaxes(1, 2)
             assert np.array_equal(received_blocks(s, gains), want), (k, n_t)
-
-    @pytest.mark.parametrize("k", [2, 16, 256])
-    def test_workspace_forms_equal_allocating(self, k):
-        # with a workspace whose buffers come filled with NaN, and then a
-        # shorter last batch on the same workspace, the gain transforms and
-        # the blocks equal the allocating calls
-        rng = np.random.default_rng(900 + k)
-        for n_t in sorted({1, min(3, k), k - 1, k}):
-            for n_r in (1, 2):
-                work = NaNWorkspace()
-                for nblocks in (32, 11):
-                    s = crandn(rng, nblocks, k)
-                    gains = crandn(rng, nblocks, n_r, n_t)
-                    g = channels._gain_transforms(gains, k)
-                    assert np.array_equal(channels._gain_transforms(gains, k, work=work), g)
-                    want = received_blocks(s, gains)
-                    assert np.array_equal(received_blocks(s, gains, work=work), want)
-                    got = received_blocks(s, gains, transforms=g, work=work)
-                    assert np.array_equal(got, want), (k, n_t, n_r, nblocks)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

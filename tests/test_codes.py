@@ -315,15 +315,7 @@ class TestWalshProduct:
                 got = _walsh_product(x, transpose)
                 assert got.shape == shape
                 assert np.array_equal(got, want), (half, lead, transpose)
-                out = np.full(shape, np.nan, dtype=complex)
-                assert _walsh_product(x, transpose, out=out) is out
-                assert np.array_equal(out, want), (half, lead, transpose)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             _walsh_product(np.ones((2, 96)))
-
-    def test_rejects_non_contiguous_out(self):
-        x = np.ones((3, 8), dtype=complex)
-        with pytest.raises(ValueError):
-            _walsh_product(x, out=np.empty((8, 3), dtype=complex).T)

@@ -26,7 +26,6 @@ import qostbc.channels as channels
 import qostbc.codes as codes
 import qostbc.harness as harness
 from qostbc.harness import reduction_residuals
-from workspaces import NaNWorkspace
 from oracles import (
     chain_decode, channel_gram, matched_filter, real_form, symbol_order, sylvester, walsh_dw,
 )
@@ -635,25 +634,6 @@ class TestWalshDomain:
         cfg = harness.ExperimentConfig(k=k, n_t=n_t, n_r=2, esno_db=(10.0,), trials=64,
                                        batch=32, target_errors=10**9, seed=5)
         assert [row.trials for row in harness.run_sweep(cfg).rows] == [64]
-
-    @pytest.mark.parametrize("k", [2, 16, 256])
-    def test_workspace_forms_equal_allocating(self, k):
-        # with a workspace whose buffers come filled with NaN, and then a
-        # shorter last batch on the same workspace, the estimates and the
-        # eigenvalues equal the allocating call's, with the gain transforms
-        # given or not
-        rng = np.random.default_rng(4600 + k)
-        for n_t, n_r in ((k, 2), (min(3, k), 1), (max(1, k - 1), 3)):
-            work = NaNWorkspace()
-            for nblocks in (32, 11):
-                s = crandn(rng, nblocks, k)
-                gains = crandn(rng, nblocks, n_r, n_t)
-                rx = channels.received_blocks(s, gains) + 0.1 * crandn(rng, nblocks, k, n_r)
-                est, lam = decode_batch(rx, gains)
-                for g in (None, channels._gain_transforms(gains, k)):
-                    got_est, got_lam = decode_batch(rx, gains, transforms=g, work=work)
-                    assert np.array_equal(got_est, est), (k, n_t, n_r, nblocks)
-                    assert np.array_equal(got_lam, lam), (k, n_t, n_r, nblocks)
 
     def test_round_trip_k4096_in_linear_memory(self):
         # n_t = K, n_r = 2, B = 2: a noiseless round trip through the

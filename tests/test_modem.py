@@ -12,7 +12,6 @@ from qostbc import count_bit_errors, modulation, psk_distance_spectrum
 from qostbc.analysis import BerParams, psk_ber, qam_ber
 from qostbc.fading import BranchStat
 from qostbc.harness import CAPACITY_MODULATIONS
-from workspaces import NaNWorkspace
 
 
 def all_words(b):
@@ -223,21 +222,3 @@ def test_hard_decision_matches_analytic_awgn(name, esno_db):
     sigma = np.sqrt(p_ref * (1 - p_ref) / nbits)
     assert errors >= 100, "test operating point too clean"
     assert abs(errors / nbits - p_ref) <= 3.0 * sigma
-
-
-@pytest.mark.parametrize("name", ["bpsk", "qpsk", "psk8", "psk16", "qam16", "qam256", "qam4096"])
-def test_workspace_forms_equal_allocating(name):
-    # map, demap and the error count with a workspace whose buffers come
-    # filled with NaN, then a shorter batch on the same workspace, against the
-    # allocating calls
-    mod = modulation(name)
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
-    work = NaNWorkspace()
-    for nblocks in (256, 100):
-        bits = rng.integers(0, 2, (nblocks, 16, mod.bits_per_symbol), dtype=np.uint8)
-        symbols = mod.map_bits(bits)
-        assert np.array_equal(mod.map_bits(bits, work=work), symbols)
-        noisy = symbols + 0.2 * (rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape))
-        decided = mod.demap(noisy)
-        assert np.array_equal(mod.demap(noisy, work=work), decided)
-        assert count_bit_errors(bits, decided, work=work) == count_bit_errors(bits, decided)
