@@ -12,6 +12,13 @@ family's MGF is a power ``base**-a`` of a base of at least 1, times
 exponent ``a`` form a group, whose bases are multiplied and then take one
 log per (SNR, node) rather than one per branch.
 
+A :class:`BerParams` is the one description of code, antennas and
+channel that the formulas take: the kernel forms each branch's mean SNR
+``omega * 10^(Es/N0 / 10)`` from it.  The Nakagami approximation of a
+Rice or Hoyt channel is not a mode of the kernel but a choice of
+branches: ``BranchStat("nakagami", m, omega)`` at the same severities and
+powers, as ``qostbc analyze --nakagami-approx`` maps them.
+
 All integrals of one BER curve are evaluated in one pass of
 :func:`mgf_integral`, for the whole Es/N0 sweep at once, on one fixed
 rule: ``DEFAULT_POINTS`` Gauss-Legendre nodes on ``u`` in [0, 1], mapped
@@ -37,6 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fading import BranchStat, m_to_hoyt_q, m_to_rice_k
+from .modem import psk_distance_spectrum
 
 __all__ = [
     "BerParams",
@@ -86,7 +94,6 @@ class BerParams:
     branches: tuple
     rho: float = 1.0
     eta: float = 1.0
-    nakagami_approx: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
@@ -102,7 +109,7 @@ class BerParams:
             raise ValueError("n_r must be >= 1")
 
 
-def _form(stat: BranchStat, nakagami_approx: bool):
+def _form(stat: BranchStat):
     """``(family, exponent, parameter, scale)`` of a branch's MGF.
 
     Rayleigh, and every branch with ``m = 1``, is Nakagami with ``m = 1``.
@@ -111,7 +118,7 @@ def _form(stat: BranchStat, nakagami_approx: bool):
     Nakagami; the scale multiplies ``-s * gamma_bar`` before the formula of
     :func:`_to_base` applies.
     """
-    if nakagami_approx or stat.family == "nakagami":
+    if stat.family == "nakagami":
         return "nakagami", stat.m, 0.0, 1.0 / stat.m
     if stat.family == "rayleigh" or stat.m == 1.0:
         return "nakagami", 1.0, 0.0, 1.0
@@ -143,7 +150,7 @@ def _to_base(family: str, p, y, tmp):
     return np.divide(p, y, out=tmp)
 
 
-def mgf(stat: BranchStat, gamma_bar: float, s, nakagami_approx: bool = False):
+def mgf(stat: BranchStat, gamma_bar: float, s):
     """MGF ``E[exp(s * gamma)]`` of the instantaneous branch SNR.
 
     ``s`` must be non-positive (the integrals only ever evaluate the MGF
@@ -152,7 +159,7 @@ def mgf(stat: BranchStat, gamma_bar: float, s, nakagami_approx: bool = False):
     s = np.asarray(s, dtype=float)
     if np.any(s > 0):
         raise ValueError("MGF is only evaluated for s <= 0")
-    family, a, p, scale = _form(stat, nakagami_approx)
+    family, a, p, scale = _form(stat)
     base = np.array(-s * gamma_bar * scale)
     rice = _to_base(family, p, base, np.empty_like(base))
     if family == "rice":
@@ -161,7 +168,7 @@ def mgf(stat: BranchStat, gamma_bar: float, s, nakagami_approx: bool = False):
 
 
 @lru_cache(maxsize=32)
-def _families(branches: tuple, nakagami_approx: bool):
+def _families(branches: tuple):
     """``(family, exponent, branch indexes, parameters, scales)`` per group.
 
     A group holds the branches of one family that share one exponent, so
@@ -172,7 +179,7 @@ def _families(branches: tuple, nakagami_approx: bool):
     """
     groups = {}
     for i, stat in enumerate(branches):
-        family, a, p, scale = _form(stat, nakagami_approx)
+        family, a, p, scale = _form(stat)
         groups.setdefault((family, a), []).append((i, p, scale))
     out = []
     for (family, a), members in groups.items():
@@ -185,7 +192,7 @@ def _families(branches: tuple, nakagami_approx: bool):
 
 
 def _log_product(x, s_abs, groups, scratch):
-    """Log of the integrand's branch product before the power ``r * eta``.
+    """Log of the integrand's branch product before the power ``n_r * eta``.
 
     ``x`` holds the mean SNRs ``(n_snr, n_branches)`` of a chunk and
     ``s_abs`` the values ``-s`` at the nodes of its integrals, ``(n_int,
@@ -201,7 +208,7 @@ def _log_product(x, s_abs, groups, scratch):
         rice = _to_base(family, p, y, tmp)
         # Every base is at least 1, so the product can only overflow.  An
         # overflowed entry takes one log per branch instead, because its
-        # integrand is below 1e-308 only where the power a * r * eta is at
+        # integrand is below 1e-308 only where the power a * n_r * eta is at
         # least 1: at 1/2 it can be as large as 1e-154.
         with np.errstate(over="ignore"):
             log_prod = np.log(y.prod(axis=0))
@@ -214,53 +221,39 @@ def _log_product(x, s_abs, groups, scratch):
     return total
 
 
-def mgf_integral(
-    delta,
-    g,
-    n_total: int,
-    rho: float,
-    eta: float,
-    branches,
-    gamma_bars,
-    nakagami_approx: bool = False,
-):
+def mgf_integral(delta, g, params: BerParams, esno_db):
     """Signed angular MGF integrals over a sweep of operating points.
 
-    Evaluates ``(1/pi) * int_0^{pi(1-delta)} prod_a mgf_a(-g / (rho
-    sin^2 t))^(r*eta) dt`` where ``r = n_total / len(branches)`` replicates
-    each transmit branch across the receive antennas.  ``delta`` and ``g``
-    are scalars or 1-D arrays, broadcast together; each pair is one
-    integral, and all of them are evaluated in one pass.  ``gamma_bars``
-    holds the mean SNR of each branch: shape ``(n_branches,)`` for one
-    operating point or ``(n_snr, n_branches)`` for a sweep.  The result has
-    the pairs' shape followed by the sweep's: a float for one pair at one
-    point, ``(n_snr,)`` for one pair over a sweep, and one row per pair,
-    ``(n_pairs,)`` or ``(n_pairs, n_snr)``, for arrays.  Negative ranges
-    (``delta > 1``) give the negative of the corresponding positive-range
-    integral.  A branch of infinite mean SNR has MGF 0, so its operating
-    point integrates to exactly 0.
+    Evaluates ``(1/pi) * int_0^{pi(1-delta)} prod_b mgf_b(-g / (rho
+    sin^2 t))^(n_r*eta) dt`` over the branches ``b`` of ``params``, each
+    replicated across the ``n_r`` receive antennas, at the mean SNRs
+    ``omega * 10^(Es/N0 / 10)`` of each point of the sweep ``esno_db``.
+    ``delta`` and ``g`` are scalars or 1-D arrays, broadcast together; each
+    pair is one integral, and all of them are evaluated in one pass.  The
+    result has the pairs' shape followed by the sweep's: a float for one
+    pair at one point, ``(n_snr,)`` for one pair over a 1-D sweep, and one
+    row per pair for arrays.  Negative ranges (``delta > 1``) give the
+    negative of the corresponding positive-range integral.  A point of
+    infinite mean SNR has MGF 0, so it integrates to exactly 0.
     """
-    branches = tuple(branches)
     delta, g = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(g, dtype=float))
-    gamma_bars = np.asarray(gamma_bars, dtype=float)
+    esno_db = np.asarray(esno_db, dtype=float)
     if delta.ndim > 1:
         raise ValueError("delta and g must be scalars or 1-D")
-    if n_total % len(branches):
-        raise ValueError("branch count must divide the total branch number")
     if np.any(g <= 0):
         raise ValueError("g must be positive")
-    if gamma_bars.ndim not in (1, 2) or gamma_bars.shape[-1] != len(branches):
-        raise ValueError(f"need {len(branches)} mean SNRs per operating point")
-    sweep = gamma_bars.reshape(-1, len(branches))
-    power = (n_total // len(branches)) * eta
+    # a mean SNR beyond the float range overflows to inf, whose MGF is 0
+    with np.errstate(over="ignore"):
+        sweep = 10.0 ** (esno_db.reshape(-1, 1) / 10.0) * [b.omega for b in params.branches]
+    power = params.n_r * params.eta
     upper = np.pi * (1.0 - delta.ravel())
     out = np.zeros((upper.size, len(sweep)))
     live = np.flatnonzero(~np.isposinf(sweep).any(axis=1))
     ints = np.flatnonzero(upper != 0.0)
     if ints.size and live.size:
         # -s at each node of each integral
-        s_abs = g.ravel()[ints, None] / (rho * np.sin(upper[ints, None] * _NODES) ** 2)
-        groups = _families(branches, nakagami_approx)
+        s_abs = g.ravel()[ints, None] / (params.rho * np.sin(upper[ints, None] * _NODES) ** 2)
+        groups = _families(params.branches)
         # a chunk is `step` integrals by `rows` SNR points
         widest = max(len(idx) for _, _, idx, _, _ in groups)
         pairs = max(1, CHUNK_ELEMENTS // (widest * DEFAULT_POINTS))
@@ -273,20 +266,8 @@ def mgf_integral(
                 log_prod = _log_product(sweep[at], s_abs[i:i + step], groups, scratch)
                 out[ints[i:i + step, None], at] = np.exp(power * log_prod) @ _WEIGHTS
         out *= upper[:, None] / np.pi
-    out = out.reshape(delta.shape + gamma_bars.shape[:-1])
+    out = out.reshape(delta.shape + esno_db.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def _sweep_integrals(params: BerParams, esno_db: np.ndarray, delta, g):
-    """:func:`mgf_integral` of the pairs ``(delta, g)`` over the sweep
-    ``esno_db``, one row per pair; mean branch SNRs are ``omega * 10^(Es/N0
-    / 10)``."""
-    omega = np.array([b.omega for b in params.branches])
-    gamma_bars = 10.0 ** (esno_db.reshape(-1, 1) / 10.0) * omega
-    return mgf_integral(
-        delta, g, params.n_t * params.n_r, params.rho, params.eta,
-        params.branches, gamma_bars, params.nakagami_approx,
-    )
 
 
 def _like(ber: np.ndarray, esno_db: np.ndarray):
@@ -312,8 +293,6 @@ def psk_ber(m: int, params: BerParams, esno_db):
         A float for a scalar ``esno_db``, else an array of its shape.
         At ``Es/N0 = +inf`` the BER is exactly 0.
     """
-    from .modem import psk_distance_spectrum
-
     b = int(np.log2(m))
     if 2**b != m or m < 2:
         raise ValueError(f"M={m} is not a power of two >= 2")
@@ -326,7 +305,7 @@ def psk_ber(m: int, params: BerParams, esno_db):
     weights = c[: m // 2] - c[::-1][: m // 2]
     j = np.flatnonzero(weights)
     d = (2 * j + 1) / m
-    total = weights[j] @ _sweep_integrals(params, esno_db, d, np.sin(np.pi * d) ** 2)
+    total = weights[j] @ mgf_integral(d, np.sin(np.pi * d) ** 2, params, esno_db.ravel())
     return _like(total / (2.0 * b), esno_db)
 
 
@@ -357,7 +336,7 @@ def qam_ber(m: int, params: BerParams, esno_db):
     esno_db = np.asarray(esno_db, dtype=float)
     i = np.flatnonzero(weights)
     g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
-    total = weights[i] @ _sweep_integrals(params, esno_db, 0.5, g)
+    total = weights[i] @ mgf_integral(0.5, g, params, esno_db.ravel())
     return _like(4.0 * total / (side * b), esno_db)
 
 

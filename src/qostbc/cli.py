@@ -142,6 +142,8 @@ def _branches_from_args(args, n_t):
         if len(oms) != n_t:
             raise harness.ConfigError(f"--omega-list needs {n_t} entries")
         stats = [BranchStat(s.family, s.m, o) for s, o in zip(stats, oms)]
+    if getattr(args, "nakagami", False):
+        stats = [BranchStat("nakagami", s.m, s.omega) for s in stats]
     return stats
 
 
@@ -184,7 +186,6 @@ def _cmd_analyze(args):
         branches=tuple(stats),
         rho=args.rho,
         eta=args.eta,
-        nakagami_approx=args.nakagami_approx,
     )
     esno_db = _esno_list(args)
     ber = analysis.bit_error_rate(mod, params, esno_db)
@@ -255,8 +256,8 @@ def build_parser():
                    help="comma-separated per-branch severities (overrides --channel m)")
     p.add_argument("--omega-list", type=_numbers, default=None,
                    help="comma-separated per-branch mean powers (overrides --profile)")
-    p.add_argument("--nakagami-approx", action="store_true",
-                   help="use the Nakagami MGF for every branch")
+    p.add_argument("--nakagami-approx", dest="nakagami", action="store_true",
+                   help="make every branch Nakagami of its own m and omega")
     _add_sweep_flags(p)
     p.set_defaults(func=_cmd_analyze)
 

@@ -26,6 +26,7 @@ frees each once it is dead, so the memory of a sweep is that of at most
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from contextlib import nullcontext
@@ -107,6 +108,13 @@ class ExperimentConfig:
             raise ConfigError("n_r must be >= 1")
         if not self.esno_db:
             raise ConfigError("empty Es/N0 sweep")
+        for e in self.esno_db:
+            try:
+                finite = math.isfinite(10.0 ** (-e / 10.0))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"Es/N0 {e:g} dB gives a noise power that is not a finite float")
         if self.trials < 1 or self.target_errors < 1 or self.batch < 1:
             raise ConfigError("trials, target_errors and batch must be positive")
         if self.seed < 0:
@@ -122,9 +130,15 @@ class ExperimentConfig:
 
 
 def branch_stats(n_t: int, channel: str, profile: str):
-    """Per-transmit-branch fading statistics for a channel/profile spec."""
+    """Per-transmit-branch fading statistics for a channel/profile spec.
+
+    ``n_t`` is at most ``RESIDUE_K_MAX``, the largest block size and so the
+    most antennas that ``simulate`` accepts.
+    """
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
+    if n_t > RESIDUE_K_MAX:
+        raise ValueError(f"n_t={n_t} exceeds {RESIDUE_K_MAX}, the most transmit antennas supported")
     family, m = fading.parse_channel_spec(channel)
     if family == "mixed":
         # ascending severity paired with descending power, total power one

@@ -185,9 +185,9 @@ _X, _W = np.polynomial.legendre.leggauss(DEFAULT_POINTS)
 _U = 0.5 * (_X + 1.0)
 
 
-def branch_log_mgf(stat, nakagami_approx, y):
+def branch_log_mgf(stat, y):
     """``log E[exp(-y gamma / gamma_bar)]`` of one branch, by ``log1p``."""
-    if nakagami_approx or stat.family == "nakagami":
+    if stat.family == "nakagami":
         return -stat.m * np.log1p(y / stat.m)
     if stat.family == "rayleigh" or stat.m == 1.0:
         return -np.log1p(y)
@@ -216,8 +216,7 @@ def sector_integral(delta, g, params, esno_db):
     s_abs = g / (params.rho * np.sin(upper * _U**3) ** 2)
     out = np.zeros(len(gbars))
     live = np.isfinite(gbars).all(axis=1)
-    log_prod = sum(counts[stat] * branch_log_mgf(stat, params.nakagami_approx,
-                                                 gbars[live, j, None] * s_abs)
+    log_prod = sum(counts[stat] * branch_log_mgf(stat, gbars[live, j, None] * s_abs)
                    for j, stat in enumerate(distinct))
     out[live] = np.exp(params.n_r * params.eta * log_prod) @ (1.5 * _U * _U * _W)
     return out * upper / np.pi

@@ -66,7 +66,7 @@ class TestMgf:
         assert float(mgf(BranchStat("rayleigh"), 1.0, -1.0)) == pytest.approx(0.5, rel=1e-14)
 
     def test_nakagami_quarter(self):
-        v = float(mgf(BranchStat("nakagami", 2.0), 2.0, -1.0, nakagami_approx=True))
+        v = float(mgf(BranchStat("nakagami", 2.0), 2.0, -1.0))
         assert v == pytest.approx(0.25, rel=1e-14)
 
     def test_families_meet_at_rayleigh(self):
@@ -80,51 +80,56 @@ class TestMgf:
             mgf(BranchStat("rayleigh"), 1.0, 0.5)
 
 
+# three families, one branch each, of distinct mean powers
+MIXED_BRANCHES = (BranchStat("rice", 2.0), BranchStat("hoyt", 0.7, 0.5), BranchStat("nakagami", 3.0, 2.0))
+
+
 class TestMgfIntegral:
     def test_empty_range(self):
-        b = (BranchStat("rayleigh"),)
-        assert mgf_integral(1.0, 1.0, 1, 1.0, 1.0, b, [1.0]) == 0.0
+        assert mgf_integral(1.0, 1.0, rayleigh_params(0.0), 0.0) == 0.0
 
     def test_signed_symmetry(self):
-        b = (BranchStat("rayleigh"),)
-        plus = mgf_integral(0.5, 1.0, 1, 1.0, 1.0, b, [2.0])
-        minus = mgf_integral(1.5, 1.0, 1, 1.0, 1.0, b, [2.0])
+        params = BerParams(n_t=1, n_r=1, branches=(BranchStat("rayleigh", 1.0, 2.0),))
+        plus = mgf_integral(0.5, 1.0, params, 0.0)
+        minus = mgf_integral(1.5, 1.0, params, 0.0)
         assert minus == pytest.approx(-plus, rel=1e-12)
 
     def test_bpsk_awgn_limit_is_q_function(self):
         gamma = 4.0
-        params = BerParams(
-            n_t=1, n_r=1, branches=(BranchStat("nakagami", 1e4, gamma),), nakagami_approx=True
-        )
+        params = BerParams(n_t=1, n_r=1, branches=(BranchStat("nakagami", 1e4, gamma),))
         got = float(psk_ber(2, params, 0.0))
         assert got == pytest.approx(q_func(np.sqrt(2 * gamma)), rel=5e-3)
 
     def test_sweep_matches_single_points(self):
-        b = (BranchStat("rice", 2.0), BranchStat("hoyt", 0.7, 0.5), BranchStat("nakagami", 3.0, 2.0))
-        sweep = np.array([[0.1, 1.0, 3.0], [1.0, 2.0, 4.0], [30.0, 10.0, 50.0]])
-        got = mgf_integral(0.25, 0.5, 6, 1.0, 1.0, b, sweep)
-        assert got.shape == (3,)
-        for row, value in zip(sweep, got):
-            single = mgf_integral(0.25, 0.5, 6, 1.0, 1.0, b, row)
+        params = BerParams(n_t=3, n_r=2, branches=MIXED_BRANCHES)
+        esno_db = np.array([-10.0, 0.0, 12.5, 40.0])
+        got = mgf_integral(0.25, 0.5, params, esno_db)
+        assert got.shape == (4,)
+        for e, value in zip(esno_db, got):
+            single = mgf_integral(0.25, 0.5, params, e)
             assert isinstance(single, float) and value == pytest.approx(single, rel=1e-14)
 
-    def test_branch_count_must_divide(self):
-        with pytest.raises(ValueError):
-            mgf_integral(0.5, 1.0, 3, 1.0, 1.0, (BranchStat("rayleigh"),) * 2, [1.0, 1.0])
+    def test_params_need_one_branch_per_antenna(self):
+        # the kernel replicates each branch over the n_r receive antennas,
+        # so its params carry exactly one branch per transmit antenna
+        with pytest.raises(ValueError, match="need 2 branch statistics"):
+            BerParams(n_t=2, n_r=3, branches=(BranchStat("rayleigh"),) * 3)
 
     def test_pairs_give_one_row_each(self):
-        b = (BranchStat("rice", 2.0), BranchStat("hoyt", 0.7, 0.5), BranchStat("nakagami", 3.0, 2.0))
-        sweep = np.array([[0.1, 1.0, 3.0], [1.0, 2.0, 4.0], [np.inf, 10.0, 50.0], [0.0, 0.0, 0.0]])
+        params = BerParams(n_t=3, n_r=2, branches=MIXED_BRANCHES)
+        # an infinite mean SNR integrates to 0, a zero one to the full range
+        esno_db = np.array([-10.0, 3.0, np.inf, -np.inf])
         delta, g = [0.25, 1.5, 1.0, 0.5], [0.5, 0.5, 0.3, 2.0]
-        got = mgf_integral(delta, g, 6, 1.0, 1.0, b, sweep)
+        got = mgf_integral(delta, g, params, esno_db)
         assert got.shape == (4, 4)
         for row, d, gg in zip(got, delta, g):
-            np.testing.assert_array_equal(row, mgf_integral(d, gg, 6, 1.0, 1.0, b, sweep))
-        point = mgf_integral(0.5, g, 6, 1.0, 1.0, b, sweep[0])
+            np.testing.assert_array_equal(row, mgf_integral(d, gg, params, esno_db))
+        assert np.all(got[:, 2] == 0.0)
+        point = mgf_integral(0.5, g, params, -10.0)
         assert point.shape == (4,)
-        np.testing.assert_array_equal(point, mgf_integral(0.5, g, 6, 1.0, 1.0, b, sweep[:1])[:, 0])
+        np.testing.assert_array_equal(point, mgf_integral(0.5, g, params, esno_db[:1])[:, 0])
         with pytest.raises(ValueError):
-            mgf_integral([[0.5]], 1.0, 6, 1.0, 1.0, b, sweep)
+            mgf_integral([[0.5]], 1.0, params, esno_db)
 
 
 class TestPskBer:
@@ -194,13 +199,12 @@ class TestQamBer:
         # definition sums them
         params = BerParams(n_t=8, n_r=2, branches=_shared_power(branch_stats(8, "mixed", "equipower")))
         esno_db = np.arange(-10.0, 41.0, 5.0)
-        gbars = 10.0 ** (esno_db[:, None] / 10.0) * [b.omega for b in params.branches]
         bits, side = int(np.log2(m)), int(round(np.sqrt(m)))
         total = 0.0
         for k in range(1, bits // 2 + 1):
             for i, d in enumerate(qam_bit_coefficients(m, k)):
                 g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
-                total = total + d * mgf_integral(0.5, g, 16, 1.0, 1.0, params.branches, gbars)
+                total = total + d * mgf_integral(0.5, g, params, esno_db)
         want = 4.0 * total / (side * bits)
         np.testing.assert_allclose(qam_ber(m, params, esno_db), want, rtol=1e-13, atol=0.0)
 
@@ -247,6 +251,8 @@ class TestStructuralProperties:
             warnings.simplefilter("error")
             assert fn(m, params, np.inf) == 0.0
             np.testing.assert_array_equal(fn(m, params, [np.inf, 10.0])[:1], [0.0])
+            # so is a finite Es/N0 whose mean SNR 10^(Es/N0 / 10) overflows
+            np.testing.assert_array_equal(fn(m, params, [4000.0, 1e300]), [0.0, 0.0])
 
     def test_two_branch_average_matches_direct_quadrature(self):
         # independent oracle: average the conditional BPSK error rate over
@@ -431,8 +437,10 @@ def test_ber_matches_one_integral_per_edge_and_term(channel, approx):
         if channel == "mixed" and n_t == 1:
             continue
         for n_r, eta in ((1, 1.0), (2, 0.5)):
-            params = BerParams(n_t=n_t, n_r=n_r, branches=branch_stats(n_t, channel, "equipower"),
-                               eta=eta, nakagami_approx=approx)
+            branches = branch_stats(n_t, channel, "equipower")
+            if approx:
+                branches = [BranchStat("nakagami", b.m, b.omega) for b in branches]
+            params = BerParams(n_t=n_t, n_r=n_r, branches=branches, eta=eta)
             for m in (2, 4, 8, 16, 32, 64):
                 np.testing.assert_allclose(psk_ber(m, params, esno_db), psk_ber_sectors(m, params, esno_db),
                                            rtol=1e-11, atol=0.0, err_msg=f"psk{m} n_t={n_t}")
@@ -463,3 +471,25 @@ def test_large_analyze_stays_in_chunks_without_warnings():
     ber = np.array([float(line.split(",")[1]) for line in out.getvalue().splitlines()[1:]])
     assert len(ber) == 5 and np.all(ber > 0) and np.all(np.diff(ber) < 0)
     assert peak < 12 * analysis.CHUNK_ELEMENTS * 8
+
+
+@pytest.mark.parametrize("flags, same_as", [
+    ("--channel rice:m=3", "--channel nakagami:m=3"),
+    ("--channel hoyt:m=0.6 --profile linear:pmax=2", "--channel nakagami:m=0.6 --profile linear:pmax=2"),
+    ("--channel rice:m=2 --m-list 0.6,1,4 --omega-list 1,2,0.5",
+     "--channel nakagami --m-list 0.6,1,4 --omega-list 1,2,0.5"),
+])
+def test_approximation_is_the_nakagami_channel(flags, same_as, capsys):
+    # --nakagami-approx maps every branch to Nakagami of its own severity
+    # and power, after --m-list and --omega-list
+    common = "analyze --mod psk8 --nt 3 --nr 2 --esno-start -10 --esno-stop 40 --esno-step 10".split()
+    assert cli.main(common + flags.split() + ["--nakagami-approx"]) == 0
+    approx = capsys.readouterr().out
+    assert cli.main(common + same_as.split()) == 0
+    assert approx == capsys.readouterr().out
+    args = cli.build_parser().parse_args(common + flags.split() + ["--nakagami-approx"])
+    mapped = cli._branches_from_args(args, 3)
+    plain = cli._branches_from_args(cli.build_parser().parse_args(common + flags.split()), 3)
+    assert mapped == [BranchStat("nakagami", b.m, b.omega) for b in plain]
+    if args.m_list:
+        assert [b.m for b in mapped] == args.m_list

@@ -749,6 +749,9 @@ class TestCli:
             "verify --K 4 --seed -1",
             "analyze --mod qpsk --nt 2 --omega-list 1,b",
             "simulate --K 4 --channel rice:m=x",
+            "simulate --K 2 --trials 4 --batch 4 --esno-start -4000 --esno-stop -4000",
+            "analyze --mod qpsk --nt 4097",
+            "capacity --nt 4097",
         ],
     )
     def test_invalid_argv_exits_2_with_a_message(self, argv, monkeypatch, capsys):

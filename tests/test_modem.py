@@ -204,9 +204,7 @@ def test_hard_decision_matches_analytic_awgn(name, esno_db):
     # AWGN limit of the fading-averaged formulas (very large Nakagami m)
     # against a seeded hard-decision Monte Carlo, within 3 binomial sigma
     mod = modulation(name)
-    params = BerParams(
-        n_t=1, n_r=1, branches=(BranchStat("nakagami", 1e4, 1.0),), nakagami_approx=True
-    )
+    params = BerParams(n_t=1, n_r=1, branches=(BranchStat("nakagami", 1e4, 1.0),))
     fn = psk_ber if mod.family == "psk" else qam_ber
     p_ref = float(fn(mod.order, params, esno_db))
 
