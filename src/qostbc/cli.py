@@ -91,13 +91,16 @@ def _esno_list(args):
             raise harness.ConfigError(f"{flag} must be finite, got {value:g}")
     if not args.esno_step > 0:
         raise harness.ConfigError(f"--esno-step must be positive, got {args.esno_step:g}")
-    if (args.esno_stop + 1e-9 - args.esno_start) / args.esno_step > MAX_ESNO_POINTS:
+    # steps from start to stop, with a tolerance counted in steps, which an
+    # Es/N0 of any magnitude keeps
+    steps = (args.esno_stop - args.esno_start) / args.esno_step + 1e-9
+    if steps >= MAX_ESNO_POINTS:
         raise harness.ConfigError(
             f"--esno-step {args.esno_step:g} gives more than {MAX_ESNO_POINTS} points "
             f"from --esno-start {args.esno_start:g} to --esno-stop {args.esno_stop:g}")
-    sweep = np.arange(args.esno_start, args.esno_stop + 1e-9, args.esno_step)
-    if sweep.size == 0:
+    if steps < 0:
         raise harness.ConfigError("empty Es/N0 sweep")
+    sweep = args.esno_start + args.esno_step * np.arange(int(steps) + 1)
     return tuple(float(e) for e in sweep)
 
 

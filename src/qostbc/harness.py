@@ -14,24 +14,25 @@ same gains.  The received blocks are formed in the code's Walsh domain
 Each point also records the decoder's conditioning, the smallest ratio of
 smallest to largest Gram eigenvalue over its blocks.
 
-A sweep runs at most ``workers`` batches at once, and batch ``j`` runs in
-worker slot ``j % workers``.  Slot 0 is the calling thread: its batches run
-when the in-order consumption reaches them.  The other slots' batches run
-on one thread pool of ``workers - 1`` threads, started once per sweep and
-shut down before :func:`run_sweep` returns; with one worker no pool is
-started.  Every stage of a batch allocates its own arrays, and a batch
-frees each once it is dead, so the memory of a sweep is that of at most
-``workers`` batches.
+A sweep runs each point in rounds of ``workers`` consecutive batches.  The
+calling thread runs the first batch of a round, and one thread pool of
+``workers - 1`` threads runs the others; the pool is started once per sweep
+and shut down before :func:`run_sweep` returns, and with one worker none is
+started.  Once every batch of a round has ended, its results are consumed in
+batch order, and the point stops at the first batch that reaches the error
+target.  So a point runs at most ``workers - 1`` batches it does not use,
+the same ones at every run, and no batch runs beside another point's.
+Every stage of a batch allocates its own arrays, and a batch frees each
+once it is dead, so the memory of a sweep is that of at most ``workers``
+batches.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from contextlib import nullcontext
-from itertools import islice
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -205,7 +206,7 @@ class SweepResult:
         return asdict(self.config)
 
 
-def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks):
+def _sim_batch(config, mod, n0, snr_idx, batch_idx, nblocks):
     """Simulate one batch of blocks.
 
     Returns the bit error count and the smallest ratio of smallest to
@@ -218,7 +219,7 @@ def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks):
     k, n_r = config.k, config.n_r
     bits = rng.integers(0, 2, size=(nblocks, k, mod.bits_per_symbol), dtype=np.uint8)
     symbols = mod.map_bits(bits)
-    gains = fading.sample_gains(stats, rng, (nblocks, n_r))
+    gains = fading.sample_gains(config.branches, rng, (nblocks, n_r))
     # shared transmit power: the channel the receiver sees is gains / sqrt(n_t),
     # which numpy divides as a product with 1 / sqrt(n_t), part by part
     scaled = gains.view(float)
@@ -234,58 +235,30 @@ def _sim_batch(config, mod, stats, n0, snr_idx, batch_idx, nblocks):
     return count_bit_errors(bits, mod.demap(estimates)), ratio
 
 
-def _batch_plan(cap, batch):
-    done, idx = 0, 0
-    while done < cap:
-        n = min(batch, cap - done)
-        yield idx, n
-        done += n
-        idx += 1
-
-
 def _run_point(config, mod, esno_db, snr_idx, pool):
     n0 = 10.0 ** (-esno_db / 10.0)
     t0 = time.perf_counter()
     errors = 0
     trials = 0
     ratio = 1.0
-    # speculative submission of at most ``workers`` batches; results are
-    # consumed strictly in batch-index order, so the totals do not depend
-    # on the worker count.  Batch ``idx`` runs in slot ``idx % workers``;
-    # slot 0's batches are deferred to this thread, which runs each when the
-    # loop consumes it, and the others go to ``pool``.  Batch ``idx +
-    # workers`` is submitted only once ``idx`` has been consumed, and on
-    # leaving, the pool batches not started are cancelled and the running
-    # ones waited for.  So every batch of a point, discarded ones too, ends
-    # before the point returns: its seconds count them, none runs beside the
-    # next point's batches, and at most ``workers`` batches hold threads and
-    # memory at once.
-    plan = _batch_plan(config.trials, config.batch)
-    workers = config.workers
-
-    def submit(idx, n):
-        args = (config, mod, config.branches, n0, snr_idx, idx, n)
-        return n, args, None if idx % workers == 0 else pool.submit(_sim_batch, *args)
-
-    pending = deque(submit(idx, n) for idx, n in islice(plan, workers))
-    try:
-        while pending:
-            n, args, fut = pending.popleft()
-            e, r = _sim_batch(*args) if fut is None else fut.result()
+    batch, workers = config.batch, config.workers
+    starts = range(0, config.trials, batch)
+    # one round of ``workers`` batches at a time: the pool runs all but the
+    # first, which runs here, and the round's results are consumed in order
+    for first in starts[::workers]:
+        j = first // batch
+        sizes = [min(batch, config.trials - s) for s in starts[j : j + workers]]
+        args = [(config, mod, n0, snr_idx, j + i, n) for i, n in enumerate(sizes)]
+        futures = [pool.submit(_sim_batch, *a) for a in args[1:]]
+        results = [_sim_batch(*args[0])] + [f.result() for f in futures]
+        for n, (e, r) in zip(sizes, results):
             errors += e
             ratio = min(ratio, r)
             trials += n
             if errors >= config.target_errors:
                 break
-            nxt = next(plan, None)
-            if nxt is not None:
-                pending.append(submit(*nxt))
-    finally:
-        # deferred batches left in ``pending`` never ran and are dropped
-        stale = [fut for _, _, fut in pending if fut is not None]
-        for fut in stale:
-            fut.cancel()
-        wait(stale)
+        if errors >= config.target_errors:
+            break
     seconds = time.perf_counter() - t0
     nbits = trials * config.k * mod.bits_per_symbol
     return errors, trials, nbits, seconds, ratio
@@ -305,9 +278,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     :func:`analytic_ber`; it matches the simulated linear decoder at
     ``K=2`` only and is not a prediction for it at ``K >= 4``.
 
-    With ``workers`` slots, the calling thread runs slot 0 and one pool of
-    ``workers - 1`` threads, shared by every point, runs the rest; no
-    thread outlives the call.
+    Each point runs in rounds of ``workers`` batches: the calling thread
+    runs a round's first batch and one pool of ``workers - 1`` threads,
+    shared by every point, runs the rest.  A round's results are consumed
+    once all of them are in, so the counts do not depend on ``workers``;
+    no thread outlives the call.
     """
     mod = modulation(config.modulation)
     ber_analytic = analytic_ber(config, config.esno_db)

@@ -164,8 +164,7 @@ class TestRunSweep:
         # QAM decisions use the amplitude, so the decoder must see the
         # power-shared channel gains / sqrt(n_t) that scale the transmission
         cfg = small_config(k=k, n_t=k, modulation=mod)
-        stats = branch_stats(k, cfg.channel, cfg.profile)
-        errors, _ = harness._sim_batch(cfg, modulation(mod), stats, 0.0, 0, 0, 512)
+        errors, _ = harness._sim_batch(cfg, modulation(mod), 0.0, 0, 0, 512)
         assert errors == 0
 
     def test_gain_transforms_formed_once_per_batch(self, monkeypatch):
@@ -180,8 +179,7 @@ class TestRunSweep:
         for module in (channels, harness):
             monkeypatch.setattr(module, "_gain_transforms", counted)
         cfg = small_config(k=8, n_t=6, n_r=2, modulation="qpsk")
-        stats = branch_stats(cfg.n_t, cfg.channel, cfg.profile)
-        errors, _ = harness._sim_batch(cfg, modulation("qpsk"), stats, 0.0, 0, 0, 64)
+        errors, _ = harness._sim_batch(cfg, modulation("qpsk"), 0.0, 0, 0, 64)
         assert errors == 0
         assert calls == [64]
 
@@ -241,7 +239,7 @@ class TestRunSweep:
                 super().__init__(*args, **kwargs)
 
         def recording(*args):
-            ran.append((args[4], args[5], threading.get_ident()))
+            ran.append((args[3], args[4], threading.get_ident()))
             return real(*args)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
@@ -255,23 +253,23 @@ class TestRunSweep:
         assert all((thread == caller) == (j % 2 == 0) for _, j, thread in ran)
 
     def test_at_most_workers_batches_run_and_none_after_their_point(self, monkeypatch):
-        # every point stops on its first batch, while the pool still runs
-        # the batches of slots 1 and 2; slot 1's run longest, so the next
-        # point would start its batches beside the discarded ones unless the
-        # point waits for them
+        # every point stops on its first batch, while the pool runs the
+        # round's second and third; the second runs longest, so the next
+        # point would start its batches beside the unused ones unless the
+        # point waits for its whole round
         lock = threading.Lock()
         running, most, mixed, started = [], [0], [], []
         real = harness._sim_batch
 
         def counted(*args):
-            point = args[4]
+            point = args[3]
             with lock:
                 mixed.extend(p for p in running if p != point)
                 running.append(point)
                 started.append(point)
                 most[0] = max(most[0], len(running))
             try:
-                time.sleep(0.05 if args[5] % 3 == 1 else 0.0)
+                time.sleep(0.05 if args[4] % 3 == 1 else 0.0)
                 return real(*args)
             finally:
                 with lock:
@@ -294,6 +292,35 @@ class TestRunSweep:
         assert 2 <= most[0] <= cfg.workers
         assert [r.trials for r in rows] == [64] * 4
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_point_runs_the_rounds_up_to_its_stop(self, workers, monkeypatch):
+        # point i reports its one error at batch stops[i], or never, so it
+        # runs every batch of rounds 0 .. stop // workers, capped by the plan
+        # of ten full batches and a short one, and no batch of a later round;
+        # the pool batches sleep, so a batch started early would show
+        stops = [0, 1, 2, 3, 4, 5, 8, 9, 10, None]
+        lock = threading.Lock()
+        ran = []
+
+        def fake(config, mod, n0, snr_idx, batch_idx, nblocks):
+            with lock:
+                ran.append((snr_idx, batch_idx, nblocks))
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.002)
+            return int(batch_idx == stops[snr_idx]), 1.0
+
+        monkeypatch.setattr(harness, "_sim_batch", fake)
+        cfg = small_config(esno_db=tuple(range(len(stops))), trials=10 * 64 + 16, batch=64,
+                           target_errors=1, workers=workers)
+        rows = run_sweep(cfg).rows
+        want = []
+        for i, stop in enumerate(stops):
+            last = 10 if stop is None else min(10, stop // workers * workers + workers - 1)
+            want += [(i, j, 64 if j < 10 else 16) for j in range(last + 1)]
+        assert sorted(ran) == want
+        assert [r.trials for r in rows] == [64 * (s + 1) for s in stops[:-2]] + [cfg.trials] * 2
+        assert [r.bit_errors for r in rows] == [1] * (len(stops) - 1) + [0]
+
     def test_no_thread_outlives_the_sweep(self, monkeypatch):
         before = threading.active_count()
         cfg = small_config(esno_db=(0.0, 6.0), trials=8 * 64, batch=64, target_errors=10**9,
@@ -303,7 +330,7 @@ class TestRunSweep:
         real = harness._sim_batch
 
         def failing(*args):
-            if (args[4], args[5]) == (1, 4):  # a slot-1 batch, run by the pool
+            if (args[3], args[4]) == (1, 4):  # a round's second batch, run by the pool
                 raise RuntimeError("batch failed")
             return real(*args)
 
@@ -324,11 +351,11 @@ class TestRunSweep:
         # read 1.08 to 1.21 and 1.26 to 1.40
         cfg = ExperimentConfig(esno_db=(5.0,), **params)
         mod = modulation(cfg.modulation)
-        harness._sim_batch(cfg, mod, cfg.branches, 0.3, 0, 0, cfg.batch)  # caches the basis
+        harness._sim_batch(cfg, mod, 0.3, 0, 0, cfg.batch)  # caches the basis
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            got = harness._sim_batch(cfg, mod, cfg.branches, 0.3, 0, 1, cfg.batch)
+            got = harness._sim_batch(cfg, mod, 0.3, 0, 1, cfg.batch)
             rise = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -343,11 +370,11 @@ class TestRunSweep:
             + 16 * b * k + 8 * b * k // 2  # estimates and eigenvalues
         )
         assert rise < multiple * returned, (rise, returned)
-        assert got == harness._sim_batch(cfg, mod, cfg.branches, 0.3, 0, 1, cfg.batch)
+        assert got == harness._sim_batch(cfg, mod, 0.3, 0, 1, cfg.batch)
 
     def test_conditioning_is_worker_invariant(self):
-        # the error target stops each point after a batch or two, so the
-        # speculative batches of 2 and 3 workers are drawn and discarded
+        # the error target stops each point after a batch or two, so with 2
+        # and 3 workers the rest of the last round is drawn and not used
         cfg = dict(k=4, n_t=4, modulation="qpsk", esno_db=(0.0, 10.0), trials=20 * 64,
                    target_errors=100, batch=64)
         runs = [run_sweep(small_config(workers=w, **cfg)) for w in (1, 2, 3)]
@@ -624,6 +651,11 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "esno_db,ber"
         assert float(lines[1].split(",")[1]) == pytest.approx(0.5 * (1 - 1 / np.sqrt(2)), rel=1e-6)
+        # one point at an Es/N0 so large that a tolerance of 1e-9 dB added to
+        # it would vanish
+        assert main(["analyze", "--mod", "qpsk", "--nt", "2",
+                     "--esno-start", "3e7", "--esno-stop", "3e7"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["esno_db,ber", "30000000,0"]
 
     def test_analyze_m_list(self, capsys):
         rc = main([

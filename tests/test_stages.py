@@ -75,6 +75,6 @@ def test_stage_reads_no_unwritten_memory(stage, monkeypatch):
 def test_batch_reads_no_unwritten_memory(params, monkeypatch):
     cfg = ExperimentConfig(esno_db=(5.0,), **params)
     mod = modulation(cfg.modulation)
-    want = harness._sim_batch(cfg, mod, cfg.branches, 0.3, 0, 2, cfg.batch)
+    want = harness._sim_batch(cfg, mod, 0.3, 0, 2, cfg.batch)
     garbage_empty(monkeypatch)
-    assert harness._sim_batch(cfg, mod, cfg.branches, 0.3, 0, 2, cfg.batch) == want
+    assert harness._sim_batch(cfg, mod, 0.3, 0, 2, cfg.batch) == want
