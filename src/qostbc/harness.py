@@ -38,7 +38,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import analysis, fading
-from .codes import EncodingStructure, build_mother, encode, _is_power_of_two, _walsh_product
+from .codes import build_mother, encode, _is_power_of_two, _walsh_product
 from .channels import encoded_channel_minors, received_blocks, _gain_transforms
 from .decoder import decode_batch
 from .modem import modulation, count_bit_errors
@@ -496,11 +496,13 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
     Each ``K`` draws Gaussian integers ``s`` and ``h`` of length ``K`` and
     ``y`` of length ``K/2``, parts in ``-EXACT_PART_MAX..EXACT_PART_MAX``.
     It forms ``C = encode(build_mother(K), s)`` and ``r = C h``, and once
-    ``C`` and its structure are freed, the minors ``H1, H2`` of ``h``; each
-    round trip builds its own ``EncodingStructure(K, n_t)``.  No table
-    outlives its ``K``, nor the call.  Every check but the reduction chain
-    costs O(K^2) per ``K``.  An *exact* check has tolerance
-    0 and reports the largest absolute entry of its residual:
+    ``C`` and its structure are freed, the minors ``H1, H2`` of ``h``; the
+    round trips run as one padded batch per ``K``.  No table outlives its
+    ``K``, nor the call.  Every check but the reduction chain costs O(K^2)
+    per ``K``.  The chain costs O(K^3): 52-59 % of ``verify(1024)`` and
+    80-82 % of ``verify(4096)`` (cProfile, one BLAS thread, 2-core
+    machine).  An *exact* check has tolerance 0 and reports the largest
+    absolute entry of its residual:
 
     - ``permutation-sets`` (exact): the listed splits of ``KNOWN_SPLITS``.
     - ``code-gram-blocks`` (exact): the off-diagonal half ``C_top C_bot^H``
@@ -508,7 +510,8 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
       (Freivalds, 1977); the other half is its conjugate transpose.
     - ``walsh-forward-model(nt=...)`` (exact): the simulator's
       :func:`~qostbc.channels.received_blocks` equals ``C h``, both cut to
-      the leftmost ``n_t`` in ``{K, K-1, 3}``.
+      the leftmost ``n_t`` in ``{K, K-1, 3}``, in one call of one block per
+      ``n_t``.
     - ``received-block-identity`` (exact): ``[H1 s; H2 conj(s)] = r``, two
       closed forms worked out apart: the code's and the minors'.
     - ``walsh-matched-filter`` (exact, in part modulo a prime): the matched
@@ -525,7 +528,13 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
       two residue draws of its own.
     - ``round-trip(nt=...,nr=...)`` (relative error at most
       ``ROUNDTRIP_TOL``): noiseless decoding, on complex Gaussian draws of
-      its own.
+      its own, of the blocks of :func:`~qostbc.channels.received_blocks`,
+      which ``walsh-forward-model`` ties to ``C h``.  All ``(n_t, n_r)`` of
+      one ``K`` form one batch, their gains zero-padded to ``4 x K``.  The
+      padding is exact: puncturing is zero-padding, which the forward model
+      and the decoder apply to the gains anyway, and a zero receive antenna
+      adds exact zeros to ``lambda`` and to the combiners, and has a zero
+      received block.
 
     ``walsh-matched-filter`` implies the decomposition the decoder rests
     on.  By ``received-block-identity``, ``c = P s`` with ``P = H1^H H1 +
@@ -586,11 +595,12 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         # C_bot^H y = conj(C_bot^T conj(y)), with no conjugated copy of C
         exact("code-gram-blocks", k, code[:half] @ np.conj(code[half:].T @ y.conj()))
 
-        # puncturing keeps the leftmost n_t antennas
+        # puncturing keeps the leftmost n_t antennas: one block per n_t, zero beyond
         n_ts = sorted({k, k - 1, min(3, k)})
-        for n_t in n_ts:
-            walsh = received_blocks(s[None], h[None, None, :n_t])[0, :, 0]
-            exact(f"walsh-forward-model(nt={n_t})", k, walsh - code[:, :n_t] @ h[:n_t])
+        punctured = np.where(np.arange(k) < np.array(n_ts)[:, None, None], h, 0)
+        walsh = received_blocks(np.broadcast_to(s, (len(n_ts), k)), punctured)[..., 0]
+        for n_t, row in zip(n_ts, walsh):
+            exact(f"walsh-forward-model(nt={n_t})", k, row - code[:, :n_t] @ h[:n_t])
         del code
 
         h1, h2 = encoded_channel_minors(h, k)
@@ -615,19 +625,18 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         if k >= 4:
             exact("reduction-block-diagonal", k, sum(n for _, n in reduction_residuals(k, rng)))
 
-        # the round trips draw their own s and gains, one punctured code at a time
-        for n_t in n_ts:
-            st = EncodingStructure(k, n_t)
-            for n_r in (1, 2, 4):
-                s = crandn(k)
-                gains = crandn(n_r, n_t)
-                rx = encode(st, s) @ gains.T
-                est = decode_batch(rx[None], gains[None])[0]
-                res = np.linalg.norm(est[0] - s) / np.linalg.norm(s)
-                checks.append(
-                    CheckResult(f"round-trip(nt={n_t},nr={n_r})", k, res, ROUNDTRIP_TOL, res <= ROUNDTRIP_TOL)
-                )
-            del st
+        # the round trips draw their own s and gains, decoded as one batch padded to 4 x K
+        pairs = [(n_t, n_r) for n_t in n_ts for n_r in (1, 2, 4)]
+        sym = np.empty((len(pairs), k), complex)
+        gains = np.zeros((len(pairs), 4, k), complex)
+        for i, (n_t, n_r) in enumerate(pairs):
+            sym[i], gains[i, :n_r, :n_t] = crandn(k), crandn(n_r, n_t)
+        est = decode_batch(received_blocks(sym, gains), gains)[0]
+        res = np.linalg.norm(est - sym, axis=1) / np.linalg.norm(sym, axis=1)
+        for (n_t, n_r), value in zip(pairs, res.tolist()):
+            checks.append(
+                CheckResult(f"round-trip(nt={n_t},nr={n_r})", k, value, ROUNDTRIP_TOL, value <= ROUNDTRIP_TOL)
+            )
         k *= 2
     return VerifyReport(tuple(checks))
 

@@ -635,6 +635,31 @@ class TestWalshDomain:
                                        batch=32, target_errors=10**9, seed=5)
         assert [row.trials for row in harness.run_sweep(cfg).rows] == [64]
 
+    @pytest.mark.parametrize("k", [2**e for e in range(1, 10)])
+    def test_zero_padding_is_exact(self, k):
+        # verify's round trips run as one batch: each (n_t, n_r) block's
+        # gains zero-padded to 4 x K.  The forward model forms each padded
+        # block bit for bit as alone, zeros on the padded antennas; the
+        # decoder agrees with the unpadded call to a few ulp, not bit for
+        # bit: numpy may order its sum over the antennas differently for a
+        # batch than for one block (at K=2, n_t=1, n_r=4 here)
+        rng = np.random.default_rng(4600 + k)
+        pairs = [(n_t, n_r) for n_t in sorted({k, k - 1, min(3, k)}) for n_r in (1, 2, 4)]
+        sym = crandn(rng, len(pairs), k)
+        gains = np.zeros((len(pairs), 4, k), complex)
+        alone = [crandn(rng, n_r, n_t) for n_t, n_r in pairs]
+        for i, ((n_t, n_r), g) in enumerate(zip(pairs, alone)):
+            gains[i, :n_r, :n_t] = g
+        rx = channels.received_blocks(sym, gains)
+        est, lam = decode_batch(rx, gains)
+        for i, ((n_t, n_r), g) in enumerate(zip(pairs, alone)):
+            one = channels.received_blocks(sym[i : i + 1], g[None])[0]
+            assert np.array_equal(rx[i, :, :n_r], one), (n_t, n_r)
+            assert not rx[i, :, n_r:].any(), (n_t, n_r)
+            est1, lam1 = decode_batch(one[None], g[None])
+            np.testing.assert_allclose(est[i], est1[0], rtol=1e-14, atol=0, err_msg=f"{n_t}, {n_r}")
+            np.testing.assert_allclose(lam[i], lam1[0], rtol=1e-14, atol=0, err_msg=f"{n_t}, {n_r}")
+
     def test_round_trip_k4096_in_linear_memory(self):
         # n_t = K, n_r = 2, B = 2: a noiseless round trip through the
         # simulator's forward model, and a tracemalloc peak, once the basis

@@ -530,6 +530,35 @@ class TestVerify:
         failed = {(c.name, c.k) for c in report.checks if not c.passed}
         assert failed == {("walsh-matched-filter", k)}, failed
 
+    def test_one_batch_of_round_trips_per_k(self, monkeypatch):
+        # per K, decode_batch runs for the matched filter's lambda and for
+        # the round trips, and received_blocks for the forward model and the
+        # round trips: at most two calls of each, whatever the n_t and n_r
+        calls = {"decode": [], "forward": []}
+
+        def counting(key, real):
+            def fake(blocks, gains):
+                calls[key].append(blocks.shape[1])
+                return real(blocks, gains)
+            return fake
+
+        monkeypatch.setattr(harness, "decode_batch", counting("decode", harness.decode_batch))
+        monkeypatch.setattr(harness, "received_blocks", counting("forward", harness.received_blocks))
+        report = verify(256)
+        assert report.ok
+        ks = [2**i for i in range(1, 9)]
+        for key, seen in calls.items():
+            assert sorted(set(seen)) == ks, key
+            assert max(seen.count(k) for k in ks) <= 2, (key, seen)
+        for k in ks:
+            n_ts = sorted({k, k - 1, min(3, k)})
+            trips = [c for c in report.checks if c.k == k and c.name.startswith("round-trip")]
+            assert len(trips) == 3 * len(n_ts) == (6 if k <= 4 else 9)
+            assert [c.name for c in trips] == [
+                f"round-trip(nt={n_t},nr={n_r})" for n_t in n_ts for n_r in (1, 2, 4)]
+            assert all(c.tol == harness.ROUNDTRIP_TOL for c in trips)
+            assert all(type(c.value) is float and type(c.passed) is bool for c in trips)
+
     def test_keeps_no_tables(self):
         # no code or minor table outlives the call: a K=1024 table is 8 MB
         tracemalloc.start()
