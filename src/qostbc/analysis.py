@@ -174,8 +174,9 @@ def _families(branches: tuple):
     A group holds the branches of one family that share one exponent, so
     Nakagami branches of distinct ``m`` form one group each.  The
     parameters are shaped ``(n, 1, 1, 1)`` against the (branch, integral,
-    SNR, node) temporaries.  A BER evaluation reuses the same branches
-    for every chunk, so the grouping is cached; its arrays are read-only.
+    SNR, node) temporaries.  The cache serves repeated evaluations of the
+    same branches: ``capacity_sweep`` makes one per modulation and
+    ``analytic_ber`` one per sweep.  Its arrays are read-only.
     """
     groups = {}
     for i, stat in enumerate(branches):

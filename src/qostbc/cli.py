@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import json
 import sys
@@ -111,6 +112,14 @@ def _add_sweep_flags(p):
     p.add_argument("--out", type=str, default=None, help="CSV output path (stdout if omitted)")
 
 
+def _add_channel_flags(p):
+    p.add_argument("--nr", type=int, default=1, help="receive antennas")
+    p.add_argument("--channel", type=_spec(parse_channel_spec), default="rayleigh",
+                   help='"rayleigh", "rice:m=2", "hoyt:m=0.7", "nakagami:m=2.5", "mixed"')
+    p.add_argument("--profile", type=_spec(parse_profile_spec), default="equipower",
+                   help='"equipower" or "linear:pmax=2"')
+
+
 def _open_out(path, mode="w"):
     """Open an output file; a path that cannot be written is a configuration error."""
     try:
@@ -169,7 +178,7 @@ def _cmd_simulate(args):
         _open_out(args.out, "a").close()  # fail before the sweep, not after it
     result = harness.run_sweep(config)
     sidecar = dict(
-        result.config_dict(),
+        dataclasses.asdict(result.config),
         qostbc_version=__version__,
         numpy_version=np.__version__,
         python_version="{}.{}.{}".format(*sys.version_info),
@@ -233,12 +242,8 @@ def build_parser():
     p = sub.add_parser("simulate", help="Monte Carlo BER sweep with analytic reference")
     p.add_argument("--K", type=int, required=True, help="block size (power of two)")
     p.add_argument("--nt", type=int, default=None, help="transmit antennas (default K)")
-    p.add_argument("--nr", type=int, default=1, help="receive antennas")
+    _add_channel_flags(p)
     p.add_argument("--mod", type=str, default="qpsk", help='modulation, e.g. "psk8", "qam64"')
-    p.add_argument("--channel", type=_spec(parse_channel_spec), default="rayleigh",
-                   help='"rayleigh", "rice:m=2", "hoyt:m=0.7", "nakagami:m=2.5", "mixed"')
-    p.add_argument("--profile", type=_spec(parse_profile_spec), default="equipower",
-                   help='"equipower" or "linear:pmax=2"')
     p.add_argument("--trials", type=int, default=1_000_000, help="block cap per SNR point")
     p.add_argument("--target-errors", type=int, default=200)
     p.add_argument("--seed", type=_seed, default=1234)
@@ -250,11 +255,9 @@ def build_parser():
     p = sub.add_parser("analyze", help="analytic BER sweep (no simulation)")
     p.add_argument("--mod", type=str, required=True)
     p.add_argument("--nt", type=int, required=True)
-    p.add_argument("--nr", type=int, default=1)
+    _add_channel_flags(p)
     p.add_argument("--rho", type=float, default=1.0, help="code rate")
     p.add_argument("--eta", type=float, default=1.0, help="transmit diversity order")
-    p.add_argument("--channel", type=_spec(parse_channel_spec), default="rayleigh")
-    p.add_argument("--profile", type=_spec(parse_profile_spec), default="equipower")
     p.add_argument("--m-list", type=_numbers, default=None,
                    help="comma-separated per-branch severities (overrides --channel m)")
     p.add_argument("--omega-list", type=_numbers, default=None,
@@ -271,9 +274,7 @@ def build_parser():
 
     p = sub.add_parser("capacity", help="hard-decision rate capacity per modulation")
     p.add_argument("--nt", type=int, required=True)
-    p.add_argument("--nr", type=int, default=1)
-    p.add_argument("--channel", type=_spec(parse_channel_spec), default="rayleigh")
-    p.add_argument("--profile", type=_spec(parse_profile_spec), default="equipower")
+    _add_channel_flags(p)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--mods", type=str, default=None,
                    help="comma-separated modulation list (default BPSK..4096QAM)")

@@ -4,11 +4,11 @@ The simulator runs blocks in fixed-size batches.  Batch ``j`` of SNR point
 ``i`` draws everything it needs from its own RNG stream derived from
 ``(seed, i, j)``, and batches are always consumed in index order, so a
 sweep is bit-reproducible and independent of the worker count.  Transmit
-power is shared across antennas, which makes the per-branch mean SNR seen
-by the analytic reference ``omega / (n_t * N0)`` at a given Es/N0.  The
-sharing is applied once per batch, to the drawn gains: the blocks are
-received through ``gains / sqrt(n_t)``, and the receiver decodes with those
-same gains.  The received blocks are formed in the code's Walsh domain
+power is shared across antennas, so the ``branches`` of an
+:class:`ExperimentConfig` have each mean power ``omega`` divided by ``n_t``.
+Every batch draws its gains from them and decodes with those gains, and the
+analytic reference integrates over them: both see the per-branch mean SNR
+``omega / (n_t * N0)``.  The received blocks are formed in the code's Walsh domain
 (:func:`~qostbc.channels.received_blocks`), so no transmit matrix is built;
 :func:`verify` checks that model against :func:`~qostbc.codes.encode`.
 Each point also records the decoder's conditioning, the smallest ratio of
@@ -33,7 +33,7 @@ import math
 import time
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,10 @@ def _check_block_size(k):
 class ExperimentConfig:
     """One simulate sweep, validated when built.
 
-    ``branches`` is the tuple of per-branch fading statistics,
-    :func:`branch_stats` of ``(n_t, channel, profile)``, built once here.  It
-    is an attribute, not a field, so :func:`dataclasses.asdict` leaves it out.
+    ``branches``, the channel the receiver sees (:func:`_shared_branches`),
+    and ``mod``, the :class:`~qostbc.modem.Modulation` named by
+    ``modulation``, are built once here for every batch and the analytic
+    reference.  They are attributes, not fields, so ``asdict`` omits them.
     """
 
     k: int
@@ -123,10 +124,11 @@ class ExperimentConfig:
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers={self.workers} must lie in 1..{MAX_WORKERS}")
         try:
-            modulation(self.modulation)
-            branches = tuple(branch_stats(self.n_t, self.channel, self.profile))
+            mod = modulation(self.modulation)
+            branches = _shared_branches(self.n_t, self.channel, self.profile)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "mod", mod)
         object.__setattr__(self, "branches", branches)
 
 
@@ -134,7 +136,11 @@ def branch_stats(n_t: int, channel: str, profile: str):
     """Per-transmit-branch fading statistics for a channel/profile spec.
 
     ``n_t`` is at most ``RESIDUE_K_MAX``, the largest block size and so the
-    most antennas that ``simulate`` accepts.
+    most antennas that ``simulate`` accepts.  The powers are those before
+    the transmit power is shared (:func:`_shared_branches`).  Equipower
+    gives each branch power 1 and ``channel="mixed"`` scales its powers to
+    sum to 1, so once shared the powers sum to 1 for equipower but to
+    ``1 / n_t`` for ``"mixed"``.
     """
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
@@ -154,27 +160,21 @@ def branch_stats(n_t: int, channel: str, profile: str):
     return [fading.BranchStat(family, m, float(om)) for om in omegas]
 
 
-def _shared_power(stats):
-    """Branch statistics with omegas divided by n_t (transmit sharing)."""
-    n_t = len(stats)
-    return tuple(
-        fading.BranchStat(s.family, s.m, s.omega / n_t) for s in stats
-    )
+def _shared_branches(n_t: int, channel: str, profile: str):
+    """:func:`branch_stats` with each omega divided by ``n_t``: the channel the receiver sees."""
+    return tuple(fading.BranchStat(s.family, s.m, s.omega / n_t) for s in branch_stats(n_t, channel, profile))
 
 
 def analytic_ber(config: ExperimentConfig, esno_db):
     """Full-diversity ML-bound BER for the configured experiment (rate one).
 
-    This is the bound of maximum-likelihood decoding, not a prediction for
-    the linear decoder the simulation runs: the two agree at ``K=2``, while
-    at ``K >= 4`` the linear decoder reaches less diversity and its BER
-    lies above this value.
+    The BER of ``config.mod`` over ``config.branches``, the channel the
+    batches draw, is the bound of maximum-likelihood decoding, not a
+    prediction for the linear decoder the simulation runs: the two agree at
+    ``K=2``, while at ``K >= 4`` the linear decoder reaches less diversity.
     """
-    mod = modulation(config.modulation)
-    params = analysis.BerParams(
-        n_t=config.n_t, n_r=config.n_r, branches=_shared_power(config.branches)
-    )
-    return analysis.bit_error_rate(mod, params, esno_db)
+    params = analysis.BerParams(n_t=config.n_t, n_r=config.n_r, branches=config.branches)
+    return analysis.bit_error_rate(config.mod, params, esno_db)
 
 
 @dataclass(frozen=True)
@@ -202,11 +202,8 @@ class SweepResult:
             )
         return "\n".join(lines) + "\n"
 
-    def config_dict(self) -> dict:
-        return asdict(self.config)
 
-
-def _sim_batch(config, mod, n0, snr_idx, batch_idx, nblocks):
+def _sim_batch(config, n0, snr_idx, batch_idx, nblocks):
     """Simulate one batch of blocks.
 
     Returns the bit error count and the smallest ratio of smallest to
@@ -216,26 +213,22 @@ def _sim_batch(config, mod, n0, snr_idx, batch_idx, nblocks):
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(snr_idx, batch_idx))
     )
-    k, n_r = config.k, config.n_r
+    k, n_r, mod = config.k, config.n_r, config.mod
     bits = rng.integers(0, 2, size=(nblocks, k, mod.bits_per_symbol), dtype=np.uint8)
     symbols = mod.map_bits(bits)
     gains = fading.sample_gains(config.branches, rng, (nblocks, n_r))
-    # shared transmit power: the channel the receiver sees is gains / sqrt(n_t),
-    # which numpy divides as a product with 1 / sqrt(n_t), part by part
-    scaled = gains.view(float)
-    scaled *= 1 / np.sqrt(config.n_t)
     # the forward model and the decoder share one transform of the gains
     g = _gain_transforms(gains, k)
     rx = received_blocks(symbols, gains, transforms=g)
     del symbols
     rx = fading.add_awgn(rx, n0, rng)
     estimates, lam = decode_batch(rx, gains, transforms=g)
-    del gains, scaled, g, rx
+    del gains, g, rx
     ratio = float((lam.min(axis=1) / lam.max(axis=1)).min())
     return count_bit_errors(bits, mod.demap(estimates)), ratio
 
 
-def _run_point(config, mod, esno_db, snr_idx, pool):
+def _run_point(config, esno_db, snr_idx, pool):
     n0 = 10.0 ** (-esno_db / 10.0)
     t0 = time.perf_counter()
     errors = 0
@@ -248,7 +241,7 @@ def _run_point(config, mod, esno_db, snr_idx, pool):
     for first in starts[::workers]:
         j = first // batch
         sizes = [min(batch, config.trials - s) for s in starts[j : j + workers]]
-        args = [(config, mod, n0, snr_idx, j + i, n) for i, n in enumerate(sizes)]
+        args = [(config, n0, snr_idx, j + i, n) for i, n in enumerate(sizes)]
         futures = [pool.submit(_sim_batch, *a) for a in args[1:]]
         results = [_sim_batch(*args[0])] + [f.result() for f in futures]
         for n, (e, r) in zip(sizes, results):
@@ -260,7 +253,7 @@ def _run_point(config, mod, esno_db, snr_idx, pool):
         if errors >= config.target_errors:
             break
     seconds = time.perf_counter() - t0
-    nbits = trials * config.k * mod.bits_per_symbol
+    nbits = trials * config.k * config.mod.bits_per_symbol
     return errors, trials, nbits, seconds, ratio
 
 
@@ -268,7 +261,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the Monte Carlo sweep and attach the analytic reference column.
 
     Per block: draw bits, modulate, draw one block-fading gain per branch
-    scaled by ``1/sqrt(n_t)``, form the received block ``C(s) h`` in the
+    of ``config.branches``, form the received block ``C(s) h`` in the
     Walsh domain (:func:`~qostbc.channels.received_blocks`), add AWGN at
     the configured Es/N0, decode, hard-demap, count bit errors.  Each SNR point stops at
     ``target_errors`` bit errors or at the trial cap, whichever first, and
@@ -284,14 +277,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     once all of them are in, so the counts do not depend on ``workers``;
     no thread outlives the call.
     """
-    mod = modulation(config.modulation)
     ber_analytic = analytic_ber(config, config.esno_db)
     rows = []
     with ThreadPoolExecutor(max_workers=config.workers - 1) if config.workers > 1 else nullcontext() as pool:
         for snr_idx, esno_db in enumerate(config.esno_db):
-            errors, trials, nbits, seconds, ratio = _run_point(
-                config, mod, esno_db, snr_idx, pool
-            )
+            errors, trials, nbits, seconds, ratio = _run_point(config, esno_db, snr_idx, pool)
             rows.append(
                 SweepPoint(
                     esno_db=esno_db,
@@ -674,8 +664,7 @@ def capacity_sweep(
         ``names`` are the modulation labels; each row is
         ``(esno_db, rates..., envelope)``.
     """
-    stats = _shared_power(branch_stats(n_t, channel, profile))
-    params = analysis.BerParams(n_t=n_t, n_r=n_r, branches=stats, rho=rho)
+    params = analysis.BerParams(n_t=n_t, n_r=n_r, branches=_shared_branches(n_t, channel, profile), rho=rho)
     esno_db = np.ravel(np.asarray(esno_db, dtype=float))
     columns = []
     for name in mods:

@@ -28,7 +28,7 @@ from qostbc import (
 )
 from qostbc import analysis, cli
 from qostbc.fading import linear_profile, m_to_hoyt_q, m_to_rice_k
-from qostbc.harness import CAPACITY_MODULATIONS, _shared_power, branch_stats
+from qostbc.harness import CAPACITY_MODULATIONS, _shared_branches, branch_stats
 
 from oracles import psk_ber_sectors, qam_ber_terms
 
@@ -197,7 +197,7 @@ class TestQamBer:
     def test_equals_per_bit_loop(self, m):
         # each Q-function term integrated once per bit, as the BER's
         # definition sums them
-        params = BerParams(n_t=8, n_r=2, branches=_shared_power(branch_stats(8, "mixed", "equipower")))
+        params = BerParams(n_t=8, n_r=2, branches=_shared_branches(8, "mixed", "equipower"))
         esno_db = np.arange(-10.0, 41.0, 5.0)
         bits, side = int(np.log2(m)), int(round(np.sqrt(m)))
         total = 0.0
@@ -405,7 +405,7 @@ def test_ber_matches_adaptive_quadrature(channel):
 
 def test_capacity_case_matches_adaptive_quadrature():
     # the mixed 16-branch channel of ``capacity --nt 16 --channel mixed``
-    params = BerParams(n_t=16, n_r=1, branches=_shared_power(branch_stats(16, "mixed", "equipower")))
+    params = BerParams(n_t=16, n_r=1, branches=_shared_branches(16, "mixed", "equipower"))
     for name in CAPACITY_MODULATIONS:
         assert_matches_reference(name, params, np.arange(0.0, 31.0, 5.0))
 

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import qostbc
+import qostbc.analysis as analysis
 import qostbc.channels as channels
 import qostbc.codes as codes
+import qostbc.fading as fading
 import qostbc.harness as harness
-from qostbc import modulation
 from qostbc.cli import build_parser, main
 from qostbc.decoder import decode_batch
 from qostbc.harness import (
@@ -74,22 +75,57 @@ class TestConfig:
             small_config(channel="awgn7")
 
     def test_branch_stats_built_once(self, monkeypatch):
-        # the config keeps the tuple it validated, and the sweep and its
-        # analytic column reuse it; it stays out of asdict, so out of the sidecar
-        calls = []
-        real = harness.branch_stats
+        # the config keeps the branches and the modulation it validated, and
+        # the sweep and its analytic column reuse them; they stay out of
+        # asdict, so out of the sidecar
+        calls, mods = [], []
+        real, real_mod = harness.branch_stats, harness.modulation
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
+        def counted_mod(name):
+            mods.append(name)
+            return real_mod(name)
+
         monkeypatch.setattr(harness, "branch_stats", counted)
+        monkeypatch.setattr(harness, "modulation", counted_mod)
         cfg = small_config(n_r=2, channel="mixed", trials=256, batch=128)
         run_sweep(cfg)
         assert calls == [(2, "mixed", "equipower")]
-        assert cfg.branches == tuple(real(2, "mixed", "equipower"))
+        assert mods == ["bpsk"]
+        assert cfg.branches == tuple(
+            fading.BranchStat(s.family, s.m, s.omega / 2) for s in real(2, "mixed", "equipower")
+        )
+        assert (cfg.mod.family, cfg.mod.order) == ("psk", 2)
         assert set(dataclasses.asdict(cfg)) == set(ExperimentConfig.__dataclass_fields__)
         assert "branches" not in ExperimentConfig.__dataclass_fields__
+        assert "mod" not in ExperimentConfig.__dataclass_fields__
+
+    @pytest.mark.parametrize("n_t", [1, 3, 4])
+    def test_batches_and_reference_read_the_shared_branches(self, n_t, monkeypatch):
+        # the batches draw the channel the receiver sees, and the analytic
+        # reference integrates over the same one: config.branches itself,
+        # whose equipower omegas share a total power of one
+        drawn, integrated = [], []
+        real_gains, real_ber = fading.sample_gains, analysis.bit_error_rate
+
+        def sample_gains(stats, *args):
+            drawn.append(stats)
+            return real_gains(stats, *args)
+
+        def bit_error_rate(mod, params, *args):
+            integrated.append(params.branches)
+            return real_ber(mod, params, *args)
+
+        monkeypatch.setattr(fading, "sample_gains", sample_gains)
+        monkeypatch.setattr(analysis, "bit_error_rate", bit_error_rate)
+        cfg = small_config(k=4, n_t=n_t, trials=256, batch=128, target_errors=10**9)
+        run_sweep(cfg)
+        assert len(drawn) == 4 and all(stats is cfg.branches for stats in drawn)
+        assert len(integrated) == 1 and integrated[0] is cfg.branches
+        assert sum(s.omega for s in cfg.branches) == pytest.approx(1.0)
 
 
 class TestBranchStats:
@@ -162,9 +198,9 @@ class TestRunSweep:
     @pytest.mark.parametrize("k", [2, 4, 16])
     def test_noiseless_qam_decodes_exactly(self, mod, k):
         # QAM decisions use the amplitude, so the decoder must see the
-        # power-shared channel gains / sqrt(n_t) that scale the transmission
+        # power-shared channel gains that scale the transmission
         cfg = small_config(k=k, n_t=k, modulation=mod)
-        errors, _ = harness._sim_batch(cfg, modulation(mod), 0.0, 0, 0, 512)
+        errors, _ = harness._sim_batch(cfg, 0.0, 0, 0, 512)
         assert errors == 0
 
     def test_gain_transforms_formed_once_per_batch(self, monkeypatch):
@@ -179,7 +215,7 @@ class TestRunSweep:
         for module in (channels, harness):
             monkeypatch.setattr(module, "_gain_transforms", counted)
         cfg = small_config(k=8, n_t=6, n_r=2, modulation="qpsk")
-        errors, _ = harness._sim_batch(cfg, modulation("qpsk"), 0.0, 0, 0, 64)
+        errors, _ = harness._sim_batch(cfg, 0.0, 0, 0, 64)
         assert errors == 0
         assert calls == [64]
 
@@ -239,7 +275,7 @@ class TestRunSweep:
                 super().__init__(*args, **kwargs)
 
         def recording(*args):
-            ran.append((args[3], args[4], threading.get_ident()))
+            ran.append((args[2], args[3], threading.get_ident()))
             return real(*args)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
@@ -262,14 +298,14 @@ class TestRunSweep:
         real = harness._sim_batch
 
         def counted(*args):
-            point = args[3]
+            point = args[2]
             with lock:
                 mixed.extend(p for p in running if p != point)
                 running.append(point)
                 started.append(point)
                 most[0] = max(most[0], len(running))
             try:
-                time.sleep(0.05 if args[4] % 3 == 1 else 0.0)
+                time.sleep(0.05 if args[3] % 3 == 1 else 0.0)
                 return real(*args)
             finally:
                 with lock:
@@ -302,7 +338,7 @@ class TestRunSweep:
         lock = threading.Lock()
         ran = []
 
-        def fake(config, mod, n0, snr_idx, batch_idx, nblocks):
+        def fake(config, n0, snr_idx, batch_idx, nblocks):
             with lock:
                 ran.append((snr_idx, batch_idx, nblocks))
             if threading.current_thread() is not threading.main_thread():
@@ -330,7 +366,7 @@ class TestRunSweep:
         real = harness._sim_batch
 
         def failing(*args):
-            if (args[3], args[4]) == (1, 4):  # a round's second batch, run by the pool
+            if (args[2], args[3]) == (1, 4):  # a round's second batch, run by the pool
                 raise RuntimeError("batch failed")
             return real(*args)
 
@@ -350,18 +386,17 @@ class TestRunSweep:
         # its |g|^2 planes or the batch's symbols, gains and blocks alive
         # read 1.08 to 1.21 and 1.26 to 1.40
         cfg = ExperimentConfig(esno_db=(5.0,), **params)
-        mod = modulation(cfg.modulation)
-        harness._sim_batch(cfg, mod, 0.3, 0, 0, cfg.batch)  # caches the basis
+        harness._sim_batch(cfg, 0.3, 0, 0, cfg.batch)  # caches the basis
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            got = harness._sim_batch(cfg, mod, 0.3, 0, 1, cfg.batch)
+            got = harness._sim_batch(cfg, 0.3, 0, 1, cfg.batch)
             rise = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         b, k, n_r, n_t = cfg.batch, cfg.k, cfg.n_r, cfg.n_t
         returned = (
-            2 * b * k * mod.bits_per_symbol  # drawn and demapped bits, uint8
+            2 * b * k * cfg.mod.bits_per_symbol  # drawn and demapped bits, uint8
             + 16 * b * k  # symbols
             + 16 * b * n_r  # one branch of sample_gain
             + 16 * b * n_r * n_t  # gains
@@ -370,7 +405,7 @@ class TestRunSweep:
             + 16 * b * k + 8 * b * k // 2  # estimates and eigenvalues
         )
         assert rise < multiple * returned, (rise, returned)
-        assert got == harness._sim_batch(cfg, mod, 0.3, 0, 1, cfg.batch)
+        assert got == harness._sim_batch(cfg, 0.3, 0, 1, cfg.batch)
 
     def test_conditioning_is_worker_invariant(self):
         # the error target stops each point after a batch or two, so with 2

@@ -74,7 +74,6 @@ def test_stage_reads_no_unwritten_memory(stage, monkeypatch):
 ], ids=["k2-psk8-mixed", "k16-nt13-qam16-mixed", "k256-nt200-qpsk-rice"])
 def test_batch_reads_no_unwritten_memory(params, monkeypatch):
     cfg = ExperimentConfig(esno_db=(5.0,), **params)
-    mod = modulation(cfg.modulation)
-    want = harness._sim_batch(cfg, mod, 0.3, 0, 2, cfg.batch)
+    want = harness._sim_batch(cfg, 0.3, 0, 2, cfg.batch)
     garbage_empty(monkeypatch)
-    assert harness._sim_batch(cfg, mod, 0.3, 0, 2, cfg.batch) == want
+    assert harness._sim_batch(cfg, 0.3, 0, 2, cfg.batch) == want
