@@ -39,7 +39,6 @@ from .analysis import (
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    PermutationPair,
     permutation_indexes,
     SweepResult,
     run_sweep,

@@ -142,19 +142,19 @@ def _write_csv(text, out_path, sidecar=None):
 
 def _branches_from_args(args, n_t):
     stats = harness.branch_stats(n_t, args.channel, args.profile)
-    if getattr(args, "m_list", None):
+    if args.m_list:
         ms = args.m_list
         if len(ms) != n_t:
             raise harness.ConfigError(f"--m-list needs {n_t} entries")
         nakagami = parse_channel_spec(args.channel)[0] == "nakagami"
         fams = ["nakagami" if nakagami else severity_family(m) for m in ms]
         stats = [BranchStat(f, m, s.omega) for f, m, s in zip(fams, ms, stats)]
-    if getattr(args, "omega_list", None):
+    if args.omega_list:
         oms = args.omega_list
         if len(oms) != n_t:
             raise harness.ConfigError(f"--omega-list needs {n_t} entries")
         stats = [BranchStat(s.family, s.m, o) for s, o in zip(stats, oms)]
-    if getattr(args, "nakagami", False):
+    if args.nakagami:
         stats = [BranchStat("nakagami", s.m, s.omega) for s in stats]
     return stats
 
@@ -162,7 +162,7 @@ def _branches_from_args(args, n_t):
 def _cmd_simulate(args):
     config = harness.ExperimentConfig(
         k=args.K,
-        n_t=args.nt,
+        n_t=args.K if args.nt is None else args.nt,
         n_r=args.nr,
         modulation=args.mod,
         channel=args.channel,
@@ -287,8 +287,6 @@ def main(argv=None) -> int:
     _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "nt", None) is None and hasattr(args, "K"):
-        args.nt = args.K
     try:
         return args.func(args)
     except (harness.ConfigError, ValueError) as exc:

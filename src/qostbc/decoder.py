@@ -51,7 +51,7 @@ import numpy as np
 
 # nothing here calls encoded_channel_minors: bench/spans.py wraps it under this name
 from .channels import _transforms, encoded_channel_minors
-from .codes import _is_power_of_two, _walsh_product
+from .codes import _walsh_product
 
 __all__ = ["DegenerateChannelError", "decode_batch"]
 

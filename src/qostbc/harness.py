@@ -55,7 +55,6 @@ __all__ = [
     "capacity_sweep",
     "CAPACITY_MODULATIONS",
     "branch_stats",
-    "PermutationPair",
     "permutation_indexes",
     "reduction_residuals",
 ]
@@ -228,33 +227,20 @@ def _sim_batch(config, n0, snr_idx, batch_idx, nblocks):
     return count_bit_errors(bits, mod.demap(estimates)), ratio
 
 
-def _run_point(config, esno_db, snr_idx, pool):
-    n0 = 10.0 ** (-esno_db / 10.0)
-    t0 = time.perf_counter()
-    errors = 0
-    trials = 0
-    ratio = 1.0
+def _batch_results(config, n0, snr_idx, pool):
+    """Yield ``(blocks, (errors, ratio))`` for each batch of a point, in batch order.
+
+    Each round of ``workers`` batches runs the first here and the rest on
+    ``pool``, and is yielded once all of its results are in.
+    """
     batch, workers = config.batch, config.workers
     starts = range(0, config.trials, batch)
-    # one round of ``workers`` batches at a time: the pool runs all but the
-    # first, which runs here, and the round's results are consumed in order
-    for first in starts[::workers]:
-        j = first // batch
+    for j in range(0, len(starts), workers):
         sizes = [min(batch, config.trials - s) for s in starts[j : j + workers]]
         args = [(config, n0, snr_idx, j + i, n) for i, n in enumerate(sizes)]
         futures = [pool.submit(_sim_batch, *a) for a in args[1:]]
         results = [_sim_batch(*args[0])] + [f.result() for f in futures]
-        for n, (e, r) in zip(sizes, results):
-            errors += e
-            ratio = min(ratio, r)
-            trials += n
-            if errors >= config.target_errors:
-                break
-        if errors >= config.target_errors:
-            break
-    seconds = time.perf_counter() - t0
-    nbits = trials * config.k * config.mod.bits_per_symbol
-    return errors, trials, nbits, seconds, ratio
+        yield from zip(sizes, results)
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -270,26 +256,28 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     The ``ber_analytic`` column is the full-diversity ML bound of
     :func:`analytic_ber`; it matches the simulated linear decoder at
     ``K=2`` only and is not a prediction for it at ``K >= 4``.
-
-    Each point runs in rounds of ``workers`` batches: the calling thread
-    runs a round's first batch and one pool of ``workers - 1`` threads,
-    shared by every point, runs the rest.  A round's results are consumed
-    once all of them are in, so the counts do not depend on ``workers``;
-    no thread outlives the call.
     """
     ber_analytic = analytic_ber(config, config.esno_db)
     rows = []
     with ThreadPoolExecutor(max_workers=config.workers - 1) if config.workers > 1 else nullcontext() as pool:
         for snr_idx, esno_db in enumerate(config.esno_db):
-            errors, trials, nbits, seconds, ratio = _run_point(config, esno_db, snr_idx, pool)
+            t0 = time.perf_counter()
+            errors = trials = 0
+            ratio = 1.0
+            for n, (e, r) in _batch_results(config, 10.0 ** (-esno_db / 10.0), snr_idx, pool):
+                errors += e
+                trials += n
+                ratio = min(ratio, r)
+                if errors >= config.target_errors:
+                    break
             rows.append(
                 SweepPoint(
                     esno_db=esno_db,
-                    ber_sim=errors / nbits,
+                    ber_sim=errors / (trials * config.k * config.mod.bits_per_symbol),
                     ber_analytic=float(ber_analytic[snr_idx]),
                     trials=trials,
                     bit_errors=errors,
-                    seconds=seconds,
+                    seconds=time.perf_counter() - t0,
                     min_eigenvalue_ratio=ratio,
                 )
             )
@@ -349,22 +337,15 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PermutationPair:
-    """Complementary 1-based index sets splitting ``1..N`` in half."""
-
-    p0: np.ndarray
-    p1: np.ndarray
-
-
-def permutation_indexes(n: int) -> PermutationPair:
+def permutation_indexes(n: int):
     """Index split describing the real quasi-orthogonality pattern.
 
-    ``p0`` collects the ``x`` in ``1..N`` with ``popcount(x - 1)`` even and
-    ``p1`` the rest: the Thue-Morse split, the closed form of the paper's
-    ``p(x) = (x + sum_{j>=1} floor((x-1)/2^j)) mod 2`` with ``p0`` where
-    ``p(x) = 1``.  The ``p0`` columns (rows) of a reduced channel matrix are
-    real-orthogonal to its ``p1`` columns (rows).
+    Returns ``(p0, p1)``, complementary 1-based index sets splitting
+    ``1..N`` in half.  ``p0`` collects the ``x`` in ``1..N`` with
+    ``popcount(x - 1)`` even and ``p1`` the rest: the Thue-Morse split, the
+    closed form of the paper's ``p(x) = (x + sum_{j>=1} floor((x-1)/2^j))
+    mod 2`` with ``p0`` where ``p(x) = 1``.  The ``p0`` columns (rows) of a
+    reduced channel matrix are real-orthogonal to its ``p1`` columns (rows).
 
     The sets are prefix-consistent: the first ``N/2`` entries of each set
     for size ``N`` are the sets for size ``N/2``.
@@ -373,7 +354,7 @@ def permutation_indexes(n: int) -> PermutationPair:
         raise ValueError(f"N={n} must be a power of two >= 2")
     x = np.arange(1, n + 1)
     odd = np.bitwise_count(x - 1) & 1
-    return PermutationPair(x[odd == 0], x[odd == 1])
+    return x[odd == 0], x[odd == 1]
 
 
 def _split_blocks(g, q0, q1):
@@ -464,8 +445,7 @@ def reduction_residuals(k: int, rng):
     counts = [0] * (int(np.log2(k)) - 1)
     if not counts:
         return []
-    pair = permutation_indexes(k // 2)
-    q0, q1 = pair.p0 - 1, pair.p1 - 1
+    q0, q1 = (p - 1 for p in permutation_indexes(k // 2))
     for _ in range(2):
         uv = rng.integers(0, RESIDUE_PRIME, size=(2, k)).astype(float)
         (u1, v1), (u2, v2) = encoded_channel_minors(uv, k)  # both in one call
@@ -558,8 +538,7 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     for n, (p0, p1) in sorted(KNOWN_SPLITS.items()):
-        pair = permutation_indexes(n)
-        exact("permutation-sets", n, float(list(pair.p0) != p0 or list(pair.p1) != p1))
+        exact("permutation-sets", n, float([list(q) for q in permutation_indexes(n)] != [p0, p1]))
 
     k = 2
     while k <= k_max:

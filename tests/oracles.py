@@ -138,8 +138,7 @@ def symbol_order(k):
     """
     cols = [np.arange(1, k // 2 + 1), np.arange(k // 2 + 1, k + 1)]
     while len(cols[0]) > 1:
-        pair = permutation_indexes(len(cols[0]))
-        cols = [c[q - 1] for c in cols for q in (pair.p0, pair.p1)]
+        cols = [c[q - 1] for c in cols for q in permutation_indexes(len(cols[0]))]
     return np.concatenate(cols)
 
 
@@ -170,8 +169,7 @@ def chain_decode(received, channels, k):
         # the other way round; both reach the same next-order product
         w = np.empty_like(vecs)
         w[0::2], w[1::2] = vecs[0::2] @ m2, vecs[1::2] @ m1
-        pair = permutation_indexes(len(m1))
-        q0, q1 = pair.p0 - 1, pair.p1 - 1
+        q0, q1 = (p - 1 for p in permutation_indexes(len(m1)))
         g = m1.T @ m2
         m1, m2 = g[np.ix_(q0, q0)], g[np.ix_(q1, q1)]
         vecs = np.stack([w[:, q0], w[:, q1]], axis=1).reshape(-1, len(q0))

@@ -7,7 +7,6 @@ simulator against the code's own encoder."""
 import numpy as np
 import pytest
 
-import qostbc.channels as channels
 from qostbc import build_mother, encode, encoded_channel_minors, puncture, received_blocks
 
 ALL_K = [2, 4, 8, 16, 32, 64, 128, 256]

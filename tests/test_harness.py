@@ -482,6 +482,15 @@ class TestVerify:
         assert "all passed" in text
         assert "pass  " in text
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_report_is_a_prefix_in_k(self, seed):
+        # every K draws from one stream in K order, so a larger k_max only
+        # appends checks: one run at a large K covers each smaller one
+        small = [c.line() for c in verify(16, seed=seed).checks]
+        big = verify(64, seed=seed).to_text().splitlines()
+        assert len(big) - 1 > len(small)
+        assert big[: len(small)] == small
+
     def test_fault_injection(self, monkeypatch):
         # negate one entry of the K=8 code and expect the suite to fail,
         # naming the broken checks and size
