@@ -151,7 +151,7 @@ def _to_base(family: str, p, y, tmp):
 
 
 def mgf(stat: BranchStat, gamma_bar: float, s):
-    """MGF ``E[exp(s * gamma)]`` of the instantaneous branch SNR.
+    """MGF ``E[exp(s * gamma)]`` of one branch's SNR, from the integrals' kernel.
 
     ``s`` must be non-positive (the integrals only ever evaluate the MGF
     on the negative axis, where it exists for every family).
@@ -159,12 +159,9 @@ def mgf(stat: BranchStat, gamma_bar: float, s):
     s = np.asarray(s, dtype=float)
     if np.any(s > 0):
         raise ValueError("MGF is only evaluated for s <= 0")
-    family, a, p, scale = _form(stat)
-    base = np.array(-s * gamma_bar * scale)
-    rice = _to_base(family, p, base, np.empty_like(base))
-    if family == "rice":
-        rice = rice - p
-    return np.exp(rice - a * np.log(base))
+    log_mgf = _log_product(np.array([[gamma_bar]], float), -s.reshape(1, -1),
+                           _families((stat,)), np.empty((2, s.size)))
+    return np.exp(log_mgf.reshape(s.shape))
 
 
 @lru_cache(maxsize=32)
@@ -205,13 +202,13 @@ def _log_product(x, s_abs, groups, scratch):
     for family, a, idx, p, scale in groups:
         shape = (len(idx), len(s_abs), len(x), s_abs.shape[1])
         y, tmp = (buf[: math.prod(shape)].reshape(shape) for buf in scratch)
-        np.multiply((x[:, idx] * scale).T[:, None, :, None], s_abs[:, None, :], out=y)
-        rice = _to_base(family, p, y, tmp)
-        # Every base is at least 1, so the product can only overflow.  An
-        # overflowed entry takes one log per branch instead, because its
-        # integrand is below 1e-308 only where the power a * n_r * eta is at
-        # least 1: at 1/2 it can be as large as 1e-154.
+        # Every base is at least 1, so bases and products can only overflow
+        # (to MGF 0).  An overflowed product takes one log per branch
+        # instead: its integrand is below 1e-308 only where the power
+        # a * n_r * eta is at least 1, and at 1/2 it can be 1e-154.
         with np.errstate(over="ignore"):
+            np.multiply((x[:, idx] * scale).T[:, None, :, None], s_abs[:, None, :], out=y)
+            rice = _to_base(family, p, y, tmp)
             log_prod = np.log(y.prod(axis=0))
         over = np.isposinf(log_prod)
         if over.any():

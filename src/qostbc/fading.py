@@ -39,7 +39,7 @@ class BranchStat:
     family: str
     m: float = 1.0
     omega: float = 1.0
-    # how sample_gain draws the branch, worked out once (see _generator_form)
+    # how the branch is drawn, worked out once (see _generator_form)
     _form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,12 +83,12 @@ def m_to_rice_k(m: float) -> float:
 
 
 def _generator_form(stat: BranchStat):
-    """How :func:`sample_gain` draws the branch, with its constants.
+    """How the branch is drawn, with its constants.
 
     - ``("normal", los, scale)``: gains ``los + scale (x + i y)`` with ``x,
       y`` standard normal.  Rayleigh, and Rice and Hoyt at ``m = 1``, have
       ``los = 0``; Rice has a line-of-sight component of power
-      ``omega*k/(1+k)``.
+      ``omega*k/(1+k)``.  Only :func:`sample_gains` draws this form.
     - ``("hoyt", s_i, s_q)``: gains ``(s_i x + i s_q y) exp(2 pi i u)``
       with ``u`` uniform, ``s_q / s_i = q``.
     - ``("nakagami", m, omega / m)``: gains ``sqrt(omega / m G) exp(2 pi i
@@ -116,37 +116,33 @@ def _shape(size):
 def sample_gain(stat: BranchStat, rng: np.random.Generator, size=None):
     """Draw complex gains with ``E[|h|^2] = omega`` for one branch.
 
-    Rayleigh is circularly symmetric Gaussian.  Rice adds a deterministic
-    line-of-sight component of power ``omega*k/(1+k)``.  Hoyt draws the
-    real/imaginary parts with unequal variances (ratio ``q``) and applies
-    a uniform random rotation so the aggregate is circular.  Nakagami
-    draws the power from a Gamma distribution and a uniform phase.
+    Rayleigh and Rice, with its line-of-sight component, are the one-branch
+    case of :func:`sample_gains`.  Hoyt draws the real/imaginary parts with
+    unequal variances (ratio ``q``) and applies a uniform random rotation
+    so the aggregate is circular.  Nakagami draws the power from a Gamma
+    distribution and a uniform phase.
     """
     kind, c1, c2 = stat._form
+    if kind == "normal":
+        out = sample_gains((stat,), rng, size)[..., 0]
+        return out[()] if size is None else out
     shape = _shape(size)
     out = np.empty(shape, complex)
     # the draws in stream order: two normal planes or a gamma power, then
     # the phase
-    draws = np.empty((3,) + shape)
     if kind == "nakagami":
         # envelope approximation, phase chosen uniform (any phase convention
         # leaves |h|^2 statistics unchanged); rng.gamma(m, omega / m) is this
         # draw times omega / m
-        power, theta = draws[0, ...], draws[1, ...]  # views, also at shape ()
-        rng.standard_gamma(c1, out=power)
+        power = rng.standard_gamma(c1, shape)
         power *= c2
         np.sqrt(power, out=power)
     else:
-        rng.standard_normal(out=draws[:2])
-        np.multiply(draws[0], c1 if kind == "hoyt" else c2, out=out.real)
+        draws = rng.standard_normal((2,) + shape)
+        np.multiply(draws[0], c1, out=out.real)
         np.multiply(draws[1], c2, out=out.imag)
-        if kind == "normal":
-            if c1:
-                out.real += c1
-            return out[()] if size is None else out
-        theta = draws[2, ...]
     # the phase exp(2 pi i u), cos and sin written apart
-    rng.random(out=theta)
+    theta = rng.random(shape)
     theta *= 2.0 * np.pi
     if kind == "nakagami":
         np.cos(theta, out=out.real)
@@ -180,14 +176,13 @@ def sample_gains(stats, rng: np.random.Generator, size):
         b = a + len(run)
         if normal:
             z = rng.standard_normal((b - a, 2) + size)
-            # los + scale z per branch, on its contiguous planes; a run of
-            # equal constants scales in one pass
+            # los + scale z per branch, one pass per run of equal constants
             i = 0
             for (los, scale), same in groupby(s._form[1:] for s in run):
                 n = len(list(same))
                 z[i : i + n] *= scale
-                for plane in z[i : i + n, 0] if los else ():
-                    plane += los
+                if los:
+                    z[i : i + n, 0] += los
                 i += n
             # (run, 2) + size  ->  (2,) + size + (run,)
             z = np.moveaxis(z, (0, 1), (-1, 0))

@@ -79,6 +79,16 @@ class TestMgf:
         with pytest.raises(ValueError):
             mgf(BranchStat("rayleigh"), 1.0, 0.5)
 
+    def test_shape_follows_s(self):
+        assert isinstance(mgf(BranchStat("hoyt", 0.7), 1.3, -0.7), np.float64)
+        got = mgf(BranchStat("rice", 2.0), 1.3, -np.arange(6.0).reshape(2, 3))
+        assert got.shape == (2, 3) and got[0, 0] == 1.0
+
+    def test_overflowed_base_is_silent_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mgf(BranchStat("rice", 2.0), 1e300, -1e10) == 0
+
 
 # three families, one branch each, of distinct mean powers
 MIXED_BRANCHES = (BranchStat("rice", 2.0), BranchStat("hoyt", 0.7, 0.5), BranchStat("nakagami", 3.0, 2.0))
@@ -115,6 +125,16 @@ class TestMgfIntegral:
         with pytest.raises(ValueError, match="need 2 branch statistics"):
             BerParams(n_t=2, n_r=3, branches=(BranchStat("rayleigh"),) * 3)
 
+    @pytest.mark.parametrize("field, match", [
+        (dict(n_t=0, branches=()), "n_t must be"),
+        (dict(eta=0.0), "diversity order"),
+        (dict(n_r=0), "n_r must be"),
+    ], ids=["n_t", "eta", "n_r"])
+    def test_params_reject_out_of_range(self, field, match):
+        fields = dict(n_t=1, n_r=1, branches=(BranchStat("rayleigh"),))
+        with pytest.raises(ValueError, match=match):
+            BerParams(**{**fields, **field})
+
     def test_pairs_give_one_row_each(self):
         params = BerParams(n_t=3, n_r=2, branches=MIXED_BRANCHES)
         # an infinite mean SNR integrates to 0, a zero one to the full range
@@ -130,6 +150,8 @@ class TestMgfIntegral:
         np.testing.assert_array_equal(point, mgf_integral(0.5, g, params, esno_db[:1])[:, 0])
         with pytest.raises(ValueError):
             mgf_integral([[0.5]], 1.0, params, esno_db)
+        with pytest.raises(ValueError, match="g must be positive"):
+            mgf_integral(0.5, [1.0, 0.0], params, esno_db)
 
 
 class TestPskBer:
@@ -471,6 +493,24 @@ def test_large_analyze_stays_in_chunks_without_warnings():
     ber = np.array([float(line.split(",")[1]) for line in out.getvalue().splitlines()[1:]])
     assert len(ber) == 5 and np.all(ber > 0) and np.all(np.diff(ber) < 0)
     assert peak < 12 * analysis.CHUNK_ELEMENTS * 8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    "analyze --mod qpsk --nt 2 --omega-list 1e300,1e300 --esno-start 10 --esno-stop 10",
+    "capacity --nt 2 --profile linear:pmax=1e306 --esno-start 20 --esno-stop 20",
+])
+def test_node_products_past_the_float_range_are_silent(argv, capsys):
+    # a finite mean SNR whose node products overflow has MGF 0 there: BER 0
+    # and every modulation at its full rate, with no warning
+    assert cli.main(argv.split()) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    names, values = header.split(",")[1:], [float(v) for v in row.split(",")[1:]]
+    if names == ["ber"]:
+        assert values == [0.0]
+    else:
+        rates = [modulation(name).bits_per_symbol for name in names[:-1]]
+        assert values == rates + [max(rates)]
 
 
 @pytest.mark.parametrize("flags, same_as", [

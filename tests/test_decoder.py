@@ -321,6 +321,15 @@ class TestDecode:
         with pytest.raises(ValueError, match="power of two"):
             decode_batch(np.ones((1, k, 1), dtype=complex), np.ones((1, 1, 1), dtype=complex))
 
+    @pytest.mark.parametrize("received, channels, match", [
+        ((4, 1), (1, 1, 2), "must be"),  # received is not (B, K, n_r)
+        ((1, 4, 2), (1, 1, 2), "disagree"),  # n_r differs
+        ((1, 4, 1), (1, 1, 8), "exceeds"),  # n_t > K
+    ], ids=["ndim", "n_r", "n_t"])
+    def test_rejects_shapes(self, received, channels, match):
+        with pytest.raises(ValueError, match=match):
+            decode_batch(np.ones(received, dtype=complex), np.ones(channels, dtype=complex))
+
     def test_degenerate_channel(self):
         with pytest.raises(DegenerateChannelError):
             decode_block(np.ones(4, dtype=complex), np.zeros(4, dtype=complex))

@@ -220,7 +220,7 @@ class TestBitIdentical:
         assert np.array_equal(got, old_add_awgn(signal, 0.3, np.random.default_rng(4)))
         assert np.array_equal(signal, np.arange(24.0).reshape(2, 3, 4) * (1 - 2j))
 
-    @pytest.mark.parametrize("channel,profile,n_t", [
+    BRANCH_LOOP_CASES = [
         (channel, profile, n_t)
         for channel, profile in [
             ("rayleigh", "equipower"), ("rice:m=2", "equipower"), ("hoyt", "equipower"),
@@ -229,17 +229,25 @@ class TestBitIdentical:
         ]
         for n_t in (1, 3, 96)
         if n_t > 1 or channel != "mixed"  # a severity profile needs two branches
-    ])
-    def test_sample_gains_is_the_branch_loop(self, channel, profile, n_t):
+    ]
+
+    @pytest.mark.parametrize("channel,profile,n_t", BRANCH_LOOP_CASES)
+    def test_sample_gains_is_the_branch_loop(self, channel, profile, n_t, size=(32, 2)):
         stats_ = branch_stats(n_t, channel, profile)
         rng = np.random.default_rng(n_t)
-        got = sample_gains(stats_, rng, (32, 2))
+        got = sample_gains(stats_, rng, size)
         tail = rng.random()
         loop_rng = np.random.default_rng(n_t)
-        want = np.stack([old_sample_gain(st, loop_rng, (32, 2)) for st in stats_], axis=-1)
-        assert got.shape == (32, 2, n_t)
+        want = np.stack([old_sample_gain(st, loop_rng, size) for st in stats_], axis=-1)
+        assert got.shape == (size or ()) + (n_t,)
         assert np.array_equal(got, want)
         assert tail == loop_rng.random()  # the stream is left where the loop leaves it
+
+    @pytest.mark.parametrize("size", [(), None])
+    @pytest.mark.parametrize("channel,profile,n_t", BRANCH_LOOP_CASES)
+    def test_sample_gains_is_the_branch_loop_at_0d(self, channel, profile, n_t, size):
+        # a Rice line-of-sight term must land on 0-d draws too
+        self.test_sample_gains_is_the_branch_loop(channel, profile, n_t, size)
 
 
 class TestAwgn:
@@ -252,6 +260,10 @@ class TestAwgn:
             got = add_awgn(sig, 0.4, np.random.default_rng(8))
             assert not np.shares_memory(got, sig)
             assert np.array_equal(sig, kept)
+
+    def test_rejects_negative_noise_power(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            add_awgn(np.ones(4, dtype=complex), -0.1, np.random.default_rng(0))
 
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(0)

@@ -651,6 +651,11 @@ class TestReductionResiduals:
         with pytest.raises(ValueError):
             harness.reduction_residuals(2 * harness.RESIDUE_K_MAX, np.random.default_rng(0))
 
+    def test_k2_has_no_orders_and_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        assert harness.reduction_residuals(2, rng) == []
+        assert rng.random() == np.random.default_rng(5).random()
+
     @pytest.mark.parametrize("n", [2, 64, 512])
     def test_float_products_match_int64(self, n):
         # float64 products of residues, reduced, equal int64 products then %
@@ -857,6 +862,10 @@ class TestCli:
             "simulate --K 2 --trials 4 --batch 4 --esno-start -4000 --esno-stop -4000",
             "analyze --mod qpsk --nt 4097",
             "capacity --nt 4097",
+            "simulate --K 4 --seed abc",
+            "analyze --mod qpsk --nt 2 --omega-list 1",
+            "analyze --mod qpsk --nt 2 --channel rice:k=2",
+            "analyze --mod qpsk --nt 2 --profile linear:x=2",
         ],
     )
     def test_invalid_argv_exits_2_with_a_message(self, argv, monkeypatch, capsys):
@@ -885,6 +894,9 @@ class TestCli:
         "analyze --mod qpsk --nt 2 --m-list a,b": "--m-list",
         "analyze --mod qpsk --nt 2 --omega-list 1,b": "--omega-list",
         "simulate --K 4 --channel rice:m=x": "--channel",
+        "simulate --K 4 --seed abc": "--seed",
+        "analyze --mod qpsk --nt 2 --channel rice:k=2": "--channel",
+        "analyze --mod qpsk --nt 2 --profile linear:x=2": "--profile",
     }
 
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -960,7 +972,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         def broken(k_max, seed=0):
             from qostbc.harness import CheckResult, VerifyReport
 
-            return VerifyReport((CheckResult("stub", 4, 1.0, 0.0, False),))
+            return VerifyReport((CheckResult("stub", 4, 1.0, 0.0),))
 
         monkeypatch.setattr(hmod, "verify", broken)
         assert main(["verify", "--K", "4"]) == 1

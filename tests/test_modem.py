@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from qostbc import count_bit_errors, modulation, psk_distance_spectrum
+from qostbc import Modulation, count_bit_errors, modulation, psk_distance_spectrum
 from qostbc.analysis import BerParams, psk_ber, qam_ber
 from qostbc.fading import BranchStat
 from qostbc.harness import CAPACITY_MODULATIONS
@@ -66,6 +66,8 @@ class TestConstellations:
             modulation("psk3")
         with pytest.raises(ValueError):
             modulation("fm")
+        with pytest.raises(ValueError, match="unknown family"):
+            Modulation("fsk", 4)
 
     def test_wrong_bit_count(self):
         with pytest.raises(ValueError):
@@ -150,6 +152,10 @@ class TestDistanceSpectrum:
 
     def test_qpsk(self):
         np.testing.assert_allclose(psk_distance_spectrum(4), [1.0, 2.0, 1.0])
+
+    def test_rejects_order_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            psk_distance_spectrum(3)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
     def test_matches_gray_enumeration(self, m):
