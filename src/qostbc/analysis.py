@@ -10,7 +10,10 @@ transmit diversity order ``eta`` exponentiates the product.  Every
 family's MGF is a power ``base**-a`` of a base of at least 1, times
 ``exp(p / base - p)`` for Rice.  The branches of one family that share the
 exponent ``a`` form a group, whose bases are multiplied and then take one
-log per (SNR, node) rather than one per branch.
+log per (SNR, node) rather than one per branch.  Equal branches count
+once: a branch that occurs ``c`` times is one column whose log is scaled
+by ``c``, so an equipower channel costs one branch per node at any
+``n_t``.
 
 A :class:`BerParams` is the one description of code, antennas and
 channel that the formulas take: the kernel forms each branch's mean SNR
@@ -19,15 +22,20 @@ Rice or Hoyt channel is not a mode of the kernel but a choice of
 branches: ``BranchStat("nakagami", m, omega)`` at the same severities and
 powers, as ``qostbc analyze --nakagami-approx`` maps them.
 
-All integrals of one BER curve are evaluated in one pass of
-:func:`mgf_integral`, for the whole Es/N0 sweep at once, on one fixed
-rule: ``DEFAULT_POINTS`` Gauss-Legendre nodes on ``u`` in [0, 1], mapped
-to ``theta = upper * u**3``.  The integrands are analytic on the range,
-but their poles near ``theta = +-i sqrt(g * gamma_bar)`` come close to
-``theta = 0`` at low SNR and high order (0.005 for 4096-QAM on 16
-shared-power branches at 0 dB), which slows plain Gauss-Legendre down;
-the cubic grading moves them to ``|u|`` of about 0.15.  ``theta = 0``,
-where ``1/sin^2`` is infinite, is never a node.
+A BER is a weighted sum of angular integrals (:func:`_ber_terms`), and
+all the integrals of one call are evaluated in one pass of
+:func:`mgf_integral`, for the whole Es/N0 sweep at once: one BER curve, or
+every modulation of a :func:`~qostbc.harness.capacity_sweep`.  The pass
+uses one fixed rule: ``DEFAULT_POINTS`` Gauss-Legendre nodes on ``u`` in
+[0, 1], mapped to ``theta = upper * u**3``.  The integrands are analytic
+on the range, but their poles near ``theta = +-i sqrt(g * gamma_bar)``
+come close to ``theta = 0`` at low SNR and high order (0.005 for 4096-QAM
+on 16 shared-power branches at 0 dB), which slows plain Gauss-Legendre
+down; the cubic grading moves them to ``|u|`` of about 0.15.  ``theta =
+0``, where ``1/sin^2`` is infinite, is never a node.  The pass works on
+(branch, SNR, integral x node) temporaries: the nodes of all the
+integrals of a chunk form one long row per SNR point and branch, so the
+element-wise passes run over long contiguous rows.
 
 Integration ranges are *signed*: an upper limit ``pi*(1-delta)`` with
 ``delta > 1`` is negative and contributes with a negative sign (the
@@ -60,11 +68,12 @@ __all__ = [
 
 DEFAULT_POINTS = 96  # quadrature nodes per integral
 
-# Largest number of elements of one (branch, integral, SNR, node)
-# temporary.  A pass takes its integrals and SNR points in chunks of this
-# size and works in two buffers it reuses, so the temporaries stay in cache
-# and the memory of a long sweep or BER sum stays bounded.  Only a group of
-# more than CHUNK_ELEMENTS / DEFAULT_POINTS branches exceeds it, with one
+# Largest number of elements of one (branch, SNR, integral x node)
+# temporary.  A pass fills a chunk with integrals first and then with SNR
+# points, so a chunk's rows are as long as its size allows, and works in
+# two buffers it reuses, so the temporaries stay in cache and the memory of
+# a long sweep or BER sum stays bounded.  Only a group of more than
+# CHUNK_ELEMENTS / DEFAULT_POINTS branch columns exceeds it, with one
 # integral and one SNR point per chunk.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -159,33 +168,38 @@ def mgf(stat: BranchStat, gamma_bar: float, s):
     s = np.asarray(s, dtype=float)
     if np.any(s > 0):
         raise ValueError("MGF is only evaluated for s <= 0")
-    log_mgf = _log_product(np.array([[gamma_bar]], float), -s.reshape(1, -1),
+    log_mgf = _log_product(np.array([[gamma_bar]], float), -s.ravel(),
                            _families((stat,)), np.empty((2, s.size)))
     return np.exp(log_mgf.reshape(s.shape))
 
 
 @lru_cache(maxsize=32)
 def _families(branches: tuple):
-    """``(family, exponent, branch indexes, parameters, scales)`` per group.
+    """``(family, exponent, count, branch indexes, parameters, scales)`` per group.
 
-    A group holds the branches of one family that share one exponent, so
-    Nakagami branches of distinct ``m`` form one group each.  The
-    parameters are shaped ``(n, 1, 1, 1)`` against the (branch, integral,
-    SNR, node) temporaries.  The cache serves repeated evaluations of the
-    same branches: ``capacity_sweep`` makes one per modulation and
-    ``analytic_ber`` one per sweep.  Its arrays are read-only.
+    Equal branches are one column that counts ``count`` times.  A group
+    holds the columns of one family that share one exponent and one count,
+    so Nakagami branches of distinct ``m`` form one group each, and every
+    branch of a channel with distinct powers has count 1.  The parameters
+    are shaped ``(n, 1, 1)`` against the (branch, SNR, integral x node)
+    temporaries.  The cache serves repeated evaluations of the same
+    branches, such as ``analytic_ber``'s one per sweep.  Its arrays are
+    read-only.
     """
-    groups = {}
+    columns = {}
     for i, stat in enumerate(branches):
+        columns.setdefault(stat, [i, 0])[1] += 1
+    groups = {}
+    for stat, (i, count) in columns.items():
         family, a, p, scale = _form(stat)
-        groups.setdefault((family, a), []).append((i, p, scale))
+        groups.setdefault((family, a, count), []).append((i, p, scale))
     out = []
-    for (family, a), members in groups.items():
+    for (family, a, count), members in groups.items():
         idx, p, scale = (np.array(col) for col in zip(*members))
-        p = p.reshape(-1, 1, 1, 1)
+        p = p.reshape(-1, 1, 1)
         for arr in (idx, p, scale):
             arr.flags.writeable = False
-        out.append((family, a, idx, p, scale))
+        out.append((family, a, count, idx, p, scale))
     return tuple(out)
 
 
@@ -193,29 +207,29 @@ def _log_product(x, s_abs, groups, scratch):
     """Log of the integrand's branch product before the power ``n_r * eta``.
 
     ``x`` holds the mean SNRs ``(n_snr, n_branches)`` of a chunk and
-    ``s_abs`` the values ``-s`` at the nodes of its integrals, ``(n_int,
-    n_nodes)``; returns ``(n_int, n_snr, n_nodes)``.  ``scratch`` is two
-    flat buffers, each with room for the widest group's (branch, integral,
-    SNR, node) temporary.
+    ``s_abs`` the values ``-s`` at the nodes of its integrals, flat and
+    integral-major; returns ``(n_snr, s_abs.size)``.  ``scratch`` is two
+    flat buffers, each with room for the widest group's (branch, SNR,
+    integral x node) temporary.
     """
     total = 0.0
-    for family, a, idx, p, scale in groups:
-        shape = (len(idx), len(s_abs), len(x), s_abs.shape[1])
+    for family, a, count, idx, p, scale in groups:
+        shape = (len(idx), len(x), s_abs.size)
         y, tmp = (buf[: math.prod(shape)].reshape(shape) for buf in scratch)
         # Every base is at least 1, so bases and products can only overflow
         # (to MGF 0).  An overflowed product takes one log per branch
         # instead: its integrand is below 1e-308 only where the power
         # a * n_r * eta is at least 1, and at 1/2 it can be 1e-154.
         with np.errstate(over="ignore"):
-            np.multiply((x[:, idx] * scale).T[:, None, :, None], s_abs[:, None, :], out=y)
+            np.multiply((x[:, idx] * scale).T[:, :, None], s_abs, out=y)
             rice = _to_base(family, p, y, tmp)
             log_prod = np.log(y.prod(axis=0))
         over = np.isposinf(log_prod)
         if over.any():
             log_prod[over] = np.log(y[:, over]).sum(axis=0)
-        total = total - a * log_prod
+        total = total - (a * count) * log_prod
         if family == "rice":
-            total = total + (rice.sum(axis=0) - p.sum())
+            total = total + count * (rice.sum(axis=0) - p.sum())
     return total
 
 
@@ -252,17 +266,22 @@ def mgf_integral(delta, g, params: BerParams, esno_db):
         # -s at each node of each integral
         s_abs = g.ravel()[ints, None] / (params.rho * np.sin(upper[ints, None] * _NODES) ** 2)
         groups = _families(params.branches)
-        # a chunk is `step` integrals by `rows` SNR points
-        widest = max(len(idx) for _, _, idx, _, _ in groups)
+        # a chunk is `step` integrals, filled first, by `rows` SNR points
+        widest = max(len(idx) for *_, idx, _, _ in groups)
         pairs = max(1, CHUNK_ELEMENTS // (widest * DEFAULT_POINTS))
-        rows = min(live.size, pairs)
-        step = min(pairs // rows, ints.size)
-        scratch = np.empty((2, widest * step * rows * DEFAULT_POINTS))
+        step = min(ints.size, pairs)
+        rows = min(live.size, pairs // step)
+        scratch = np.empty((2, widest * rows * step * DEFAULT_POINTS))
         for i in range(0, ints.size, step):
+            nodes = s_abs[i:i + step].ravel()
             for r in range(0, live.size, rows):
                 at = live[r:r + rows]
-                log_prod = _log_product(sweep[at], s_abs[i:i + step], groups, scratch)
-                out[ints[i:i + step, None], at] = np.exp(power * log_prod) @ _WEIGHTS
+                terms = np.exp(power * _log_product(sweep[at], nodes, groups, scratch))
+                terms = terms.reshape(len(at), -1, DEFAULT_POINTS)
+                # multiply and sum per integral: a matrix product may round
+                # a row differently by where it lies in the chunk
+                terms *= _WEIGHTS
+                out[ints[i:i + step, None], at] = terms.sum(axis=-1).T
         out *= upper[:, None] / np.pi
     out = out.reshape(delta.shape + esno_db.shape)
     return float(out) if out.ndim == 0 else out
@@ -271,6 +290,66 @@ def mgf_integral(delta, g, params: BerParams, esno_db):
 def _like(ber: np.ndarray, esno_db: np.ndarray):
     """``ber`` as a float for a scalar Es/N0, else in the sweep's shape."""
     return float(ber[0]) if esno_db.ndim == 0 else ber.reshape(esno_db.shape)
+
+
+def qam_bit_coefficients(m: int, k: int) -> np.ndarray:
+    """Signed weights of the Q-function terms for the k-th QAM bit."""
+    side = int(round(np.sqrt(m)))
+    i = np.arange(int((1.0 - 2.0**-k) * side))
+    return (-1.0) ** (i * 2 ** (k - 1) // side) * (
+        2 ** (k - 1) - np.floor(i * 2 ** (k - 1) / side + 0.5)
+    )
+
+
+@lru_cache(maxsize=32)
+def _ber_terms(family: str, m: int):
+    """``(delta, g, weight)``: the BER of Gray-mapped ``m``-PSK or square
+    ``m``-QAM is ``weight @ mgf_integral(delta, g, ...)``.
+
+    The three arrays have one entry per integral and are read-only.
+    """
+    b = int(np.log2(m))
+    if family == "psk":
+        if 2**b != m or m < 2:
+            raise ValueError(f"M={m} is not a power of two >= 2")
+        # Landing k sectors away, which costs s_k bits, is I(d_{k-1}) - I(d_k)
+        # on the sector edges d_j = (2j + 1)/M.  Summed over k that telescopes
+        # to the weights c_j = s_{j+1} - s_j with s_0 = s_M = 0, and since
+        # d_{M-1-j} = 2 - d_j and I(2 - d) = -I(d), edge M-1-j folds onto edge j.
+        c = np.diff(psk_distance_spectrum(m), prepend=0.0, append=0.0)
+        weights = c[: m // 2] - c[::-1][: m // 2]
+        j = np.flatnonzero(weights)
+        delta = (2 * j + 1) / m
+        terms = delta, np.sin(np.pi * delta) ** 2, weights[j] / (2.0 * b)
+    else:
+        side = int(round(np.sqrt(m)))
+        if 2**b != m or side * side != m or b % 2:
+            raise ValueError(f"M={m} is not a square power of two")
+        # the term of index i has the same integral for every bit: weigh it once
+        weights = np.zeros(side)
+        for k in range(1, b // 2 + 1):
+            d = qam_bit_coefficients(m, k)
+            weights[: len(d)] += d
+        i = np.flatnonzero(weights)
+        g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
+        terms = np.full(i.size, 0.5), g, 4.0 * weights[i] / (side * b)
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
+
+
+def _bers(terms, params: BerParams, esno_db):
+    """BER rows ``(n_snr,)`` of several modulations' :func:`_ber_terms`
+    over the 1-D sweep ``esno_db``, from one :func:`mgf_integral` call.
+
+    Each row is its weights times its integrals, summed along the integrals,
+    so it is the same whatever other terms share the call.
+    """
+    delta, g = (np.concatenate([t[n] for t in terms]) for n in (0, 1))
+    integrals = mgf_integral(delta, g, params, esno_db)
+    ends = np.cumsum([len(w) for _, _, w in terms])
+    return [(w[:, None] * integrals[end - len(w):end]).sum(axis=0)
+            for (_, _, w), end in zip(terms, ends)]
 
 
 def psk_ber(m: int, params: BerParams, esno_db):
@@ -291,29 +370,8 @@ def psk_ber(m: int, params: BerParams, esno_db):
         A float for a scalar ``esno_db``, else an array of its shape.
         At ``Es/N0 = +inf`` the BER is exactly 0.
     """
-    b = int(np.log2(m))
-    if 2**b != m or m < 2:
-        raise ValueError(f"M={m} is not a power of two >= 2")
     esno_db = np.asarray(esno_db, dtype=float)
-    # Landing k sectors away, which costs s_k bits, is I(d_{k-1}) - I(d_k)
-    # on the sector edges d_j = (2j + 1)/M.  Summed over k that telescopes
-    # to the weights c_j = s_{j+1} - s_j with s_0 = s_M = 0, and since
-    # d_{M-1-j} = 2 - d_j and I(2 - d) = -I(d), edge M-1-j folds onto edge j.
-    c = np.diff(psk_distance_spectrum(m), prepend=0.0, append=0.0)
-    weights = c[: m // 2] - c[::-1][: m // 2]
-    j = np.flatnonzero(weights)
-    d = (2 * j + 1) / m
-    total = weights[j] @ mgf_integral(d, np.sin(np.pi * d) ** 2, params, esno_db.ravel())
-    return _like(total / (2.0 * b), esno_db)
-
-
-def qam_bit_coefficients(m: int, k: int) -> np.ndarray:
-    """Signed weights of the Q-function terms for the k-th QAM bit."""
-    side = int(round(np.sqrt(m)))
-    i = np.arange(int((1.0 - 2.0**-k) * side))
-    return (-1.0) ** (i * 2 ** (k - 1) // side) * (
-        2 ** (k - 1) - np.floor(i * 2 ** (k - 1) / side + 0.5)
-    )
+    return _like(_bers([_ber_terms("psk", m)], params, esno_db.ravel())[0], esno_db)
 
 
 def qam_ber(m: int, params: BerParams, esno_db):
@@ -322,20 +380,8 @@ def qam_ber(m: int, params: BerParams, esno_db):
     Same conventions as :func:`psk_ber`; ``m`` must be a square power of
     two (4, 16, 64, ...).
     """
-    b = int(np.log2(m))
-    side = int(round(np.sqrt(m)))
-    if 2**b != m or side * side != m or b % 2:
-        raise ValueError(f"M={m} is not a square power of two")
-    # the term of index i has the same integral for every bit: weigh it once
-    weights = np.zeros(side)
-    for k in range(1, b // 2 + 1):
-        d = qam_bit_coefficients(m, k)
-        weights[: len(d)] += d
     esno_db = np.asarray(esno_db, dtype=float)
-    i = np.flatnonzero(weights)
-    g = 3.0 * (2 * i + 1) ** 2 / (2.0 * (m - 1))
-    total = weights[i] @ mgf_integral(0.5, g, params, esno_db.ravel())
-    return _like(4.0 * total / (side * b), esno_db)
+    return _like(_bers([_ber_terms("qam", m)], params, esno_db.ravel())[0], esno_db)
 
 
 def bit_error_rate(mod, params: BerParams, esno_db):

@@ -153,6 +153,43 @@ class TestMgfIntegral:
         with pytest.raises(ValueError, match="g must be positive"):
             mgf_integral(0.5, [1.0, 0.0], params, esno_db)
 
+    def test_pairs_do_not_depend_on_their_chunk(self):
+        # 61 pairs on 16 mixed branches fill chunks of 52 integrals by one SNR
+        # point; one pair alone takes all 16 points per chunk.  Rows of the
+        # high-SNR points hold overflowed branch products
+        params = BerParams(n_t=16, n_r=1, branches=_shared_branches(16, "mixed", "equipower"))
+        esno_db = np.linspace(-10.0, 50.0, 16)
+        delta, g, _ = analysis._ber_terms("qam", 4096)
+        got = mgf_integral(delta, g, params, esno_db)
+        for row, d, gg in zip(got, delta, g):
+            np.testing.assert_array_equal(row, mgf_integral(d, gg, params, esno_db))
+
+
+class TestEqualBranches:
+    def test_equal_branches_are_one_column(self):
+        groups = analysis._families((BranchStat("rayleigh", 1.0, 0.5),) * 4096)
+        assert len(groups) == 1
+        family, a, count, idx, p, scale = groups[0]
+        assert (family, a, count) == ("nakagami", 1.0, 4096) and idx.tolist() == [0]
+
+    def test_counts_group_apart(self):
+        # a column of count 2 and two of count 1, all Rayleigh
+        branches = (BranchStat("rayleigh", 1.0, 0.5),) * 2 + (BranchStat("rayleigh", 1.0, 0.7),
+                                                               BranchStat("rayleigh", 1.0, 0.9))
+        groups = analysis._families(branches)
+        assert [(count, idx.tolist()) for _, _, count, idx, _, _ in groups] == [(2, [0]), (1, [2, 3])]
+
+    def test_equipower_rayleigh_matches_mrc_closed_form(self):
+        # 64 equal branches: L-branch maximum ratio combining of BPSK
+        diversity, g = 64, 10.0 ** (-15.0 / 10.0)
+        mu = np.sqrt(g / (1.0 + g))
+        exact = ((1 - mu) / 2) ** diversity * sum(
+            comb(diversity - 1 + l, l, exact=True) * ((1 + mu) / 2) ** l
+            for l in range(diversity)
+        )
+        got = float(psk_ber(2, rayleigh_params(-15.0, n=diversity), 0.0))
+        assert got == pytest.approx(exact, rel=1e-10)
+
 
 class TestPskBer:
     @pytest.mark.parametrize("gamma_db", [0.0, 10.0, 20.0])
@@ -473,10 +510,11 @@ def test_ber_matches_one_integral_per_edge_and_term(channel, approx):
 
 def test_large_analyze_stays_in_chunks_without_warnings():
     # about half the branch products of 1024 x 4 branches overflow, which
-    # must stay silent.  Every temporary is chunked: the peak, about 3.3 MB,
-    # is two scratch buffers for the widest group (878 Rice branches, 1.3
-    # chunks each) plus the overflowed entries' per-branch logs, where one
-    # unchunked temporary would take 240 MB
+    # must stay silent.  Every temporary is chunked: the widest group, 877
+    # Rice branches, is wider than a chunk, so a chunk holds one integral's
+    # nodes at one SNR point.  The peak, about 3.6 MB, is two scratch
+    # buffers for that group (1.3 chunks each) plus the overflowed entries'
+    # per-branch logs, where one unchunked temporary would take 240 MB
     argv = ["analyze", "--mod", "qam4096", "--nt", "1024", "--nr", "4", "--channel", "mixed",
             "--esno-start", "0", "--esno-stop", "40", "--esno-step", "10"]
     out = io.StringIO()

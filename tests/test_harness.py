@@ -28,11 +28,13 @@ from qostbc.harness import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
+    _shared_branches,
     branch_stats,
     capacity_sweep,
     run_sweep,
     verify,
 )
+from qostbc.modem import modulation
 from oracles import channel_gram
 
 
@@ -712,6 +714,28 @@ class TestCapacitySweep:
         assert table[-1, 3] == pytest.approx(4.0, abs=1e-3)
         # envelope is the running maximum
         np.testing.assert_allclose(table[:, -1], table[:, 1:-1].max(axis=1))
+
+    def test_one_pass_gives_each_modulations_ber(self, monkeypatch):
+        # the 116 integrals of the eight modulations in one call, each rate
+        # from the same BER as bit_error_rate's own call
+        esno_db = np.arange(0.0, 31.0, 2.0)
+        calls = []
+
+        def counting(delta, g, *args):
+            calls.append(len(delta))
+            return real(delta, g, *args)
+
+        real = analysis.mgf_integral
+        monkeypatch.setattr(analysis, "mgf_integral", counting)
+        names, rows = capacity_sweep(esno_db, n_t=16, n_r=1, channel="mixed", rho=0.75)
+        assert calls == [116]
+        params = analysis.BerParams(n_t=16, n_r=1, branches=_shared_branches(16, "mixed", "equipower"),
+                                    rho=0.75)
+        for j, name in enumerate(names, start=1):
+            mod = modulation(name)
+            ber = np.clip(analysis.bit_error_rate(mod, params, esno_db), 0.0, 0.5)
+            want = [analysis.capacity(mod.bits_per_symbol, 0.75, float(p)) for p in ber]
+            np.testing.assert_array_equal([row[j] for row in rows], want)
 
 
 class TestCli:
