@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 
@@ -116,7 +115,7 @@ def main(argv=None):
         "command": "python3 TREE/bench/run.py --workload W --seed S --seconds " + str(args.seconds),
         "pairs": args.pairs,
         "seeds": seeds,
-        "trees": {name: {"path": path, "revision": revision(path)} for name, path in trees.items()},
+        "revisions": {name: revision(path) for name, path in trees.items()},
         "nproc": os.cpu_count(),
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
