@@ -719,13 +719,12 @@ class TestCapacitySweep:
         # the 116 integrals of the eight modulations in one call, each rate
         # from the same BER as bit_error_rate's own call
         esno_db = np.arange(0.0, 31.0, 2.0)
-        calls = []
+        calls, real = [], analysis.mgf_integral
 
         def counting(delta, g, *args):
             calls.append(len(delta))
             return real(delta, g, *args)
 
-        real = analysis.mgf_integral
         monkeypatch.setattr(analysis, "mgf_integral", counting)
         names, rows = capacity_sweep(esno_db, n_t=16, n_r=1, channel="mixed", rho=0.75)
         assert calls == [116]
