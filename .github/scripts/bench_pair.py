@@ -1,15 +1,15 @@
 """Run the benchmark alternately on two source trees and record the pair.
 
-    python3 .github/scripts/bench_pair.py LABEL BASE_TREE HEAD_TREE \
-        [--workloads analysis,verify] [--pairs 10] [--seconds 5] [--seed 1] [--out DIR]
+    python3 .github/scripts/bench_pair.py LABEL BASE_TREE HEAD_TREE [--seed 1] [--out DIR]
 
 Each tree is a checkout of this repository, for instance the parent commit
-made with ``git worktree add`` or ``git clone``.  For every pair index
-``i`` and every workload, ``python3 TREE/bench/run.py --workload W --seed
-SEED+i --seconds S`` runs once on each tree, the base first on even ``i``
-and the head first on odd ``i``, so that a drift of the machine's load
-does not favour one tree.  A run reports the end-to-end metrics of
-``BENCHMARK.json`` and its count of failed checks.
+made with ``git worktree add`` or ``git clone``.  The workloads, the run
+length ``S`` and the end-to-end metrics are those of the head tree's
+``BENCHMARK.json``.  For each of ``PAIRS`` pair indexes ``i`` and every
+workload, ``python3 TREE/bench/run.py --workload W --seed SEED+i --seconds
+S`` runs once on each tree, the base first on even ``i`` and the head first
+on odd ``i``, so that a drift of the machine's load does not favour one
+tree.  A run reports the end-to-end metrics and its count of failed checks.
 
 ``DIR/BENCH_<LABEL>.json`` (``DIR`` defaults to the current directory)
 holds every run's values and seed, the median and quartiles of each
@@ -27,6 +27,8 @@ import subprocess
 import sys
 
 import numpy as np
+
+PAIRS = 10  # a gain must show in at least nine of ten pairs
 
 
 def revision(tree):
@@ -67,24 +69,23 @@ def main(argv=None):
     parser.add_argument("label")
     parser.add_argument("base", help="source tree of the baseline")
     parser.add_argument("head", help="source tree of the change")
-    parser.add_argument("--workloads", default="sim-alamouti,sim-k128,analysis,verify")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=5.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.head, "BENCHMARK.json")) as fh:
-        lower = {m["name"]: m["better"] == "lower" for m in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    lower = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     trees = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
-    workloads = args.workloads.split(",")
-    seeds = [args.seed + i for i in range(args.pairs)]
+    seeds = [args.seed + i for i in range(PAIRS)]
     runs = {w: {"base": [], "head": []} for w in workloads}
     for i, seed in enumerate(seeds):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for workload in workloads:
             for name in order:
-                run = run_once(trees[name], workload, seed, args.seconds)
+                run = run_once(trees[name], workload, seed, seconds)
                 runs[workload][name].append(run)
                 print(f"pair {i} {workload} {name}: "
                       + " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items()),
@@ -112,8 +113,8 @@ def main(argv=None):
 
     record = {
         "label": args.label,
-        "command": "python3 TREE/bench/run.py --workload W --seed S --seconds " + str(args.seconds),
-        "pairs": args.pairs,
+        "command": f"python3 TREE/bench/run.py --workload W --seed S --seconds {seconds}",
+        "pairs": PAIRS,
         "seeds": seeds,
         "revisions": {name: revision(path) for name, path in trees.items()},
         "nproc": os.cpu_count(),
@@ -129,7 +130,7 @@ def main(argv=None):
         for metric, m in result["metrics"].items():
             print(f"{workload:13s} {metric:12s} base {m['base']['median']:.6g} "
                   f"head {m['head']['median']:.6g} ratio {m['median_ratio']:.3f} "
-                  f"head better in {m['pairs_head_better']}/{args.pairs}")
+                  f"head better in {m['pairs_head_better']}/{PAIRS}")
     print(path)
     return 0
 

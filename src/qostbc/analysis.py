@@ -10,10 +10,7 @@ transmit diversity order ``eta`` exponentiates the product.  Every
 family's MGF is a power ``base**-a`` of a base of at least 1, times
 ``exp(p / base - p)`` for Rice.  The branches of one family that share the
 exponent ``a`` form a group, whose bases are multiplied and then take one
-log per (SNR, node) rather than one per branch.  Equal branches count
-once: a branch that occurs ``c`` times is one column whose log is scaled
-by ``c``, so an equipower channel costs one branch per node at any
-``n_t``.
+log per (SNR, node) rather than one per branch.
 
 A :class:`BerParams` is the one description of code, antennas and
 channel that the formulas take: the kernel forms each branch's mean SNR
@@ -73,7 +70,7 @@ DEFAULT_POINTS = 96  # quadrature nodes per integral
 # points, so a chunk's rows are as long as its size allows, and works in
 # two buffers it reuses, so the temporaries stay in cache and the memory of
 # a long sweep or BER sum stays bounded.  Only a group of more than
-# CHUNK_ELEMENTS / DEFAULT_POINTS branch columns exceeds it, with one
+# CHUNK_ELEMENTS / DEFAULT_POINTS branches exceeds it, with one
 # integral and one SNR point per chunk.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -175,31 +172,26 @@ def mgf(stat: BranchStat, gamma_bar: float, s):
 
 @lru_cache(maxsize=32)
 def _families(branches: tuple):
-    """``(family, exponent, count, branch indexes, parameters, scales)`` per group.
+    """``(family, exponent, branch indexes, parameters, scales)`` per group.
 
-    Equal branches are one column that counts ``count`` times.  A group
-    holds the columns of one family that share one exponent and one count,
-    so Nakagami branches of distinct ``m`` form one group each, and every
-    branch of a channel with distinct powers has count 1.  The parameters
-    are shaped ``(n, 1, 1)`` against the (branch, SNR, integral x node)
-    temporaries.  The cache serves repeated evaluations of the same
+    A group holds the branches of one family that share one exponent, so
+    Nakagami branches of distinct ``m`` form one group each.  The
+    parameters are shaped ``(n, 1, 1)`` against the (branch, SNR, integral
+    x node) temporaries.  The cache serves repeated evaluations of the same
     branches, such as ``analytic_ber``'s one per sweep.  Its arrays are
     read-only.
     """
-    columns = {}
-    for i, stat in enumerate(branches):
-        columns.setdefault(stat, [i, 0])[1] += 1
     groups = {}
-    for stat, (i, count) in columns.items():
+    for i, stat in enumerate(branches):
         family, a, p, scale = _form(stat)
-        groups.setdefault((family, a, count), []).append((i, p, scale))
+        groups.setdefault((family, a), []).append((i, p, scale))
     out = []
-    for (family, a, count), members in groups.items():
+    for (family, a), members in groups.items():
         idx, p, scale = (np.array(col) for col in zip(*members))
         p = p.reshape(-1, 1, 1)
         for arr in (idx, p, scale):
             arr.flags.writeable = False
-        out.append((family, a, count, idx, p, scale))
+        out.append((family, a, idx, p, scale))
     return tuple(out)
 
 
@@ -213,7 +205,7 @@ def _log_product(x, s_abs, groups, scratch):
     integral x node) temporary.
     """
     total = 0.0
-    for family, a, count, idx, p, scale in groups:
+    for family, a, idx, p, scale in groups:
         shape = (len(idx), len(x), s_abs.size)
         y, tmp = (buf[: math.prod(shape)].reshape(shape) for buf in scratch)
         # Every base is at least 1, so bases and products can only overflow
@@ -227,9 +219,9 @@ def _log_product(x, s_abs, groups, scratch):
         over = np.isposinf(log_prod)
         if over.any():
             log_prod[over] = np.log(y[:, over]).sum(axis=0)
-        total = total - (a * count) * log_prod
+        total = total - a * log_prod
         if family == "rice":
-            total = total + count * (rice.sum(axis=0) - p.sum())
+            total = total + (rice.sum(axis=0) - p.sum())
     return total
 
 
@@ -267,7 +259,7 @@ def mgf_integral(delta, g, params: BerParams, esno_db):
         s_abs = g.ravel()[ints, None] / (params.rho * np.sin(upper[ints, None] * _NODES) ** 2)
         groups = _families(params.branches)
         # a chunk is `step` integrals, filled first, by `rows` SNR points
-        widest = max(len(idx) for *_, idx, _, _ in groups)
+        widest = max(len(idx) for _, _, idx, _, _ in groups)
         pairs = max(1, CHUNK_ELEMENTS // (widest * DEFAULT_POINTS))
         step = min(ints.size, pairs)
         rows = min(live.size, pairs // step)

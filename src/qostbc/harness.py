@@ -537,6 +537,9 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         value = max(float(np.abs(r).max()) for r in residuals)
         checks.append(CheckResult(name, k, value, 0.0))
 
+    def crandn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
     for n, (p0, p1) in sorted(KNOWN_SPLITS.items()):
         exact("permutation-sets", n, float([list(q) for q in permutation_indexes(n)] != [p0, p1]))
 
@@ -594,20 +597,12 @@ def verify(k_max: int = 256, seed: int = 0) -> VerifyReport:
         if k >= 4:
             exact("reduction-block-diagonal", k, sum(n for _, n in reduction_residuals(k, rng)))
 
-        # the round trips draw their own s and gains, decoded as one batch
-        # padded to 4 x K, from one normal draw: per pair the real and the
-        # imaginary part of s, then those of the gains
+        # the round trips draw their own s and gains, decoded as one batch padded to 4 x K
         pairs = [(n_t, n_r) for n_t in n_ts for n_r in (1, 2, 4)]
-        z = rng.standard_normal(sum(2 * (k + n_r * n_t) for n_t, n_r in pairs))
         sym = np.empty((len(pairs), k), complex)
         gains = np.zeros((len(pairs), 4, k), complex)
-        at = 0
         for i, (n_t, n_r) in enumerate(pairs):
-            sym.real[i], sym.imag[i] = z[at:at + k], z[at + k:at + 2 * k]
-            at, n = at + 2 * k, n_r * n_t
-            g = gains[i, :n_r, :n_t]
-            g.real, g.imag = z[at:at + n].reshape(n_r, n_t), z[at + n:at + 2 * n].reshape(n_r, n_t)
-            at += 2 * n
+            sym[i], gains[i, :n_r, :n_t] = crandn(k), crandn(n_r, n_t)
         est = decode_batch(received_blocks(sym, gains), gains)[0]
         res = np.linalg.norm(est - sym, axis=1) / np.linalg.norm(sym, axis=1)
         for (n_t, n_r), value in zip(pairs, res.tolist()):

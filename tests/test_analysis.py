@@ -165,32 +165,6 @@ class TestMgfIntegral:
             np.testing.assert_array_equal(row, mgf_integral(d, gg, params, esno_db))
 
 
-class TestEqualBranches:
-    def test_equal_branches_are_one_column(self):
-        groups = analysis._families((BranchStat("rayleigh", 1.0, 0.5),) * 4096)
-        assert len(groups) == 1
-        family, a, count, idx, p, scale = groups[0]
-        assert (family, a, count) == ("nakagami", 1.0, 4096) and idx.tolist() == [0]
-
-    def test_counts_group_apart(self):
-        # a column of count 2 and two of count 1, all Rayleigh
-        branches = (BranchStat("rayleigh", 1.0, 0.5),) * 2 + (BranchStat("rayleigh", 1.0, 0.7),
-                                                               BranchStat("rayleigh", 1.0, 0.9))
-        groups = analysis._families(branches)
-        assert [(count, idx.tolist()) for _, _, count, idx, _, _ in groups] == [(2, [0]), (1, [2, 3])]
-
-    def test_equipower_rayleigh_matches_mrc_closed_form(self):
-        # 64 equal branches: L-branch maximum ratio combining of BPSK
-        diversity, g = 64, 10.0 ** (-15.0 / 10.0)
-        mu = np.sqrt(g / (1.0 + g))
-        exact = ((1 - mu) / 2) ** diversity * sum(
-            comb(diversity - 1 + l, l, exact=True) * ((1 + mu) / 2) ** l
-            for l in range(diversity)
-        )
-        got = float(psk_ber(2, rayleigh_params(-15.0, n=diversity), 0.0))
-        assert got == pytest.approx(exact, rel=1e-10)
-
-
 class TestPskBer:
     @pytest.mark.parametrize("gamma_db", [0.0, 10.0, 20.0])
     def test_rayleigh_closed_form(self, gamma_db):
@@ -199,17 +173,22 @@ class TestPskBer:
         got = float(psk_ber(2, rayleigh_params(gamma_db), 0.0))
         assert got == pytest.approx(exact, rel=1e-6)
 
-    @pytest.mark.parametrize("diversity", [2, 4])
-    def test_mrc_closed_form(self, diversity):
+    @pytest.mark.parametrize("n, n_r, gamma_db, rel", [
+        pytest.param(1, 2, 10.0, 1e-6, id="2"),
+        pytest.param(1, 4, 10.0, 1e-6, id="4"),
+        # 64 equal transmit branches
+        pytest.param(64, 1, -15.0, 1e-10, id="64-branches"),
+    ])
+    def test_mrc_closed_form(self, n, n_r, gamma_db, rel):
         # classical L-branch maximum ratio combining reference
-        g = 10.0 ** (10.0 / 10.0)
+        diversity, g = n * n_r, 10.0 ** (gamma_db / 10.0)
         mu = np.sqrt(g / (1.0 + g))
         exact = ((1 - mu) / 2) ** diversity * sum(
             comb(diversity - 1 + l, l, exact=True) * ((1 + mu) / 2) ** l
             for l in range(diversity)
         )
-        got = float(psk_ber(2, rayleigh_params(10.0, n_r=diversity), 0.0))
-        assert got == pytest.approx(exact, rel=1e-6)
+        got = float(psk_ber(2, rayleigh_params(gamma_db, n=n, n_r=n_r), 0.0))
+        assert got == pytest.approx(exact, rel=rel)
 
     def test_rate_and_diversity_defaults_are_identity(self):
         params = rayleigh_params(6.0)
