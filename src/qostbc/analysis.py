@@ -34,10 +34,11 @@ down; the cubic grading moves them to ``|u|`` of about 0.15.  ``theta =
 integrals of a chunk form one long row per SNR point and branch, so the
 element-wise passes run over long contiguous rows.
 
-Integration ranges are *signed*: an upper limit ``pi*(1-delta)`` with
-``delta > 1`` is negative and contributes with a negative sign (the
-integrand is even), which is what makes the sector-probability telescoping
-correct for every ``M``.
+Integration ranges are *signed*, a property :func:`mgf_integral` offers
+its callers: an upper limit ``pi*(1-delta)`` with ``delta > 1`` is negative
+and contributes with a negative sign (the integrand is even).  The BER
+formulas do not use it: :func:`_ber_terms` folds the PSK sector edges, so
+every ``delta`` it gives is below 1.
 """
 
 from __future__ import annotations
@@ -211,14 +212,15 @@ def _log_product(x, s_abs, groups, scratch):
         # Every base is at least 1, so bases and products can only overflow
         # (to MGF 0).  An overflowed product takes one log per branch
         # instead: its integrand is below 1e-308 only where the power
-        # a * n_r * eta is at least 1, and at 1/2 it can be 1e-154.
-        with np.errstate(over="ignore"):
+        # a * n_r * eta is at least 1, and at 1/2 it can be 1e-154.  Hoyt's
+        # base with p = 0 overflows through 0 * inf to NaN, which counts as inf.
+        with np.errstate(over="ignore", invalid="ignore"):
             np.multiply((x[:, idx] * scale).T[:, :, None], s_abs, out=y)
             rice = _to_base(family, p, y, tmp)
             log_prod = np.log(y.prod(axis=0))
-        over = np.isposinf(log_prod)
+        over = ~(log_prod < np.inf)
         if over.any():
-            log_prod[over] = np.log(y[:, over]).sum(axis=0)
+            log_prod[over] = np.log(np.nan_to_num(y[:, over], nan=np.inf, posinf=np.inf)).sum(axis=0)
         total = total - a * log_prod
         if family == "rice":
             total = total + (rice.sum(axis=0) - p.sum())
@@ -252,9 +254,8 @@ def mgf_integral(delta, g, params: BerParams, esno_db):
     power = params.n_r * params.eta
     upper = np.pi * (1.0 - delta.ravel())
     out = np.zeros((upper.size, len(sweep)))
-    live = np.flatnonzero(~np.isposinf(sweep).any(axis=1))
     ints = np.flatnonzero(upper != 0.0)
-    if ints.size and live.size:
+    if ints.size and len(sweep):
         # -s at each node of each integral
         s_abs = g.ravel()[ints, None] / (params.rho * np.sin(upper[ints, None] * _NODES) ** 2)
         groups = _families(params.branches)
@@ -262,18 +263,18 @@ def mgf_integral(delta, g, params: BerParams, esno_db):
         widest = max(len(idx) for _, _, idx, _, _ in groups)
         pairs = max(1, CHUNK_ELEMENTS // (widest * DEFAULT_POINTS))
         step = min(ints.size, pairs)
-        rows = min(live.size, pairs // step)
+        rows = min(len(sweep), pairs // step)
         scratch = np.empty((2, widest * rows * step * DEFAULT_POINTS))
         for i in range(0, ints.size, step):
             nodes = s_abs[i:i + step].ravel()
-            for r in range(0, live.size, rows):
-                at = live[r:r + rows]
+            for r in range(0, len(sweep), rows):
+                at = slice(r, r + rows)
                 terms = np.exp(power * _log_product(sweep[at], nodes, groups, scratch))
-                terms = terms.reshape(len(at), -1, DEFAULT_POINTS)
+                terms = terms.reshape(terms.shape[0], -1, DEFAULT_POINTS)
                 # multiply and sum per integral: a matrix product may round
                 # a row differently by where it lies in the chunk
                 terms *= _WEIGHTS
-                out[ints[i:i + step, None], at] = terms.sum(axis=-1).T
+                out[ints[i:i + step], at] = terms.sum(axis=-1).T
         out *= upper[:, None] / np.pi
     out = out.reshape(delta.shape + esno_db.shape)
     return float(out) if out.ndim == 0 else out

@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (harness.ConfigError, ValueError) as exc:
+    except ValueError as exc:  # harness.ConfigError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -114,8 +114,8 @@ def decode_batch(received, channels, k: int = None, *, transforms=None):
     half = k // 2
     g = _transforms(channels, k, transforms)
     # lambda reversed: |g|^2 of the (antenna, half) slices, summed in that order
-    sq = np.square(g.view(float))
-    sq = np.add(sq[..., 0::2], sq[..., 1::2], out=sq[..., 0::2])
+    sq = np.square(g.real)
+    sq += np.square(g.imag)
     lam = np.add.reduce(sq.transpose(1, 0, 2, 3).reshape(2 * n_r, nbatch, half), axis=0)
     del sq
     singular = lam.min(axis=1) <= lam.max(axis=1) * (k * _EPS)
@@ -124,9 +124,8 @@ def decode_batch(received, channels, k: int = None, *, transforms=None):
             f"singular channel Gram matrix in {np.count_nonzero(singular)} of {nbatch} blocks"
         )
     # conj(r) V = conj(V^H r) per half, with no conjugated copy of V: conj(u), w
-    t = np.empty(g.shape, complex)
-    np.conjugate(received.reshape(nbatch, 2, half, n_r).transpose(1, 3, 0, 2), out=t)
-    t = _walsh_product(t)
+    t = _walsh_product(np.conjugate(received.reshape(nbatch, 2, half, n_r).transpose(1, 3, 0, 2),
+                                    order="C"))
     # conj(x) lambda' of both symbol halves, summed over the antennas
     y = np.empty((2, nbatch, half), complex)
     p, q = np.empty(g.shape, complex)
@@ -138,18 +137,10 @@ def decode_batch(received, channels, k: int = None, *, transforms=None):
     np.conjugate(np.multiply(ga, t1, out=q), out=q)
     np.add.reduce(np.subtract(p, q, out=p), axis=0, out=y[1])
     del p, q, t, t0, t1
-    # y / (lambda' K/2) as products with a real reciprocal, written out for
-    # both parts of each entry: numpy divides by a complex c + 0i as a product
-    # with 1 / c, and a product with c + 0i scales each part by c, so the bits
-    # are the same at a fraction of the cost; (1 / (K/2)) / lambda' is
-    # 1 / (lambda' K/2), as K/2 is a power of two
-    scale = np.empty((nbatch, half, 2))
-    np.divide(1 / half, lam, out=scale[..., 0])
-    np.positive(scale[..., 0], out=scale[..., 1])  # np.copyto would copy through a buffer
-    for part in y.view(float).reshape(2, nbatch, half, 2):
-        part *= scale
+    # y / (lambda' K/2) as a product with the real reciprocal of lambda' K/2:
+    # (1 / (K/2)) / lambda' is exactly 1 / (lambda' K/2), as K/2 is a power of two
+    y *= np.divide(1 / half, lam)
     # conj(V) x / (K/2) = conj(conj(x) V^T) / (K/2), back in natural order
     y = _walsh_product(y, transpose=True)
-    est = np.empty((nbatch, 2, half), complex)
-    np.conjugate(y.transpose(1, 0, 2), out=est)
+    est = np.conjugate(y.transpose(1, 0, 2), order="C")
     return est.reshape(nbatch, k), lam[:, ::-1]

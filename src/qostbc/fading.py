@@ -237,6 +237,8 @@ def parse_channel_spec(spec: str):
     """Parse CLI channel names like ``rayleigh``, ``rice:m=2``, ``mixed``."""
     name, _, arg = spec.strip().lower().partition(":")
     if name == "mixed":
+        if arg:
+            raise ValueError(f"channel model 'mixed' takes no parameter, got {spec!r}")
         return ("mixed", None)
     if name not in FAMILIES:
         raise ValueError(f"unknown channel model {spec!r}")
@@ -253,6 +255,8 @@ def parse_profile_spec(spec: str):
     """Parse CLI power profiles: ``equipower`` or ``linear:pmax=2``."""
     name, _, arg = spec.strip().lower().partition(":")
     if name == "equipower":
+        if arg:
+            raise ValueError(f"power profile 'equipower' takes no parameter, got {spec!r}")
         return ("equipower", None)
     if name != "linear":
         raise ValueError(f"unknown power profile {spec!r}")

@@ -530,6 +530,29 @@ def test_node_products_past_the_float_range_are_silent(argv, capsys):
         assert values == rates + [max(rates)]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    "analyze --mod qpsk --nt 2 --channel hoyt:m=0.5 --esno-start 3000 --esno-stop 3000",
+    "analyze --mod qpsk --nt 2 --channel hoyt:m=0.5 --omega-list 1e300,1e300 --esno-start 10 --esno-stop 10",
+    "capacity --nt 2 --channel mixed --esno-start 3000 --esno-stop 3000",
+])
+def test_overflowed_hoyt_base_is_silent_and_finite(argv, capsys):
+    # Hoyt m = 1/2 has q = 0, whose base 1 + y (2 + 0 y) overflows through
+    # 0 * inf; every mixed channel has such a branch
+    assert cli.main(argv.split()) == 0
+    _, row = capsys.readouterr().out.splitlines()
+    assert all(np.isfinite(float(v)) for v in row.split(",")[1:])
+
+
+def test_hoyt_half_sweep_through_infinity_is_finite():
+    params = BerParams(n_t=2, n_r=1, branches=(BranchStat("hoyt", 0.5, 1.0),) * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ber = psk_ber(4, params, [-np.inf, 10.0, 3000.0, np.inf])
+    assert np.all(np.isfinite(ber)) and ber[-1] == 0.0
+    assert ber[0] == pytest.approx(0.5) and 0 < ber[2] < 1e-300
+
+
 @pytest.mark.parametrize("flags, same_as", [
     ("--channel rice:m=3", "--channel nakagami:m=3"),
     ("--channel hoyt:m=0.6 --profile linear:pmax=2", "--channel nakagami:m=0.6 --profile linear:pmax=2"),

@@ -889,6 +889,8 @@ class TestCli:
             "analyze --mod qpsk --nt 2 --omega-list 1",
             "analyze --mod qpsk --nt 2 --channel rice:k=2",
             "analyze --mod qpsk --nt 2 --profile linear:x=2",
+            "analyze --mod qpsk --nt 2 --channel mixed:m=2",
+            "analyze --mod qpsk --nt 2 --profile equipower:pmax=9",
         ],
     )
     def test_invalid_argv_exits_2_with_a_message(self, argv, monkeypatch, capsys):
@@ -920,6 +922,8 @@ class TestCli:
         "simulate --K 4 --seed abc": "--seed",
         "analyze --mod qpsk --nt 2 --channel rice:k=2": "--channel",
         "analyze --mod qpsk --nt 2 --profile linear:x=2": "--profile",
+        "analyze --mod qpsk --nt 2 --channel mixed:m=2": "--channel",
+        "analyze --mod qpsk --nt 2 --profile equipower:pmax=9": "--profile",
     }
 
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
