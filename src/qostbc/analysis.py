@@ -8,9 +8,10 @@ branches turns the integrand into a product of per-branch moment
 generating functions.  A rate ``rho`` stretches the SNR argument and a
 transmit diversity order ``eta`` exponentiates the product.  Every
 family's MGF is a power ``base**-a`` of a base of at least 1, times
-``exp(p / base - p)`` for Rice.  The branches of one family that share the
-exponent ``a`` form a group, whose bases are multiplied and then take one
-log per (SNR, node) rather than one per branch.
+``exp(p / base - p)`` for Rice.  Equal branches are one column of the
+product, of multiplicity ``c``.  The columns of one family that share the
+exponent ``a`` and ``c`` form a group, whose bases are multiplied and then
+take one log per (SNR, node), times ``a * c``, rather than one per branch.
 
 A :class:`BerParams` is the one description of code, antennas and
 channel that the formulas take: the kernel forms each branch's mean SNR
@@ -30,8 +31,8 @@ come close to ``theta = 0`` at low SNR and high order (0.005 for 4096-QAM
 on 16 shared-power branches at 0 dB), which slows plain Gauss-Legendre
 down; the cubic grading moves them to ``|u|`` of about 0.15.  ``theta =
 0``, where ``1/sin^2`` is infinite, is never a node.  The pass works on
-(branch, SNR, integral x node) temporaries: the nodes of all the
-integrals of a chunk form one long row per SNR point and branch, so the
+(column, SNR, integral x node) temporaries: the nodes of all the
+integrals of a chunk form one long row per SNR point and column, so the
 element-wise passes run over long contiguous rows.
 
 Integration ranges are *signed*, a property :func:`mgf_integral` offers
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -66,12 +68,12 @@ __all__ = [
 
 DEFAULT_POINTS = 96  # quadrature nodes per integral
 
-# Largest number of elements of one (branch, SNR, integral x node)
+# Largest number of elements of one (column, SNR, integral x node)
 # temporary.  A pass fills a chunk with integrals first and then with SNR
 # points, so a chunk's rows are as long as its size allows, and works in
 # two buffers it reuses, so the temporaries stay in cache and the memory of
 # a long sweep or BER sum stays bounded.  Only a group of more than
-# CHUNK_ELEMENTS / DEFAULT_POINTS branches exceeds it, with one
+# CHUNK_ELEMENTS / DEFAULT_POINTS columns exceeds it, with one
 # integral and one SNR point per chunk.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -167,50 +169,56 @@ def mgf(stat: BranchStat, gamma_bar: float, s):
     if np.any(s > 0):
         raise ValueError("MGF is only evaluated for s <= 0")
     log_mgf = _log_product(np.array([[gamma_bar]], float), -s.ravel(),
-                           _families((stat,)), np.empty((2, s.size)))
+                           _families(((stat, 1),)), np.empty((2, s.size)))
     return np.exp(log_mgf.reshape(s.shape))
 
 
 @lru_cache(maxsize=32)
-def _families(branches: tuple):
-    """``(family, exponent, branch indexes, parameters, scales)`` per group.
+def _families(runs: tuple):
+    """``(family, exponent, multiplicity, columns, parameters, scales)`` per group.
 
-    A group holds the branches of one family that share one exponent, so
+    ``runs`` holds ``(branch, count)`` per run of equal neighbouring
+    branches.  Equal branches are one column, the index of their first
+    run, and their count is its multiplicity ``c``.  A group holds the
+    columns of one family that share one exponent and one ``c``, so
     Nakagami branches of distinct ``m`` form one group each.  The
-    parameters are shaped ``(n, 1, 1)`` against the (branch, SNR, integral
+    parameters are shaped ``(n, 1, 1)`` against the (column, SNR, integral
     x node) temporaries.  The cache serves repeated evaluations of the same
     branches, such as ``analytic_ber``'s one per sweep.  Its arrays are
     read-only.
     """
+    columns = {}
+    for i, (stat, n) in enumerate(runs):
+        columns.setdefault(stat, [i, 0])[1] += n
     groups = {}
-    for i, stat in enumerate(branches):
+    for stat, (i, c) in columns.items():
         family, a, p, scale = _form(stat)
-        groups.setdefault((family, a), []).append((i, p, scale))
+        groups.setdefault((family, a, c), []).append((i, p, scale))
     out = []
-    for (family, a), members in groups.items():
+    for (family, a, c), members in groups.items():
         idx, p, scale = (np.array(col) for col in zip(*members))
         p = p.reshape(-1, 1, 1)
         for arr in (idx, p, scale):
             arr.flags.writeable = False
-        out.append((family, a, idx, p, scale))
+        out.append((family, a, c, idx, p, scale))
     return tuple(out)
 
 
 def _log_product(x, s_abs, groups, scratch):
     """Log of the integrand's branch product before the power ``n_r * eta``.
 
-    ``x`` holds the mean SNRs ``(n_snr, n_branches)`` of a chunk and
+    ``x`` holds the mean SNRs ``(n_snr, n_runs)`` of a chunk and
     ``s_abs`` the values ``-s`` at the nodes of its integrals, flat and
     integral-major; returns ``(n_snr, s_abs.size)``.  ``scratch`` is two
-    flat buffers, each with room for the widest group's (branch, SNR,
+    flat buffers, each with room for the widest group's (column, SNR,
     integral x node) temporary.
     """
     total = 0.0
-    for family, a, idx, p, scale in groups:
+    for family, a, c, idx, p, scale in groups:
         shape = (len(idx), len(x), s_abs.size)
         y, tmp = (buf[: math.prod(shape)].reshape(shape) for buf in scratch)
         # Every base is at least 1, so bases and products can only overflow
-        # (to MGF 0).  An overflowed product takes one log per branch
+        # (to MGF 0).  An overflowed product takes one log per column
         # instead: its integrand is below 1e-308 only where the power
         # a * n_r * eta is at least 1, and at 1/2 it can be 1e-154.  Hoyt's
         # base with p = 0 overflows through 0 * inf to NaN, which counts as inf.
@@ -221,9 +229,10 @@ def _log_product(x, s_abs, groups, scratch):
         over = ~(log_prod < np.inf)
         if over.any():
             log_prod[over] = np.log(np.nan_to_num(y[:, over], nan=np.inf, posinf=np.inf)).sum(axis=0)
-        total = total - a * log_prod
+        total = total - (a * c) * log_prod
         if family == "rice":
-            total = total + (rice.sum(axis=0) - p.sum())
+            rice = rice.sum(axis=0) - p.sum()
+            total = total + (rice if c == 1 else c * rice)
     return total
 
 
@@ -248,9 +257,11 @@ def mgf_integral(delta, g, params: BerParams, esno_db):
         raise ValueError("delta and g must be scalars or 1-D")
     if np.any(g <= 0):
         raise ValueError("g must be positive")
+    # runs of equal branches: a repeated object compares by identity, unhashed
+    runs = tuple((stat, sum(1 for _ in run)) for stat, run in groupby(params.branches))
     # a mean SNR beyond the float range overflows to inf, whose MGF is 0
     with np.errstate(over="ignore"):
-        sweep = 10.0 ** (esno_db.reshape(-1, 1) / 10.0) * [b.omega for b in params.branches]
+        sweep = 10.0 ** (esno_db.reshape(-1, 1) / 10.0) * [stat.omega for stat, _ in runs]
     power = params.n_r * params.eta
     upper = np.pi * (1.0 - delta.ravel())
     out = np.zeros((upper.size, len(sweep)))
@@ -258,9 +269,9 @@ def mgf_integral(delta, g, params: BerParams, esno_db):
     if ints.size and len(sweep):
         # -s at each node of each integral
         s_abs = g.ravel()[ints, None] / (params.rho * np.sin(upper[ints, None] * _NODES) ** 2)
-        groups = _families(params.branches)
+        groups = _families(runs)
         # a chunk is `step` integrals, filled first, by `rows` SNR points
-        widest = max(len(idx) for _, _, idx, _, _ in groups)
+        widest = max(len(group[3]) for group in groups)
         pairs = max(1, CHUNK_ELEMENTS // (widest * DEFAULT_POINTS))
         step = min(ints.size, pairs)
         rows = min(len(sweep), pairs // step)
@@ -378,7 +389,7 @@ def qam_ber(m: int, params: BerParams, esno_db):
 
 
 def bit_error_rate(mod, params: BerParams, esno_db):
-    """:func:`psk_ber` or :func:`qam_ber` of a :class:`~qostbc.modem.Modulation`."""
+    """:func:`psk_ber` or :func:`qam_ber` of a :class:`~qostbc.modem.Modulation` or its spec."""
     fn = psk_ber if mod.family == "psk" else qam_ber
     return fn(mod.order, params, esno_db)
 

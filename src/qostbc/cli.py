@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, analysis, harness
 from .fading import BranchStat, parse_channel_spec, parse_profile_spec, severity_family
-from .modem import modulation
+from .modem import modulation_spec
 
 
 MAX_ESNO_POINTS = 100_000
@@ -190,7 +190,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_analyze(args):
-    mod = modulation(args.mod)
+    mod = modulation_spec(args.mod)
     stats = _branches_from_args(args, args.nt)
     params = analysis.BerParams(
         n_t=args.nt,

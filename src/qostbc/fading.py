@@ -166,32 +166,51 @@ def sample_gains(stats, rng: np.random.Generator, size):
     would, and returns the same values.  A run of neighbouring branches
     whose gains are affine in two normal draws (Rayleigh and Rice) is drawn
     with one call, since ``standard_normal((run, 2) + size)`` yields the
-    draws of the run's branches in that order.
+    draws of the run's branches in that order, and scaled once per slice
+    that repeats one object.  The plan of runs and slices (:func:`_gain_plan`)
+    comes before the draw; :class:`~qostbc.harness.ExperimentConfig` works
+    it out once, and each batch draws it alone (:func:`_draw_gains`).
     """
-    size = _shape(size)
-    out = np.empty(size + (len(stats),), complex)
-    a = 0
-    for normal, run in groupby(stats, key=lambda s: s._form[0] == "normal"):
-        run = list(run)
-        b = a + len(run)
-        if normal:
-            z = rng.standard_normal((b - a, 2) + size)
-            # los + scale z per branch, one pass per run of equal constants
-            i = 0
-            for (los, scale), same in groupby(s._form[1:] for s in run):
-                n = len(list(same))
-                z[i : i + n] *= scale
-                if los:
-                    z[i : i + n, 0] += los
-                i += n
-            # (run, 2) + size  ->  (2,) + size + (run,)
-            z = np.moveaxis(z, (0, 1), (-1, 0))
-            np.copyto(out[..., a:b].real, z[0])
-            np.copyto(out[..., a:b].imag, z[1])
+    return _draw_gains(_gain_plan(stats), rng, size)
+
+
+def _gain_plan(stats):
+    """``(len(stats), runs)``: ``(a, b, slices)`` per normal run ``a:b``, where
+    ``slices`` are ``(i, j, los, scale)`` within it, and ``(a, None, stat)``
+    per other branch."""
+    runs, a = [], 0
+    for stat, same in groupby(stats):  # a repeated object compares by identity
+        b = a + sum(1 for _ in same)
+        kind, los, scale = stat._form
+        if kind != "normal":
+            runs += [(j, None, stat) for j in range(a, b)]
+        elif runs and runs[-1][1] == a:  # the normal run before ends here
+            start, _, slices = runs[-1]
+            runs[-1] = (start, b, slices + ((a - start, b - start, los, scale),))
         else:
-            for j, stat in enumerate(run, a):
-                out[..., j] = sample_gain(stat, rng, size)
+            runs.append((a, b, ((0, b - a, los, scale),)))
         a = b
+    return a, tuple(runs)
+
+
+def _draw_gains(plan, rng: np.random.Generator, size):
+    """The gains of :func:`sample_gains`, from the :func:`_gain_plan` of its branches."""
+    n, runs = plan
+    size = _shape(size)
+    out = np.empty(size + (n,), complex)
+    for a, b, part in runs:
+        if b is None:
+            out[..., a] = sample_gain(part, rng, size)
+            continue
+        z = rng.standard_normal((b - a, 2) + size)
+        for i, j, los, scale in part:  # los + scale z per branch
+            z[i:j] *= scale
+            if los:
+                z[i:j, 0] += los
+        # (run, 2) + size  ->  (2,) + size + (run,)
+        z = np.moveaxis(z, (0, 1), (-1, 0))
+        np.copyto(out[..., a:b].real, z[0])
+        np.copyto(out[..., a:b].imag, z[1])
     return out
 
 

@@ -34,6 +34,7 @@ import time
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from . import analysis, fading
 from .codes import build_mother, encode, _is_power_of_two, _walsh_product
 from .channels import encoded_channel_minors, received_blocks, _gain_transforms
 from .decoder import decode_batch
-from .modem import modulation, count_bit_errors
+from .modem import modulation, modulation_spec, count_bit_errors
 
 __all__ = [
     "ConfigError",
@@ -82,9 +83,10 @@ class ExperimentConfig:
     """One simulate sweep, validated when built.
 
     ``branches``, the channel the receiver sees (:func:`_shared_branches`),
-    and ``mod``, the :class:`~qostbc.modem.Modulation` named by
-    ``modulation``, are built once here for every batch and the analytic
-    reference.  They are attributes, not fields, so ``asdict`` omits them.
+    the plan that draws their gains, and ``mod``, the
+    :class:`~qostbc.modem.Modulation` named by ``modulation``, are built
+    once here for every batch and the analytic reference.  They are
+    attributes, not fields, so ``asdict`` omits them.
     """
 
     k: int
@@ -129,6 +131,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "mod", mod)
         object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "gain_plan", fading._gain_plan(branches))
 
 
 def branch_stats(n_t: int, channel: str, profile: str):
@@ -139,29 +142,34 @@ def branch_stats(n_t: int, channel: str, profile: str):
     the transmit power is shared (:func:`_shared_branches`).  Equipower
     gives each branch power 1 and ``channel="mixed"`` scales its powers to
     sum to 1, so once shared the powers sum to 1 for equipower but to
-    ``1 / n_t`` for ``"mixed"``.
+    ``1 / n_t`` for ``"mixed"``, which takes no other profile.  The
+    ``n_t`` equal branches of equipower are one object, repeated.
     """
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
     if n_t > RESIDUE_K_MAX:
         raise ValueError(f"n_t={n_t} exceeds {RESIDUE_K_MAX}, the most transmit antennas supported")
     family, m = fading.parse_channel_spec(channel)
+    kind, pmax = fading.parse_profile_spec(profile)
     if family == "mixed":
+        if kind != "equipower":
+            raise ValueError(f"argument --profile: channel 'mixed' sets its own powers and takes "
+                             f"only 'equipower', got {profile!r}")
         # ascending severity paired with descending power, total power one
         ms = fading.severity_profile(n_t)
         omegas = fading.linear_profile(n_t, 1.0)[::-1] / n_t
         return [fading.BranchStat(fading.severity_family(mm), mm, om) for mm, om in zip(ms, omegas)]
-    kind, pmax = fading.parse_profile_spec(profile)
     if kind == "equipower":
-        omegas = np.ones(n_t)
-    else:
-        omegas = fading.linear_profile(n_t, pmax / 2.0)
-    return [fading.BranchStat(family, m, float(om)) for om in omegas]
+        return [fading.BranchStat(family, m, 1.0)] * n_t
+    return [fading.BranchStat(family, m, float(om)) for om in fading.linear_profile(n_t, pmax / 2.0)]
 
 
 def _shared_branches(n_t: int, channel: str, profile: str):
-    """:func:`branch_stats` with each omega divided by ``n_t``: the channel the receiver sees."""
-    return tuple(fading.BranchStat(s.family, s.m, s.omega / n_t) for s in branch_stats(n_t, channel, profile))
+    """:func:`branch_stats` with each omega divided by ``n_t``, one object per run of equal ones."""
+    shared = []
+    for s, same in groupby(branch_stats(n_t, channel, profile)):
+        shared += [fading.BranchStat(s.family, s.m, s.omega / n_t)] * sum(1 for _ in same)
+    return tuple(shared)
 
 
 def analytic_ber(config: ExperimentConfig, esno_db):
@@ -215,7 +223,7 @@ def _sim_batch(config, n0, snr_idx, batch_idx, nblocks):
     k, n_r, mod = config.k, config.n_r, config.mod
     bits = rng.integers(0, 2, size=(nblocks, k, mod.bits_per_symbol), dtype=np.uint8)
     symbols = mod.map_bits(bits)
-    gains = fading.sample_gains(config.branches, rng, (nblocks, n_r))
+    gains = fading._draw_gains(config.gain_plan, rng, (nblocks, n_r))
     # the forward model and the decoder share one transform of the gains
     g = _gain_transforms(gains, k)
     rx = received_blocks(symbols, gains, transforms=g)
@@ -646,10 +654,10 @@ def capacity_sweep(
     """
     params = analysis.BerParams(n_t=n_t, n_r=n_r, branches=_shared_branches(n_t, channel, profile), rho=rho)
     esno_db = np.ravel(np.asarray(esno_db, dtype=float))
-    built = [modulation(name) for name in mods]
+    specs = [modulation_spec(name) for name in mods]
     # the integrals of every modulation in one pass
-    bers = analysis._bers([analysis._ber_terms(mod.family, mod.order) for mod in built], params, esno_db)
+    bers = analysis._bers([analysis._ber_terms(mod.family, mod.order) for mod in specs], params, esno_db)
     columns = [[analysis.capacity(mod.bits_per_symbol, rho, float(p)) for p in np.clip(ber, 0.0, 0.5)]
-               for mod, ber in zip(built, bers)]
+               for mod, ber in zip(specs, bers)]
     rows = [(float(e), *rates, max(rates)) for e, rates in zip(esno_db, zip(*columns))]
     return list(mods), rows

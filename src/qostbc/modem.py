@@ -10,11 +10,14 @@ hard decision finds the nearest point's index and looks up its label bits.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "Modulation",
     "modulation",
+    "modulation_spec",
     "psk_distance_spectrum",
     "count_bit_errors",
 ]
@@ -37,15 +40,7 @@ class Modulation:
     """
 
     def __init__(self, family: str, order: int):
-        if order < 2 or order & (order - 1):
-            raise ValueError(f"M={order} is not a power of two >= 2")
-        b = int(np.log2(order))
-        if family == "qam" and b % 2:
-            raise ValueError(f"square QAM needs an even number of bits, got M={order}")
-        if family not in ("psk", "qam"):
-            raise ValueError(f"unknown family {family!r}")
-        self.family = family
-        self.order = order
+        self.family, self.order, b = _Spec.checked(family, order)
         self.bits_per_symbol = b
         m = np.arange(order)
         if family == "psk":
@@ -120,22 +115,48 @@ class Modulation:
         return np.clip(self._rounded(x, out), 0, side - 1, out=out)
 
 
+class _Spec(NamedTuple):
+    """What a modulation's name fixes: its family, order and bits per symbol."""
+
+    family: str
+    order: int
+    bits_per_symbol: int
+
+    @classmethod
+    def checked(cls, family: str, order: int):
+        """The spec of a valid ``family`` and ``order``: the one check of both."""
+        if order < 2 or order & (order - 1):
+            raise ValueError(f"M={order} is not a power of two >= 2")
+        b = int(np.log2(order))
+        if family == "qam" and b % 2:
+            raise ValueError(f"square QAM needs an even number of bits, got M={order}")
+        if family not in ("psk", "qam"):
+            raise ValueError(f"unknown family {family!r}")
+        return cls(family, order, b)
+
+
 _ALIASES = {"bpsk": ("psk", 2), "qpsk": ("psk", 4)}
 
 
-def modulation(name: str) -> Modulation:
-    """Build a modulation from its CLI name, e.g. ``"psk8"`` or ``"qam64"``."""
+def modulation_spec(name: str) -> _Spec:
+    """``(family, order, bits_per_symbol)`` of a CLI name, checked as
+    :class:`Modulation` checks them, with no constellation built."""
     key = name.strip().lower()
     if key in _ALIASES:
-        return Modulation(*_ALIASES[key])
+        return _Spec.checked(*_ALIASES[key])
     for fam in ("psk", "qam"):
         if key.startswith(fam):
             try:
                 order = int(key[len(fam) :])
             except ValueError:
                 break
-            return Modulation(fam, order)
+            return _Spec.checked(fam, order)
     raise ValueError(f"unrecognised modulation {name!r}")
+
+
+def modulation(name: str) -> Modulation:
+    """Build a modulation from its CLI name, e.g. ``"psk8"`` or ``"qam64"``."""
+    return Modulation(*modulation_spec(name)[:2])
 
 
 def psk_distance_spectrum(m: int) -> np.ndarray:

@@ -5,6 +5,7 @@ structural properties of the formulas."""
 
 import contextlib
 import io
+import itertools
 import tracemalloc
 import warnings
 
@@ -28,7 +29,7 @@ from qostbc import (
 )
 from qostbc import analysis, cli
 from qostbc.fading import linear_profile, m_to_hoyt_q, m_to_rice_k
-from qostbc.harness import CAPACITY_MODULATIONS, _shared_branches, branch_stats
+from qostbc.harness import CAPACITY_MODULATIONS, _shared_branches, branch_stats, capacity_sweep
 
 from oracles import psk_ber_sectors, qam_ber_terms
 
@@ -460,6 +461,61 @@ def test_long_sweep_memory_is_bounded():
         tracemalloc.stop()
     assert ber.shape == esno_db.shape and np.all(np.diff(ber) < 0)
     assert peak < 64 * 2**20
+
+
+def columns(branches):
+    """``(family, multiplicity, columns)`` of each group of ``branches``."""
+    runs = tuple((stat, len(list(run))) for stat, run in itertools.groupby(branches))
+    return [(family, c, idx.tolist()) for family, _, c, idx, _, _ in analysis._families(runs)]
+
+
+class TestEqualBranches:
+    """Equal branches are one column of the MGF product, of their multiplicity."""
+
+    @pytest.mark.parametrize("n", [1, 2, 96, 4096])
+    def test_equal_branches_are_one_column(self, n):
+        one = BranchStat("rice", 2.0, 0.5)
+        assert columns((one,) * n) == [("rice", n, [0])]
+        assert columns([BranchStat("rice", 2.0, 0.5) for _ in range(n)]) == [("rice", n, [0])]
+
+    def test_one_column_per_distinct_law(self):
+        args = cli.build_parser().parse_args("analyze --mod qpsk --nt 5 --omega-list 1,1,2,2,2".split())
+        branches = cli._branches_from_args(args, 5)
+        assert columns(branches) == [("nakagami", 2, [0]), ("nakagami", 3, [1])]
+        # equal branches need not be neighbours: the column is their first run
+        apart = [BranchStat("hoyt", 0.6, w) for w in (1.0, 2.0, 1.0)]
+        assert columns(apart) == [("hoyt", 2, [0]), ("hoyt", 1, [1])]
+
+    def test_distinct_branches_are_one_column_each(self):
+        # the groups of a channel of distinct branches are those of one
+        # column per branch, in branch order
+        branches = _shared_branches(16, "mixed", "equipower")
+        assert sum(len(idx) for _, _, idx in columns(branches)) == 16
+        assert all(c == 1 for _, c, _ in columns(branches))
+        assert [i for _, _, idx in columns(branches) for i in idx] == sorted(range(16), key=lambda i: (
+            [b.family for b in branches].index(branches[i].family), i))
+
+    @pytest.mark.parametrize("channel", ["rayleigh", "rice:m=2", "hoyt:m=0.6", "nakagami:m=2.5"])
+    @pytest.mark.parametrize("n_t", [2, 96, 4096])
+    def test_ber_and_capacity_match_the_per_branch_oracle(self, channel, n_t):
+        params = BerParams(n_t=n_t, n_r=1, branches=_shared_branches(n_t, channel, "equipower"))
+        esno_db = np.arange(-10.0, 31.0, 5.0)
+        for m in (2, 4, 8):
+            np.testing.assert_allclose(psk_ber(m, params, esno_db), psk_ber_sectors(m, params, esno_db),
+                                       rtol=1e-12, atol=0.0, err_msg=f"psk{m}")
+        for m in (16, 256, 4096):
+            np.testing.assert_allclose(qam_ber(m, params, esno_db), qam_ber_terms(m, params, esno_db),
+                                       rtol=1e-12, atol=0.0, err_msg=f"qam{m}")
+        # a rate near 0, at a BER near 1/2, is ill-conditioned: rates are
+        # compared relative to the full rate, the bits per symbol
+        names, rows = capacity_sweep(esno_db, n_t, 1, channel=channel)
+        for j, name in enumerate(names):
+            mod = modulation(name)
+            oracle = psk_ber_sectors if mod.family == "psk" else qam_ber_terms
+            want = [capacity(mod.bits_per_symbol, 1.0, float(p))
+                    for p in np.clip(oracle(mod.order, params, esno_db), 0.0, 0.5)]
+            np.testing.assert_allclose([row[1 + j] for row in rows], want, rtol=0.0,
+                                       atol=1e-12 * mod.bits_per_symbol, err_msg=name)
 
 
 @pytest.mark.parametrize("approx", [False, True], ids=["binding", "nakagami-approx"])

@@ -243,6 +243,26 @@ class TestBitIdentical:
         assert np.array_equal(got, want)
         assert tail == loop_rng.random()  # the stream is left where the loop leaves it
 
+    @pytest.mark.parametrize("size", [(32, 2), (), None])
+    def test_repeated_objects_are_the_branch_loop(self, size):
+        # runs of one repeated object, of equal objects, and of equal
+        # normal constants from distinct laws, between branches of other
+        # forms; equipower's branch_stats repeats one object
+        ray, rice = BranchStat("rayleigh", 1.0, 0.5), BranchStat("rice", 2.0, 0.5)
+        hoyt, nak = BranchStat("hoyt", 0.6, 2.0), BranchStat("nakagami", 2.5, 1.0)
+        stats_ = ([ray] * 3 + [BranchStat("rayleigh", 1.0, 0.5), BranchStat("hoyt", 1.0, 0.5), rice, rice]
+                  + [hoyt] * 2 + [ray] + [nak] * 3 + [rice, ray])
+        rng = np.random.default_rng(11)
+        got = sample_gains(stats_, rng, size)
+        tail = rng.random()
+        loop_rng = np.random.default_rng(11)
+        want = np.stack([old_sample_gain(st, loop_rng, size) for st in stats_], axis=-1)
+        assert np.array_equal(got, want)
+        assert tail == loop_rng.random()
+        equal = branch_stats(96, "rayleigh", "equipower")
+        assert all(st is equal[0] for st in equal)
+        self.test_sample_gains_is_the_branch_loop("rice:m=2", "equipower", 96, size)
+
     @pytest.mark.parametrize("size", [(), None])
     @pytest.mark.parametrize("channel,profile,n_t", BRANCH_LOOP_CASES)
     def test_sample_gains_is_the_branch_loop_at_0d(self, channel, profile, n_t, size):

@@ -109,23 +109,27 @@ class TestConfig:
     def test_batches_and_reference_read_the_shared_branches(self, n_t, monkeypatch):
         # the batches draw the channel the receiver sees, and the analytic
         # reference integrates over the same one: config.branches itself,
-        # whose equipower omegas share a total power of one
+        # whose equipower omegas share a total power of one.  The batches
+        # draw the plan the config worked out once, which is the plan of
+        # sample_gains(config.branches): the draw it would make
         drawn, integrated = [], []
-        real_gains, real_ber = fading.sample_gains, analysis.bit_error_rate
+        real_draw, real_ber = fading._draw_gains, analysis.bit_error_rate
 
-        def sample_gains(stats, *args):
-            drawn.append(stats)
-            return real_gains(stats, *args)
+        def draw_gains(plan, *args):
+            drawn.append(plan)
+            return real_draw(plan, *args)
 
         def bit_error_rate(mod, params, *args):
             integrated.append(params.branches)
             return real_ber(mod, params, *args)
 
-        monkeypatch.setattr(fading, "sample_gains", sample_gains)
+        monkeypatch.setattr(fading, "_draw_gains", draw_gains)
         monkeypatch.setattr(analysis, "bit_error_rate", bit_error_rate)
         cfg = small_config(k=4, n_t=n_t, trials=256, batch=128, target_errors=10**9)
         run_sweep(cfg)
-        assert len(drawn) == 4 and all(stats is cfg.branches for stats in drawn)
+        assert len(drawn) == 4 and all(plan is cfg.gain_plan for plan in drawn)
+        assert cfg.gain_plan == fading._gain_plan(cfg.branches)
+        assert cfg.gain_plan[0] == n_t
         assert len(integrated) == 1 and integrated[0] is cfg.branches
         assert sum(s.omega for s in cfg.branches) == pytest.approx(1.0)
 
@@ -135,6 +139,27 @@ class TestBranchStats:
         stats = branch_stats(3, "rayleigh", "equipower")
         assert [s.omega for s in stats] == [1.0, 1.0, 1.0]
         assert all(s.family == "rayleigh" for s in stats)
+
+    @pytest.mark.parametrize("n_t", [1, 3, 4096])
+    def test_equal_branches_are_one_object(self, n_t):
+        for stats in (branch_stats(n_t, "rice:m=2", "equipower"), _shared_branches(n_t, "rice:m=2", "equipower")):
+            assert len(stats) == n_t and all(s is stats[0] for s in stats)
+        assert _shared_branches(n_t, "rice:m=2", "equipower")[0] == fading.BranchStat("rice", 2.0, 1.0 / n_t)
+        for channel, profile in (("rayleigh", "linear:pmax=2"), ("mixed", "equipower")):
+            if n_t > 1 or channel != "mixed":
+                shared = _shared_branches(n_t, channel, profile)
+                assert len({id(s) for s in shared}) == n_t
+                assert list(shared) == [fading.BranchStat(s.family, s.m, s.omega / n_t)
+                                        for s in branch_stats(n_t, channel, profile)]
+
+    @pytest.mark.parametrize("profile", ["linear", "linear:pmax=9", "LINEAR:pmax=2"])
+    def test_mixed_takes_no_profile_but_equipower(self, profile):
+        # the mixed channel sets its own powers; a profile was silently dropped
+        with pytest.raises(ValueError, match="argument --profile: channel 'mixed'"):
+            branch_stats(4, "mixed", profile)
+        with pytest.raises(ConfigError, match="--profile"):
+            small_config(channel="mixed", profile=profile)
+        assert branch_stats(4, "mixed", "equipower") == branch_stats(4, "mixed", " Equipower ")
 
     def test_linear(self):
         stats = branch_stats(3, "rice:m=2", "linear:pmax=2")
@@ -891,6 +916,9 @@ class TestCli:
             "analyze --mod qpsk --nt 2 --profile linear:x=2",
             "analyze --mod qpsk --nt 2 --channel mixed:m=2",
             "analyze --mod qpsk --nt 2 --profile equipower:pmax=9",
+            "simulate --K 2 --channel mixed --profile linear:pmax=9",
+            "analyze --mod qpsk --nt 2 --channel mixed --profile linear:pmax=9",
+            "capacity --nt 2 --channel mixed --profile linear",
         ],
     )
     def test_invalid_argv_exits_2_with_a_message(self, argv, monkeypatch, capsys):
@@ -924,6 +952,9 @@ class TestCli:
         "analyze --mod qpsk --nt 2 --profile linear:x=2": "--profile",
         "analyze --mod qpsk --nt 2 --channel mixed:m=2": "--channel",
         "analyze --mod qpsk --nt 2 --profile equipower:pmax=9": "--profile",
+        "simulate --K 2 --channel mixed --profile linear:pmax=9": "--profile",
+        "analyze --mod qpsk --nt 2 --channel mixed --profile linear:pmax=9": "--profile",
+        "capacity --nt 2 --channel mixed --profile linear": "--profile",
     }
 
     @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",

@@ -3,12 +3,14 @@ forms of map and demap against integer-label references, the PSK distance
 spectrum against a brute-force enumeration, and hard-decision Monte Carlo
 against the analytic AWGN reference."""
 
+import contextlib
+import io
 import zlib
 
 import numpy as np
 import pytest
 
-from qostbc import Modulation, count_bit_errors, modulation, psk_distance_spectrum
+from qostbc import Modulation, cli, count_bit_errors, modem, modulation, psk_distance_spectrum
 from qostbc.analysis import BerParams, psk_ber, qam_ber
 from qostbc.fading import BranchStat
 from qostbc.harness import CAPACITY_MODULATIONS
@@ -68,6 +70,28 @@ class TestConstellations:
             modulation("fm")
         with pytest.raises(ValueError, match="unknown family"):
             Modulation("fsk", 4)
+
+    @pytest.mark.parametrize("name", [*CAPACITY_MODULATIONS, "bpsk", " QPSK ", "qam4", "psk32",
+                                      "qam8", "psk3", "psk1", "qam0", "fm", "qamx", "psk-4"])
+    def test_spec_is_what_the_modulation_holds(self, name):
+        # the one parser and check, with the same messages and no constellation
+        try:
+            mod = modulation(name)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                modem.modulation_spec(name)
+            assert str(got.value) == str(exc)
+        else:
+            assert modem.modulation_spec(name) == (mod.family, mod.order, mod.bits_per_symbol)
+
+    @pytest.mark.parametrize("argv", ["capacity --nt 4 --nr 2", "analyze --mod qam4096 --nt 4"])
+    def test_analysis_commands_build_no_constellation(self, argv, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a constellation was built")
+
+        monkeypatch.setattr(modem.Modulation, "__init__", refuse)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv.split()) == 0
 
     def test_wrong_bit_count(self):
         with pytest.raises(ValueError):
