@@ -167,9 +167,10 @@ def sample_gains(stats, rng: np.random.Generator, size):
     whose gains are affine in two normal draws (Rayleigh and Rice) is drawn
     with one call, since ``standard_normal((run, 2) + size)`` yields the
     draws of the run's branches in that order, and scaled once per slice
-    that repeats one object.  The plan of runs and slices (:func:`_gain_plan`)
-    comes before the draw; :class:`~qostbc.harness.ExperimentConfig` works
-    it out once, and each batch draws it alone (:func:`_draw_gains`).
+    of equal branches, such as equipower's one repeated object.  The plan
+    of runs and slices (:func:`_gain_plan`) comes before the draw;
+    :class:`~qostbc.harness.ExperimentConfig` works it out once, and each
+    batch draws it alone (:func:`_draw_gains`).
     """
     return _draw_gains(_gain_plan(stats), rng, size)
 
